@@ -2,10 +2,11 @@
 
 load_dataset -> split -> build_segment_model -> model build -> run_core ->
 run_explore -> write_report, through the public API. Prints one JSON line
-with the stage times, peak RSS and the report digest. With ``--trace`` the
-public functions are wrapped first and the spans are written to that file;
-with ``--check`` the full-size model is checked against the oracles after
-the reports are written, outside every timed interval.
+with the stage times, peak RSS (``ru_maxrss``, and VmHWM to check it
+against) and the report digest. With ``--trace`` the public functions are
+wrapped first and the spans are written to that file; with ``--check`` the
+full-size model is checked against the oracles after the reports are
+written, outside every timed interval.
 
 Run by ``run.py``; by hand:
 ``python3 perfbench/evaluate.py --workload knn-catalog --seed 1 --input IN --out OUT``
@@ -34,6 +35,20 @@ from workloads import EXPLORE_K, MF_EPOCHS, R_MAX, R_MIN, TOP_N, WORKLOADS  # no
 MF_BUDGET_S = 24 * 3600.0
 SAMPLE_USERS = 5
 HEAVIEST_USERS = 3
+
+
+def own_peak_rss_mb() -> float | None:
+    """VmHWM from /proc/self/status: the peak RSS of this process's own
+    memory map, which ``execve`` starts afresh. ``ru_maxrss`` also keeps the
+    peak of the process image before the exec, that of the spawning harness."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 def build_model(workload, data, segments, seed: int):
@@ -142,6 +157,7 @@ def main(argv=None) -> int:
     reporting.write_report(report, args.out)
     t_written = clock()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    own_rss_mb = own_peak_rss_mb()  # read second: it can only have grown
 
     out = Path(args.out)
     if tracer is not None:
@@ -159,6 +175,7 @@ def main(argv=None) -> int:
         "explore_s": t_explore - t_core,
         "write_s": t_written - t_explore,
         "peak_rss_mb": peak_rss_mb,
+        "own_peak_rss_mb": own_rss_mb,
         "report_sha256": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
         "program_timings": {
             "core": core.timings,

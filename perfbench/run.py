@@ -2,20 +2,23 @@
 
 Usage (from the root of a recbench checkout):
 
-    python3 perfbench/run.py --workload knn-catalog --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload knn-catalog --seed 1 --seconds 60 --trace 0
 
-Generates the workload's input from ``--seed``, then runs evaluations one
-after another (closed loop, one client), each in a fresh process as a user
-of ``recbench run`` pays it, for ``--seconds``. Reports medians over the
+Generates the workload's input from ``--seed`` in a child process
+(``prepare.py``, which also runs the reduced-instance checks), then runs
+evaluations one after another (closed loop, one client), each in a fresh
+process as a user of ``recbench run`` pays it, for ``--seconds``. Reports medians over the
 evaluations. With ``--trace 1`` evaluations alternate between untraced and
 traced processes, and the per-layer metrics come from the traced ones.
 
 Correctness checks, each counted in ``attempted``/``failed``: every
 evaluation exits cleanly; every evaluation of the run yields the same
-report.json digest; on a reduced instance of the same generator every core
-and Explore cell matches tests/oracle.py; at full size, batch scoring and
-comp_user match their scalar oracles for the heaviest and a seeded sample of
-users, and MF ran exactly the pinned number of epochs.
+report.json digest; every evaluation's ``ru_maxrss`` is its own (no more
+than its VmHWM); on a reduced instance of the same generator every core and
+Explore cell matches tests/oracle.py, and the fit stage matches pairwise
+``weighted_pearson`` (KNN) or a scalar SGD epoch (MF); at full size, batch
+scoring and comp_user match their scalar oracles for the heaviest and a
+seeded sample of users, and MF ran exactly the pinned number of epochs.
 
 The last line of stdout is one JSON object; the lines before it are for
 people. Exits 2, printing no result, outside a recbench checkout.
@@ -39,7 +42,7 @@ OUT = ROOT / ".perfbench_out"
 sys.path.insert(0, str(HERE))
 
 from tracing import LAYERS, layer_metrics  # noqa: E402
-from workloads import WORKLOADS, generate, input_sha256  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 MIN_EVALS = 3
 MAX_EVALS = 40
@@ -97,52 +100,17 @@ def run_evaluation(workload: str, seed: int, input_path: Path, out: Path, trace:
     return result
 
 
-def oracle_check(workload, seed: int, work: Path) -> tuple[int, list[str], float]:
-    """Core and Explore tables on a reduced instance against tests/oracle.py.
-
-    Returns (cells checked, failure messages, worst absolute difference).
-    """
-    import evaluate as ev  # puts src/ and tests/ on the import path
-    import oracle
-    from recbench import dataset, knn, protocol
-
-    path = generate(workload, seed, work / "reduced", reduced=True)
-    loaded = dataset.load_dataset(path, workload.fmt, ev.R_MIN, ev.R_MAX)
-    data = dataset.split(loaded.logs, workload.split_ratio, seed)
-    segments = dataset.build_segment_model(data.train)
-    model = ev.build_model(workload, data, segments, seed)
-    config = ev.protocol_config()
-    core = protocol.run_core(model, data, segments, config)
-    explore = protocol.run_explore(model, data, segments, config)
-
-    sections = [("core", core, model)]
-    matrix = model.item_similarity_matrix(config.explore_k)
-    if matrix is not None:
-        emulated = knn.KnnPredictor(
-            matrix, segments, dataset.user_ratings_index(data.train), config.r_min, config.r_max
-        )
-        sections.append(("explore", explore, emulated))
-    attempted, failures, worst = 1, [], 0.0
-    if (matrix is None) != (explore is None):
-        failures.append("Explore present iff the model exposes similarities")
-    for label, report, predictor in sections:
-        if report is None:
-            continue
-        reference = oracle.naive_core_report(predictor, data, segments, config.top_n)
-        for metric, cells in reference.items():
-            table = report.table(metric)
-            for segment, (value, support) in cells.items():
-                attempted += 1
-                got, got_support = table.cells.get(segment, (None, -1))
-                diff = 0.0 if value is None and got is None else (
-                    abs(got - value) if None not in (got, value) else float("inf")
-                )
-                worst = max(worst, diff)
-                if got_support != support or not diff <= 1e-9:
-                    failures.append(
-                        f"{label} {metric} {segment}: {got!r}/{got_support} vs oracle {value!r}/{support}"
-                    )
-    return attempted, failures, worst
+def prepare(workload: str, seed: int, work: Path) -> dict:
+    """Write the input and run the reduced-instance checks in a child process,
+    so that numpy and the data never enter this one (see workloads.py)."""
+    cmd = [
+        sys.executable, str(HERE / "prepare.py"), "--workload", workload, "--seed", str(seed),
+        "--work", str(work),
+    ]
+    proc = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"prepare.py exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def end_to_end_metrics(untraced: list[dict]) -> dict[str, tuple[float, str]]:
@@ -187,19 +155,10 @@ def main(argv=None) -> int:
 
 
 def run(workload, args, work: Path) -> int:
-    t_gen = time.monotonic()
-    input_path = generate(
-        workload, args.seed, work / ("input.csv" if workload.fmt == "csv" else "input")
-    )
-    gen_s = time.monotonic() - t_gen
-    sha = input_sha256(input_path)
-
-    attempted, failures = 0, []
-    t_oracle = time.monotonic()
-    cells, oracle_failures, worst = oracle_check(workload, args.seed, work)
-    oracle_s = time.monotonic() - t_oracle
-    attempted += cells
-    failures += oracle_failures
+    prepared = prepare(args.workload, args.seed, work)
+    input_path = Path(prepared["input"])
+    reduced = prepared["checks"]
+    attempted, failures = reduced["attempted"], list(reduced["failures"])
 
     untraced, traced = [], []
     start = time.monotonic()
@@ -220,6 +179,12 @@ def run(workload, args, work: Path) -> int:
             if checks:
                 attempted += checks["attempted"]
                 failures += checks["failures"]
+            attempted += 1
+            if result["own_peak_rss_mb"] is None or result["peak_rss_mb"] > result["own_peak_rss_mb"]:
+                failures.append(
+                    f"ru_maxrss {result['peak_rss_mb']:.1f} MB is not the evaluation's own peak "
+                    f"(VmHWM {result['own_peak_rss_mb']} MB): peak_rss_mb would measure the harness"
+                )
         runs += 1
         elapsed = time.monotonic() - start
         # Stop before an evaluation that would end past --seconds.
@@ -245,9 +210,9 @@ def run(workload, args, work: Path) -> int:
     shape = done[0]["shape"]
     print(f"workload {args.workload}  seed {args.seed}  model {workload.model}  format {workload.fmt}")
     print(
-        f"input sha256 {sha}  users {shape['users']}  items {shape['items']}  "
+        f"input sha256 {prepared['sha256']}  users {shape['users']}  items {shape['items']}  "
         f"logs {shape['train'] + shape['test']} (train {shape['train']}, test {shape['test']})  "
-        f"largest per-user test {shape['max_user_test']}  generated in {gen_s:.2f} s"
+        f"largest per-user test {shape['max_user_test']}  generated in {prepared['gen_s']:.2f} s"
     )
     print(
         f"closed loop, 1 client, fresh process per evaluation: {len(untraced)} untraced"
@@ -262,7 +227,11 @@ def run(workload, args, work: Path) -> int:
         print(f"  {name:<14}{median(values):>12.4f} {unit:<3} [{min(values):.4f}, {max(values):.4f}]")
     failed_frac = len(failures) / attempted
     print(f"  {'failed_frac':<14}{failed_frac:>12.4f}     ({len(failures)} of {attempted} operations)")
-    print(f"oracle: {cells} reduced-instance cells, worst difference {worst:.2e}, in {oracle_s:.2f} s")
+    if "cells" in reduced:
+        print(
+            f"reduced instance: {reduced['fit_checks']} fit-stage checks, {reduced['cells']} oracle "
+            f"cells (worst difference {reduced['worst']:.2e}), in {reduced['seconds']:.2f} s"
+        )
     if workload.model == "mf":
         print(f"MF epochs: {sorted({r['epochs'] for r in done})} (pinned to max_epochs)")
     timings = untraced[0]["program_timings"]

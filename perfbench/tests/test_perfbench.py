@@ -5,6 +5,7 @@ Run with ``python3 -m pytest -q perfbench/tests``.
 """
 
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -15,7 +16,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import run  # noqa: E402
 from tracing import LAYERS, Span, Tracer, layer_metrics, self_times  # noqa: E402
-from workloads import WORKLOADS, generate, input_sha256  # noqa: E402
+from generators import generate, input_sha256  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 # Digests of the reduced instances at seed 7. A change here changes every
 # workload's input, so it needs a new baseline.
@@ -34,6 +36,13 @@ def test_generators_are_byte_stable(name, tmp_path):
     other = input_sha256(generate(workload, 8, tmp_path / "c", reduced=True))
     assert first == again == REDUCED_SHA256[name]
     assert other != first
+
+
+def test_harness_process_does_not_import_numpy():
+    # Linux keeps ru_maxrss across execve, so the process that spawns the
+    # evaluations must stay smaller than any of them.
+    code = "import sys, run; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], cwd=run.HERE, check=True)
 
 
 def test_self_time_subtracts_the_union_of_children():
