@@ -234,10 +234,3 @@ def user_ratings_index(logs: list[RatingLog]) -> dict[str, dict[str, float]]:
         index.setdefault(log.user_id, {})[log.item_id] = log.rating
     return index
 
-
-def item_ratings_index(logs: list[RatingLog]) -> dict[str, dict[str, float]]:
-    """Index logs as item -> {user: rating}."""
-    index: dict[str, dict[str, float]] = {}
-    for log in logs:
-        index.setdefault(log.item_id, {})[log.user_id] = log.rating
-    return index

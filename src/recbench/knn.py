@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,24 +33,6 @@ class SimilarityMatrix:
         if k >= self.k:
             return self
         return SimilarityMatrix(k, {i: lst[:k] for i, lst in self.neighbors.items()})
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for item_id in sorted(self.neighbors):
-                for neighbor_id, weight in self.neighbors[item_id]:
-                    fh.write(f"{item_id},{neighbor_id},{weight!r}\n")
-
-    @classmethod
-    def load(cls, path: str | Path, k: int) -> "SimilarityMatrix":
-        neighbors: dict[str, list[tuple[str, float]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                item_id, neighbor_id, weight = line.split(",")
-                neighbors.setdefault(item_id, []).append((neighbor_id, float(weight)))
-        return cls(k, neighbors)
 
 
 def weighted_pearson(
@@ -211,7 +192,7 @@ class KnnPredictor(Predictor):
         if self._catalog_cache is not None and self._catalog_cache[0] is item_ids:
             return self._catalog_cache[1]
         index = self._internal()["index"]
-        rows = np.array([index.get(i, -1) for i in item_ids])
+        rows = np.array([index.get(i, -1) for i in item_ids], dtype=np.intp)
         self._catalog_cache = (item_ids, rows)
         return rows
 

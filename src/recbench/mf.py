@@ -6,10 +6,8 @@ item coordinate 0 and user coordinate 1 act as bias slots.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -47,39 +45,6 @@ class FactorModel:
         if u is None or i is None:
             return None
         return float(self.user_factors[u] @ self.item_factors[i])
-
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "n_factors": self.n_factors,
-            "learning_rate": self.learning_rate,
-            "regularization": self.regularization,
-            "seed": self.seed,
-            "training_log": self.training_log,
-        }
-        np.savez(
-            path,
-            meta=json.dumps(meta, sort_keys=True),
-            user_ids=np.array(self.user_ids),
-            item_ids=np.array(self.item_ids),
-            user_factors=self.user_factors,
-            item_factors=self.item_factors,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FactorModel":
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
-        return cls(
-            n_factors=meta["n_factors"],
-            learning_rate=meta["learning_rate"],
-            regularization=meta["regularization"],
-            seed=meta["seed"],
-            user_ids=[str(u) for u in data["user_ids"]],
-            item_ids=[str(i) for i in data["item_ids"]],
-            user_factors=data["user_factors"],
-            item_factors=data["item_factors"],
-            training_log=meta["training_log"],
-        )
 
 
 def _rmse(p: np.ndarray, q: np.ndarray, uu: np.ndarray, ii: np.ndarray, rr: np.ndarray) -> float:
@@ -193,15 +158,11 @@ def train_mf(
     )
 
 
-def mf_item_similarity(
-    model: FactorModel, k: int, include_pinned: bool = True
-) -> SimilarityMatrix:
+def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     """Pearson correlation between item factor vectors, top-K positive neighbors."""
     if k < 1:
         raise ValueError("k must be >= 1")
     m = model.item_factors
-    if not include_pinned:
-        m = np.delete(m, ITEM_PINNED, axis=1)
     centered = m - m.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     safe = norms > 1e-12
@@ -249,7 +210,7 @@ class MFPredictor(Predictor):
     def _catalog_arrays(self, item_ids) -> tuple[np.ndarray, np.ndarray]:
         if self._catalog_cache is not None and self._catalog_cache[0] is item_ids:
             return self._catalog_cache[1], self._catalog_cache[2]
-        rows = np.array([self.model.item_index.get(i, -1) for i in item_ids])
+        rows = np.array([self.model.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
         known = rows >= 0
         factors = np.zeros((len(item_ids), self.model.n_factors))
         factors[known] = self.model.item_factors[rows[known]]

@@ -1,8 +1,9 @@
 """Orchestration of the full offline evaluation.
 
-Steps: score every test log (Decide), pairwise rank compatibility per user
-(Compare), top-N generation with relevance and impact judgments (Discover),
-and re-evaluation of a model's extracted similarity matrix through a KNN
+Steps: one pass scoring every user over the catalog, whose rows feed the
+error on test logs (Decide), pairwise rank compatibility per user (Compare)
+and top-N generation with relevance and impact judgments (Discover); then
+re-evaluation of a model's extracted similarity matrix through a KNN
 predictor (Explore).
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import Predictor
-from .dataset import SegmentModel, SplitDataset, user_ratings_index
+from .dataset import RatingLog, SegmentModel, SplitDataset, user_ratings_index
 from .knn import KnnPredictor
 from .metrics import (
     MetricTable,
@@ -70,65 +71,16 @@ class EvaluationReport:
     explore: CoreReport | None
 
 
-def _score_test(
-    model: Predictor, data: SplitDataset, segments: SegmentModel
-) -> list[ScoredLog]:
-    by_user: dict[str, list] = {}
-    for log in data.test:
-        by_user.setdefault(log.user_id, []).append(log)
-    scored: list[ScoredLog] = []
-    for user_id in sorted(by_user):
-        logs = by_user[user_id]
-        item_ids = [log.item_id for log in logs]
-        try:
-            predictions = model.predict_many(user_id, item_ids)
-        except Exception as exc:
-            raise EvaluationError(
-                f"model {model.name!r} failed on user {user_id!r}: {exc}"
-            ) from exc
-        for log, pred in zip(logs, predictions):
-            scored.append(
-                ScoredLog(
-                    user_id=log.user_id,
-                    item_id=log.item_id,
-                    true_rating=log.rating,
-                    predicted_rating=float(pred),
-                    segment=segments.segment_of(log.user_id, log.item_id),
-                )
-            )
-    return scored
+def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
+    """Positions of the ``n`` highest scores, ties by ascending position.
 
-
-def generate_top_n(
-    model: Predictor,
-    user_id: str,
-    candidates,
-    n: int,
-    seen: frozenset | set = frozenset(),
-) -> list[str]:
-    """Top-N candidate items by predicted rating, ties by ascending item id.
-
-    ``candidates`` must be sorted ascending; items in ``seen`` are skipped.
+    Positions in ``seen`` are never picked, so fewer than ``n`` come back
+    when the rest run out.
     """
-    scores = model.predict_many(user_id, candidates)
-    return _top_n_from_scores(candidates, scores, n, seen)
-
-
-def _top_n_from_scores(candidates, scores: np.ndarray, n: int, seen) -> list[str]:
-    if seen:
-        scores = scores.copy()
-        for pos, item_id in enumerate(candidates):
-            if item_id in seen:
-                scores[pos] = -np.inf
-    order = np.argsort(-scores, kind="stable")
-    picked = []
-    for pos in order:
-        if scores[pos] == -np.inf:
-            continue
-        picked.append(candidates[pos])
-        if len(picked) == n:
-            break
-    return picked
+    masked = np.array(scores, dtype=float)
+    masked[list(seen)] = -np.inf
+    order = np.argsort(-masked, kind="stable")[:n]
+    return order[masked[order] != -np.inf]
 
 
 def run_core(
@@ -137,43 +89,47 @@ def run_core(
     segments: SegmentModel,
     config: ProtocolConfig,
 ) -> CoreReport:
-    """Evaluate Decide, Compare and Discover for one trained predictor."""
-    timings: dict[str, float] = {}
+    """Evaluate Decide, Compare and Discover for one trained predictor.
 
-    t0 = time.monotonic()
-    scored = _score_test(model, data, segments)
-    rmse_table = aggregate_rmse(scored)
-    timings["decide"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    scored_by_user: dict[str, list[ScoredLog]] = {}
-    for s in scored:
-        scored_by_user.setdefault(s.user_id, []).append(s)
-    per_user_comp = {u: comp_user(lst) for u, lst in scored_by_user.items()}
-    user_segment = {
-        u: "Huser" if segments.is_heavy(u) else "Luser" for u in per_user_comp
-    }
-    comp_macro, comp_micro = aggregate_comp(per_user_comp, user_segment)
-    timings["compare"] = time.monotonic() - t0
-
+    Each user is scored once over the catalog. Decide and Compare read the
+    user's test items out of that row, and Discover ranks the same row.
+    """
     t0 = time.monotonic()
     catalog = data.items  # sorted ascending, so stable sort breaks ties by id
-    test_index = user_ratings_index(data.test)
+    position = {item_id: n for n, item_id in enumerate(catalog)}
     train_index = user_ratings_index(data.train)
+    test_by_user: dict[str, list[RatingLog]] = {}
+    for log in data.test:
+        test_by_user.setdefault(log.user_id, []).append(log)
+
+    scored_by_user: dict[str, list[ScoredLog]] = {}
     outcomes_by_user: dict[str, list[RecommendationOutcome]] = {}
     for user_id in data.users:
-        seen = set(train_index.get(user_id, ())) if config.exclude_seen else set()
         try:
             scores = model.predict_many(user_id, catalog)
         except Exception as exc:
             raise EvaluationError(
                 f"model {model.name!r} failed on user {user_id!r}: {exc}"
             ) from exc
-        top = _top_n_from_scores(catalog, scores, config.top_n, seen)
+        test_logs = test_by_user.get(user_id, [])
+        if test_logs:
+            scored_by_user[user_id] = [
+                ScoredLog(
+                    user_id=user_id,
+                    item_id=log.item_id,
+                    true_rating=log.rating,
+                    predicted_rating=float(scores[position[log.item_id]]),
+                    segment=segments.segment_of(user_id, log.item_id),
+                )
+                for log in test_logs
+            ]
+        seen = train_index.get(user_id, ()) if config.exclude_seen else ()
+        top = top_n(scores, config.top_n, [position[i] for i in seen])
         user_mean = segments.user_mean(user_id)
-        test_ratings = test_index.get(user_id, {})
+        test_ratings = {log.item_id: log.rating for log in test_logs}
         outcomes = []
-        for rank, item_id in enumerate(top, start=1):
+        for rank, pos in enumerate(top, start=1):
+            item_id = catalog[pos]
             true_rating = test_ratings.get(item_id)
             outcomes.append(
                 RecommendationOutcome(
@@ -189,6 +145,21 @@ def run_core(
                 )
             )
         outcomes_by_user[user_id] = outcomes
+    timings = {"score": time.monotonic() - t0}
+
+    t0 = time.monotonic()
+    rmse_table = aggregate_rmse([s for lst in scored_by_user.values() for s in lst])
+    timings["decide"] = time.monotonic() - t0
+
+    t0 = time.monotonic()
+    per_user_comp = {u: comp_user(lst) for u, lst in scored_by_user.items()}
+    user_segment = {
+        u: "Huser" if segments.is_heavy(u) else "Luser" for u in per_user_comp
+    }
+    comp_macro, comp_micro = aggregate_comp(per_user_comp, user_segment)
+    timings["compare"] = time.monotonic() - t0
+
+    t0 = time.monotonic()
     precision_table, ami_table, ami_excluded = aggregate_discover(outcomes_by_user)
     timings["discover"] = time.monotonic() - t0
 
@@ -209,10 +180,11 @@ def run_explore(
 
     Returns None for models without a similarity capability.
     """
+    t0 = time.monotonic()
     matrix = model.item_similarity_matrix(config.explore_k)
+    extract_s = time.monotonic() - t0
     if matrix is None:
         return None
-    t0 = time.monotonic()
     emulated = KnnPredictor(
         matrix,
         segments,
@@ -221,7 +193,7 @@ def run_explore(
         r_max=config.r_max,
     )
     report = run_core(emulated, data, segments, config)
-    report.timings["similarity_extraction"] = time.monotonic() - t0
+    report.timings["extract"] = extract_s
     return report
 
 

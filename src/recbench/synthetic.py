@@ -54,40 +54,28 @@ def gen_planted_rank1(
     ]
 
 
-def planted_rank1_truth(n_users: int, n_items: int, density: float, seed: int):
-    """The (a, b) vectors behind gen_planted_rank1, for oracle checks."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(1.0, 2.2, n_users)
-    b = rng.uniform(1.0, 2.2, n_items)
-    return a, b
-
-
 def gen_clustered(
     n_users: int,
     n_items: int,
     n_groups: int,
     density: float,
     seed: int,
-    noise: float = 0.0,
 ) -> list[RatingLog]:
     """Item groups with per-user group preferences.
 
     Every item in group g receives the user's group preference (an integer in
-    [1, 5]), optionally jittered; with noise 0 the items of a group are
-    rating-identical for every user. Group g holds the contiguous item range
+    [1, 5]), so the items of a group are rating-identical for every user.
+    Group g holds the contiguous item range
     [g * n_items / n_groups, (g+1) * n_items / n_groups).
     """
     rng = np.random.default_rng(seed)
     prefs = rng.integers(1, 6, size=(n_users, n_groups)).astype(float)
     group_of = (np.arange(n_items) * n_groups) // n_items
     picks = rng.random((n_users, n_items)) < density
-    logs = []
-    for u, i in zip(*np.nonzero(picks)):
-        rating = prefs[u, group_of[i]]
-        if noise > 0.0:
-            rating = float(np.clip(round(rating + rng.normal(0.0, noise)), 1, 5))
-        logs.append(RatingLog(_user_id(u), _item_id(i), float(rating)))
-    return logs
+    return [
+        RatingLog(_user_id(u), _item_id(i), float(prefs[u, group_of[i]]))
+        for u, i in zip(*np.nonzero(picks))
+    ]
 
 
 def item_group_of(n_items: int, n_groups: int) -> dict[str, int]:

@@ -112,16 +112,6 @@ class TestBuildSimilarityMatrix:
 
 
 class TestSimilarityMatrixSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        logs = gen_uniform(30, 12, 0.5, seed=6)
-        matrix = build_similarity_matrix(logs, k=6, gamma=9)
-        path = tmp_path / "sim.csv"
-        matrix.save(path)
-        loaded = SimilarityMatrix.load(path, k=6)
-        for item, lst in matrix.neighbors.items():
-            if lst:
-                assert loaded.neighbors[item] == lst
-
     def test_truncated(self):
         matrix = SimilarityMatrix(5, {"a": [("b", 0.9), ("c", 0.5), ("d", 0.1)]})
         assert matrix.truncated(2).neighbor_list("a") == [("b", 0.9), ("c", 0.5)]

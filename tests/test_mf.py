@@ -218,30 +218,3 @@ class TestItemSimilarity:
                     assert got == pytest.approx(expected, abs=1e-10)
                 else:
                     assert got is None
-
-    def test_exclude_pinned_option(self):
-        rng = np.random.default_rng(4)
-        q = rng.normal(0, 1, (6, 5))
-        q[:, ITEM_PINNED] = 1.0
-        model = small_model(np.ones((1, 5)), q)
-        matrix = mf_item_similarity(model, k=5, include_pinned=False)
-        reduced = np.delete(q, ITEM_PINNED, axis=1)
-        for a in range(6):
-            for n, w in matrix.neighbor_list(f"i{a}"):
-                b = int(n[1:])
-                assert w == pytest.approx(np.corrcoef(reduced[a], reduced[b])[0, 1], abs=1e-10)
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        logs = gen_uniform(20, 10, 0.5, seed=13)
-        model = train_mf(logs, n_factors=4, seed=3, budget_seconds=2, validation_fraction=0.1, max_epochs=3)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = FactorModel.load(path)
-        assert loaded.user_ids == model.user_ids
-        assert loaded.item_ids == model.item_ids
-        assert np.array_equal(loaded.user_factors, model.user_factors)
-        assert np.array_equal(loaded.item_factors, model.item_factors)
-        assert loaded.training_log == model.training_log
-        assert loaded.n_factors == model.n_factors

@@ -6,13 +6,14 @@ from recbench.baselines import DefaultPredictor, Predictor, RandomPredictor
 from recbench.dataset import build_segment_model, split, user_ratings_index
 from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.metrics import GLOBAL
+from recbench.mf import MFPredictor, train_mf
 from recbench.protocol import (
     EvaluationError,
     ProtocolConfig,
     evaluate,
-    generate_top_n,
     run_core,
     run_explore,
+    top_n,
 )
 from recbench.synthetic import gen_clustered, gen_uniform
 
@@ -57,14 +58,21 @@ def make_data(seed=0, n_users=30, n_items=20, density=0.5, ratio=0.75):
     return data, segments
 
 
+def top_items(model, user_id, items, n, seen=()):
+    """The user's top-``n`` of ``items`` (sorted ascending) by ``top_n``."""
+    position = {item_id: k for k, item_id in enumerate(items)}
+    scores = model.predict_many(user_id, items)
+    return [items[k] for k in top_n(scores, n, [position[i] for i in seen])]
+
+
 class TestGenerateTopN:
     def test_tie_rule(self):
         model = FixedScores({"a": 4.2, "b": 3.9, "c": 4.2})
-        assert generate_top_n(model, "u", ("a", "b", "c"), 2) == ["a", "c"]
+        assert top_items(model, "u", ("a", "b", "c"), 2) == ["a", "c"]
 
     def test_candidate_exhaustion(self):
         model = FixedScores({"a": 4.0, "b": 3.0})
-        assert generate_top_n(model, "u", ("a", "b"), 5, seen={"a"}) == ["b"]
+        assert top_items(model, "u", ("a", "b"), 5, seen={"a"}) == ["b"]
 
     def test_matches_naive_full_sort(self):
         rng = np.random.default_rng(3)
@@ -72,7 +80,7 @@ class TestGenerateTopN:
         scores = {i: float(rng.choice([1.0, 2.5, 2.5, 4.0, 4.0, 5.0])) for i in items}
         model = FixedScores(scores)
         seen = {i for i in items if rng.random() < 0.1}
-        assert generate_top_n(model, "u", items, 10, seen) == oracle.naive_top_n(scores, 10, seen)
+        assert top_items(model, "u", items, 10, seen) == oracle.naive_top_n(scores, 10, seen)
 
 
 class TestRunCore:
@@ -121,13 +129,51 @@ class TestRunCore:
         train_index = user_ratings_index(data.train)
         for user in data.users:
             seen = set(train_index.get(user, ()))
-            top = generate_top_n(model, user, data.items, 5, seen)
+            top = top_items(model, user, data.items, 5, seen)
             assert not (set(top) & seen)
 
     def test_model_failure_identifies_user(self):
         data, segments = make_data(seed=5)
         with pytest.raises(EvaluationError, match="exploding"):
             run_core(Exploding(), data, segments, ProtocolConfig(top_n=3, explore_k=3))
+
+    def test_each_user_scored_once_over_catalog(self, monkeypatch):
+        data, segments = make_data(seed=13)
+        calls = []
+        predict_many = KnnPredictor.predict_many
+
+        def counting(self, user_id, item_ids):
+            calls.append((user_id, item_ids))
+            return predict_many(self, user_id, item_ids)
+
+        # Patched on the class, so Explore's emulated KNN is counted too.
+        monkeypatch.setattr(KnnPredictor, "predict_many", counting)
+        matrix = build_similarity_matrix(data.train, k=5, gamma=10)
+        model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+        config = ProtocolConfig(top_n=4, explore_k=5)
+        for run in (run_core, run_explore):
+            calls.clear()
+            run(model, data, segments, config)
+            assert [user for user, _ in calls] == list(data.users)
+            assert all(items is data.items for _, items in calls)
+
+
+@pytest.mark.parametrize("name", ["default", "random", "knn", "mf"])
+def test_predict_many_empty_item_list(name):
+    data, segments = make_data(seed=14)
+    if name == "default":
+        model = DefaultPredictor(segments)
+    elif name == "random":
+        model = RandomPredictor(seed=1)
+    elif name == "knn":
+        matrix = build_similarity_matrix(data.train, k=5, gamma=10)
+        model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+    else:
+        factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
+        model = MFPredictor(factors, segments)
+    scores = model.predict_many(data.users[0], [])
+    assert isinstance(scores, np.ndarray)
+    assert scores.shape == (0,)
 
 
 class TestExplore:
@@ -167,8 +213,6 @@ class TestDeterminismAndLeakage:
         assert reports[0] == reports[1]
 
     def test_test_set_perturbation_leaves_model_unchanged(self):
-        from recbench.mf import train_mf
-
         data, segments = make_data(seed=11)
         perturbed_test = [l for n, l in enumerate(data.test) if n % 2 == 0]
         # Same train set, different test set: similarity matrix and factors
@@ -191,14 +235,11 @@ class TestDeterminismAndLeakage:
         config = ProtocolConfig(top_n=5, explore_k=5)
         test_pairs = {(l.user_id, l.item_id) for l in data.test}
         # Re-derive outcomes the way run_core does and check evaluability.
-        from recbench.protocol import _top_n_from_scores
-
         train_index = user_ratings_index(data.train)
         test_index = user_ratings_index(data.test)
         for user in data.users:
             seen = set(train_index.get(user, ()))
-            scores = model.predict_many(user, data.items)
-            top = _top_n_from_scores(data.items, scores, 5, seen)
+            top = top_items(model, user, data.items, 5, seen)
             for item in top:
                 if item in test_index.get(user, {}):
                     assert (user, item) in test_pairs
