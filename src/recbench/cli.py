@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,19 @@ OUTPUT_DIR_ENV = "RECBENCH_OUTPUT_DIR"
 MODEL_NAMES = ("knn", "mf", "default", "random")
 
 
+# Model keys read as numbers by build_model.
+MODEL_NUMBER_KEYS = (
+    "K",
+    "gamma",
+    "F",
+    "seed",
+    "budget_seconds",
+    "validation_fraction",
+    "learning_rate",
+    "regularization",
+)
+
+
 class ManifestError(Exception):
     pass
 
@@ -41,6 +55,25 @@ def _require(manifest: dict, key: str):
     if key not in manifest:
         raise ManifestError(f"manifest missing required key {key!r}")
     return manifest[key]
+
+
+def _section(manifest: dict, key: str, required: bool = False) -> dict:
+    value = _require(manifest, key) if required else manifest.setdefault(key, {})
+    if not isinstance(value, dict):
+        raise ManifestError(f"{key} must be a JSON object")
+    return value
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -52,27 +85,43 @@ def load_manifest(path: str | Path) -> dict:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
-    dataset = _require(manifest, "dataset")
-    _require(dataset, "path")
+    dataset = _section(manifest, "dataset", required=True)
+    if not isinstance(_require(dataset, "path"), str):
+        raise ManifestError("dataset.path must be a string")
     dataset.setdefault("format", "csv")
     if not Path(dataset["path"]).exists():
         raise ManifestError(f"dataset path does not exist: {dataset['path']}")
-    model = _require(manifest, "model")
+    model = _section(manifest, "model", required=True)
     name = _require(model, "name")
     if name not in MODEL_NAMES:
         raise ManifestError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
-    split_cfg = manifest.setdefault("split", {})
+    for key in MODEL_NUMBER_KEYS:
+        if key in model and not _is_number(model[key]):
+            raise ManifestError(f"model.{key} must be a number")
+    split_cfg = _section(manifest, "split")
     split_cfg.setdefault("ratio", 0.9)
     split_cfg.setdefault("seed", 42)
-    if not 0.0 < split_cfg["ratio"] < 1.0:
-        raise ManifestError("split.ratio must be in (0,1)")
-    manifest.setdefault("rating_scale", [1.0, 5.0])
-    protocol = manifest.setdefault("protocol", {})
+    if not (_is_number(split_cfg["ratio"]) and 0.0 < split_cfg["ratio"] < 1.0):
+        raise ManifestError("split.ratio must be a number in (0,1)")
+    if not _is_int(split_cfg["seed"], 0):
+        raise ManifestError("split.seed must be an integer >= 0")
+    scale = manifest.setdefault("rating_scale", [1.0, 5.0])
+    if not (
+        isinstance(scale, list)
+        and len(scale) == 2
+        and all(_is_number(v) for v in scale)
+        and scale[0] < scale[1]
+    ):
+        raise ManifestError("rating_scale must be two numbers [r_min, r_max] with r_min < r_max")
+    protocol = _section(manifest, "protocol")
     protocol.setdefault("top_n", 10)
     protocol.setdefault("explore_k", 100)
     protocol.setdefault("exclude_seen", True)
-    if protocol["top_n"] < 1 or protocol["explore_k"] < 1:
-        raise ManifestError("protocol.top_n and protocol.explore_k must be >= 1")
+    for key in ("top_n", "explore_k"):
+        if not _is_int(protocol[key], 1):
+            raise ManifestError(f"protocol.{key} must be an integer >= 1")
+    if not isinstance(protocol["exclude_seen"], bool):
+        raise ManifestError("protocol.exclude_seen must be true or false")
     return manifest
 
 
@@ -187,12 +236,19 @@ def cmd_gen_fixture(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recbench",
         description="Offline evaluation workbench for recommender systems.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override all seeds")
+    parser.add_argument("--seed", type=_seed, default=None, help="override all seeds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute the full evaluation protocol")

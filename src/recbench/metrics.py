@@ -66,18 +66,32 @@ def comp_user(scored: list[ScoredLog]) -> tuple[int, int]:
 
     A pair is compatible iff the predicted difference has the same sign as the
     true difference; equal predictions on an unequal true pair are incompatible.
+
+    Counted in O(n log n) (Knight 1966). In (true ascending, prediction
+    descending) order a pair tied in truth is never strictly ascending in
+    prediction, so the compatible pairs are exactly the strictly ascending
+    prediction pairs of that order, counted with a Fenwick tree over
+    prediction ranks. Each item is counted against the earlier items of
+    smaller truth.
     """
-    compatible = 0
-    counted = 0
-    for a in range(len(scored)):
-        for b in range(a + 1, len(scored)):
-            dt = scored[a].true_rating - scored[b].true_rating
-            if dt == 0:
-                continue
-            counted += 1
-            dp = scored[a].predicted_rating - scored[b].predicted_rating
-            if _sign(dt) == _sign(dp):
-                compatible += 1
+    order = sorted((s.true_rating, -s.predicted_rating) for s in scored)
+    # rank 1 is the lowest prediction, i.e. the largest negated one
+    rank = {q: r for r, q in enumerate(sorted({q for _, q in order}, reverse=True), 1)}
+    tree = [0] * (len(rank) + 1)  # Fenwick tree of the ranks seen so far
+    compatible = counted = 0
+    group_start, group_truth = 0, None
+    for pos, (truth, q) in enumerate(order):
+        if truth != group_truth:
+            group_start, group_truth = pos, truth
+        counted += group_start
+        r = rank[q]
+        below = r - 1
+        while below:
+            compatible += tree[below]
+            below &= below - 1
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
     return compatible, counted
 
 

@@ -18,6 +18,9 @@ from .knn import SIM_EPS, SimilarityMatrix
 USER_PINNED = 0
 ITEM_PINNED = 1
 
+# Bytes of correlations mf_item_similarity holds at once.
+EXTRACT_BLOCK_BYTES = 8 * 2**20
+
 
 class TrainingError(Exception):
     """Raised for unusable training inputs."""
@@ -159,7 +162,11 @@ def train_mf(
 
 
 def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
-    """Pearson correlation between item factor vectors, top-K positive neighbors."""
+    """Pearson correlation between item factor vectors, top-K positive neighbors.
+
+    Correlations are computed for one block of rows at a time, at most
+    EXTRACT_BLOCK_BYTES of them, so items x items is never held.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     m = model.item_factors
@@ -168,17 +175,26 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     safe = norms > 1e-12
     unit = np.zeros_like(centered)
     unit[safe] = centered[safe] / norms[safe, None]
-    corr = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(corr, 0.0)
 
     item_ids = model.item_ids  # sorted at training time, so ties break by id
+    ids = np.array(item_ids, dtype=object)
+    n = len(item_ids)
+    kth = max(n - k, 0)
+    block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
+    buffer = np.empty((block_rows, n))
     neighbors: dict[str, list[tuple[str, float]]] = {}
-    for row, item_id in enumerate(item_ids):
-        sims = corr[row]
-        order = np.argsort(-sims, kind="stable")[:k]
-        neighbors[item_id] = [
-            (item_ids[col], float(sims[col])) for col in order if sims[col] > SIM_EPS
-        ]
+    for start in range(0, n, block_rows):
+        rows = unit[start : start + block_rows]
+        corr = np.matmul(rows, unit.T, out=buffer[: len(rows)])
+        np.clip(corr, -1.0, 1.0, out=corr)
+        for offset, sims in enumerate(corr):
+            row = start + offset
+            sims[row] = 0.0
+            floor = np.partition(sims, kth)[kth]
+            cols = np.flatnonzero((sims >= floor) & (sims > SIM_EPS))
+            # cols ascend, so the stable sort breaks ties by column
+            cols = cols[np.argsort(-sims[cols], kind="stable")[:k]]
+            neighbors[item_ids[row]] = list(zip(ids[cols].tolist(), sims[cols].tolist()))
     return SimilarityMatrix(k, neighbors)
 
 

@@ -75,12 +75,20 @@ def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
     """Positions of the ``n`` highest scores, ties by ascending position.
 
     Positions in ``seen`` are never picked, so fewer than ``n`` come back
-    when the rest run out.
+    when the rest run out. Only the candidates at or above the n-th highest
+    score are sorted.
     """
-    masked = np.array(scores, dtype=float)
-    masked[list(seen)] = -np.inf
-    order = np.argsort(-masked, kind="stable")[:n]
-    return order[masked[order] != -np.inf]
+    neg = -np.asarray(scores, dtype=float)
+    neg[list(seen)] = np.inf
+    if n < len(neg):
+        kth = np.partition(neg, n - 1)[n - 1]
+        # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
+        candidates = np.flatnonzero(~(neg > kth))
+    else:
+        candidates = np.arange(len(neg))
+    # candidates ascend, so the stable sort breaks ties by position
+    order = candidates[np.argsort(neg[candidates], kind="stable")[:n]]
+    return order[neg[order] != np.inf]
 
 
 def run_core(

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from recbench.knn import SIM_EPS
+
 
 def naive_rmse(pairs):
     """pairs: list of (true, predicted)."""
@@ -81,6 +85,31 @@ def naive_top_n(scores_by_item, n, seen=()):
         key=lambda t: (-t[1], t[0]),
     )
     return [item for item, _ in ranked[:n]]
+
+
+def naive_mf_item_similarity(model, k):
+    """Dense items x items Pearson of the item factors -> {item: [(neighbor, sim)]}.
+
+    Each row keeps its top-``k`` by (-sim, column) among the correlations
+    above SIM_EPS, with the diagonal zeroed.
+    """
+    m = model.item_factors
+    centered = m - m.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    safe = norms > 1e-12
+    unit = np.zeros_like(centered)
+    unit[safe] = centered[safe] / norms[safe, None]
+    corr = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(corr, 0.0)
+    item_ids = model.item_ids
+    neighbors = {}
+    for row, item_id in enumerate(item_ids):
+        sims = corr[row]
+        order = np.argsort(-sims, kind="stable")[:k]
+        neighbors[item_id] = [
+            (item_ids[col], float(sims[col])) for col in order if sims[col] > SIM_EPS
+        ]
+    return neighbors
 
 
 def naive_segment(user_count, user_threshold, item_count, item_threshold):

@@ -114,6 +114,57 @@ class TestErrors:
         path.write_text(json.dumps(manifest))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_DATASET
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("protocol.top_n", "10"),
+            ("protocol.top_n", True),
+            ("protocol.top_n", 2.5),
+            ("protocol.top_n", 0),
+            ("protocol.explore_k", True),
+            ("protocol.exclude_seen", "no"),
+            ("protocol", [5]),
+            ("split.ratio", "0.9"),
+            ("split.ratio", 1.0),
+            ("split.seed", "x"),
+            ("split", "0.9"),
+            ("rating_scale", "x"),
+            ("rating_scale", [5, 1]),
+            ("rating_scale", [1, "5"]),
+            ("rating_scale", [1, 3, 5]),
+            ("model.K", "ten"),
+            ("model.gamma", None),
+            ("model.F", "16"),
+            ("model.seed", False),
+            ("model.budget_seconds", "5"),
+            ("model.validation_fraction", [0.1]),
+            ("model.learning_rate", "fast"),
+            ("model.regularization", {}),
+            ("dataset.path", 5),
+        ],
+    )
+    def test_mistyped_manifest_field(self, tmp_path, fixture_csv, capsys, field, value):
+        manifest = json.loads(manifest_file(tmp_path, fixture_csv, {"name": "knn"}).read_text())
+        *parents, key = field.split(".")
+        section = manifest
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_override(self, tmp_path, fixture_csv, seed):
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", seed, "run", str(path), "-o", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_MANIFEST
+
 
 class TestCompare:
     def run_model(self, tmp_path, fixture_csv, model, out):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from recbench.dataset import SEGMENTS
@@ -209,3 +211,27 @@ class TestOracleEquivalence:
             a = ami_user(outcomes)
             na = oracle.naive_ami(naive_eval, 50)
             assert (a is None and na is None) or abs(a - na) < 1e-12
+
+
+TRUTHS = st.integers(1, 5).map(float)
+PREDICTIONS = st.one_of(st.sampled_from([1.0, 2.5, 3.0, 4.5]), st.floats(1.0, 5.0))
+
+
+class TestCompUserAgainstOracle:
+    """The O(n log n) count against the pair enumeration, ties in truth,
+    in prediction and in both."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TRUTHS, PREDICTIONS), max_size=80))
+    def test_generated_lists(self, pairs):
+        assert comp_user(scored(pairs)) == oracle.naive_comp_pairs(pairs)
+
+    def test_long_seeded_list(self):
+        rng = np.random.default_rng(17)
+        levels = rng.integers(1, 6, 600).astype(float)
+        continuous = rng.uniform(1, 5, 600)
+        pairs = [
+            (float(t), float(p if k % 3 else round(p)))
+            for k, (t, p) in enumerate(zip(levels, continuous))
+        ]
+        assert comp_user(scored(pairs)) == oracle.naive_comp_pairs(pairs)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracle
+from recbench import mf
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import RatingLog, build_segment_model
 from recbench.mf import (
@@ -218,3 +222,62 @@ class TestItemSimilarity:
                     assert got == pytest.approx(expected, abs=1e-10)
                 else:
                     assert got is None
+
+
+def gaussian_items(n_items, seed=5):
+    """Continuous F=4 item vectors, every 97th one of zero variance."""
+    q = np.random.default_rng(seed).normal(0, 1, (n_items, 4))
+    q[::97] = 0.3
+    return small_model(np.ones((1, 4)), q)
+
+
+def tied_items(n_items, seed=6):
+    """F=16 vectors c + (+-1 pattern): unit entries are +-1/4, so every
+    correlation is a multiple of 1/16 whatever the summation order, and each
+    pattern recurs about five times, so exact ties fall at the K boundaries."""
+    rng = np.random.default_rng(seed)
+    patterns = np.array([rng.permutation([1.0] * 8 + [-1.0] * 8) for _ in range(n_items // 5)])
+    q = patterns[rng.integers(0, len(patterns), n_items)] + rng.integers(-3, 4, (n_items, 1))
+    q[::97] = 2.0
+    return small_model(np.ones((1, 16)), q)
+
+
+def assert_same_neighbors(got, want):
+    assert got.keys() == want.keys()
+    for item, expected in want.items():
+        assert [j for j, _ in got[item]] == [j for j, _ in expected], item
+        np.testing.assert_allclose(
+            [w for _, w in got[item]], [w for _, w in expected], rtol=0, atol=1e-12
+        )
+
+
+class TestBlockedExtraction:
+    """Row-blocked extraction against the dense oracle."""
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("items", [gaussian_items, tied_items])
+    def test_matches_dense_oracle(self, items, k):
+        model = items(1500)
+        assert 1500 > mf.EXTRACT_BLOCK_BYTES // (8 * 1500), "must span several blocks"
+        assert_same_neighbors(
+            mf_item_similarity(model, k).neighbors, oracle.naive_mf_item_similarity(model, k)
+        )
+
+    @pytest.mark.parametrize("k", [240, 265])
+    def test_k_at_least_catalog(self, monkeypatch, k):
+        monkeypatch.setattr(mf, "EXTRACT_BLOCK_BYTES", 8 * 240 * 50)
+        model = tied_items(240)
+        assert_same_neighbors(
+            mf_item_similarity(model, k).neighbors, oracle.naive_mf_item_similarity(model, k)
+        )
+
+    def test_memory_bounded_by_block(self):
+        n_items = 3000
+        model = small_model(np.ones((1, 16)), np.random.default_rng(7).normal(0, 1, (n_items, 16)))
+        tracemalloc.start()
+        try:
+            mf_item_similarity(model, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_items * n_items * 8 / 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from recbench.baselines import DefaultPredictor, Predictor, RandomPredictor
@@ -65,6 +67,16 @@ def top_items(model, user_id, items, n, seen=()):
     return [items[k] for k in top_n(scores, n, [position[i] for i in seen])]
 
 
+@st.composite
+def top_n_cases(draw):
+    """Scores with ties, a random seen mask, n up to past the catalog size."""
+    scores = draw(
+        st.lists(st.sampled_from([1.0, 2.5, 4.0]) | st.floats(-10.0, 10.0), min_size=1, max_size=60)
+    )
+    seen = draw(st.sets(st.integers(0, len(scores) - 1)))
+    return scores, draw(st.integers(1, len(scores) + 3)), seen
+
+
 class TestGenerateTopN:
     def test_tie_rule(self):
         model = FixedScores({"a": 4.2, "b": 3.9, "c": 4.2})
@@ -81,6 +93,15 @@ class TestGenerateTopN:
         model = FixedScores(scores)
         seen = {i for i in items if rng.random() < 0.1}
         assert top_items(model, "u", items, 10, seen) == oracle.naive_top_n(scores, 10, seen)
+
+    @settings(max_examples=300, deadline=None)
+    @given(top_n_cases())
+    @example(([3.0, 3.0, 1.0], 5, {0, 1, 2}))  # every position seen
+    @example(([2.0, 2.0, 2.0], 3, set()))  # n equal to the catalog, all tied
+    def test_matches_naive_on_generated_scores(self, case):
+        scores, n, seen = case
+        got = top_n(np.array(scores), n, sorted(seen)).tolist()
+        assert got == oracle.naive_top_n(dict(enumerate(scores)), n, seen)
 
 
 class TestRunCore:
