@@ -14,6 +14,8 @@ _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
 # the positivity filter must agree between the naive and vectorized routes.
 SIM_EPS = 1e-9
+# Entries of a co-rating product that build_similarity_matrix computes at once.
+BUILD_BLOCK_ENTRIES = 2**16
 
 
 @dataclass
@@ -61,13 +63,28 @@ def weighted_pearson(
     return corr * min(n, gamma) / gamma
 
 
+def _row_blocks(weights: np.ndarray, budget: int):
+    """Consecutive row ranges [start, stop) whose weights sum to at most
+    ``budget``; a row heavier than that gets a range of its own."""
+    cum = np.cumsum(weights)
+    start = 0
+    while start < len(weights):
+        base = cum[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cum, base + budget, side="right")))
+        yield start, stop
+        start = stop
+
+
 def build_similarity_matrix(
     train: list[RatingLog], k: int, gamma: int = 50
 ) -> SimilarityMatrix:
     """Top-K Weighted Pearson neighbors for every item of the train set.
 
     Co-rating statistics come from sparse products over the user-item matrix,
-    so only co-rated item pairs are ever materialized.
+    so only co-rated item pairs are ever materialized, and the products are
+    computed for one block of item rows at a time, at most
+    BUILD_BLOCK_ENTRIES entries each, so the whole items x items product
+    is never held either.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -83,36 +100,49 @@ def build_similarity_matrix(
     r = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     b = sp.csr_matrix((np.ones(len(train)), (rows, cols)), shape=shape)
 
-    co = sp.triu((b.T @ b).tocsr(), k=1).tocoo()  # common-rater counts, i < j
-    mask = co.data >= 2
-    ii, jj, n = co.row[mask], co.col[mask], co.data[mask]
-    if len(ii) == 0:
-        return SimilarityMatrix(k, {i: [] for i in items})
+    r2 = r.multiply(r).tocsr()
+    # item-major copies: a block of their rows times a user-major matrix is
+    # that block's rows of a co-rating product
+    rt, bt, r2t = r.T.tocsr(), b.T.tocsr(), r2.T.tocsr()
+    # bound on the entries of an item's product row: every rating of each
+    # of its raters, capped at the catalog
+    reach = np.minimum(bt @ np.asarray(b.sum(axis=1)).ravel(), len(items))
 
     def entries(m, rows_idx, cols_idx):
-        return np.asarray(m.tocsr()[rows_idx, cols_idx]).ravel()
+        # the conversion sorts each column's indices, so lookups search them
+        return np.asarray(m.tocsc()[rows_idx, cols_idx]).ravel()
 
-    sum_xy = entries(r.T @ r, ii, jj)
-    rb = (r.T @ b).tocsr()  # (i, j) -> sum of i's ratings over common raters
-    sum_x = entries(rb, ii, jj)
-    sum_y = entries(rb, jj, ii)
-    r2b = (r.multiply(r).T @ b).tocsr()
-    sum_x2 = entries(r2b, ii, jj)
-    sum_y2 = entries(r2b, jj, ii)
+    pairs_i, pairs_j, pairs_sim = [], [], []
+    for start, stop in _row_blocks(reach, BUILD_BLOCK_ENTRIES):
+        # only the pairs i < j: columns from start + 1 on, so local ii <= jj
+        bj, rj, r2j = b[:, start + 1 :], r[:, start + 1 :], r2[:, start + 1 :]
+        co = sp.triu(bt[start:stop] @ bj).tocoo()  # common-rater counts
+        mask = co.data >= 2
+        ii, jj, n = co.row[mask], co.col[mask], co.data[mask]
+        if len(ii) == 0:
+            continue
+        sum_xy = entries(rt[start:stop] @ rj, ii, jj)
+        sum_x = entries(rt[start:stop] @ bj, ii, jj)  # i's ratings over common raters
+        sum_y = entries(bt[start:stop] @ rj, ii, jj)
+        sum_x2 = entries(r2t[start:stop] @ bj, ii, jj)
+        sum_y2 = entries(bt[start:stop] @ r2j, ii, jj)
 
-    cov = sum_xy - sum_x * sum_y / n
-    var_x = sum_x2 - sum_x**2 / n
-    var_y = sum_y2 - sum_y**2 / n
-    valid = (var_x > _VAR_EPS) & (var_y > _VAR_EPS)
-    sim = np.zeros(len(n))
-    sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
-    sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
+        cov = sum_xy - sum_x * sum_y / n
+        var_x = sum_x2 - sum_x**2 / n
+        var_y = sum_y2 - sum_y**2 / n
+        valid = (var_x > _VAR_EPS) & (var_y > _VAR_EPS)
+        sim = np.zeros(len(n))
+        sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
+        sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
+        positive = sim > SIM_EPS
+        pairs_i += (ii[positive] + start).tolist()
+        pairs_j += (jj[positive] + start + 1).tolist()
+        pairs_sim += sim[positive].tolist()
 
     neighbors: dict[str, list[tuple[str, float]]] = {i: [] for i in items}
-    positive = sim > SIM_EPS
-    for a, bb, s in zip(ii[positive], jj[positive], sim[positive]):
-        neighbors[items[a]].append((items[bb], float(s)))
-        neighbors[items[bb]].append((items[a], float(s)))
+    for a, bb, s in zip(pairs_i, pairs_j, pairs_sim):
+        neighbors[items[a]].append((items[bb], s))
+        neighbors[items[bb]].append((items[a], s))
     for item_id in items:
         lst = neighbors[item_id]
         lst.sort(key=lambda t: (-t[1], t[0]))

@@ -3,6 +3,7 @@ import pytest
 
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import RatingLog, build_segment_model, split, user_ratings_index
+from recbench import knn
 from recbench.knn import KnnPredictor, SimilarityMatrix, build_similarity_matrix, weighted_pearson
 from recbench.synthetic import gen_clustered, gen_uniform, item_group_of
 
@@ -110,6 +111,52 @@ class TestBuildSimilarityMatrix:
             assert lst, item
             assert all(group[n] == group[item] for n, _ in lst)
 
+
+
+def naive_similarity_lists(logs, k, gamma):
+    by_item = item_ratings(logs)
+    lists = {}
+    for i in sorted(by_item):
+        sims = [(j, weighted_pearson(by_item[i], by_item[j], gamma)) for j in sorted(by_item) if j != i]
+        lists[i] = sorted((t for t in sims if t[1] > 1e-9), key=lambda t: (-t[1], t[0]))[:k]
+    return lists
+
+
+class TestBlockedBuild:
+    """Row blocks of the co-rating products against one block and the pairwise oracle."""
+
+    @pytest.mark.parametrize("budget", [1, 40, 500])
+    def test_blocks_match_one_block(self, monkeypatch, budget):
+        logs = gen_clustered(80, 40, 4, density=0.3, seed=11)
+        whole = build_similarity_matrix(logs, k=7, gamma=10)
+        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", budget)
+        assert build_similarity_matrix(logs, k=7, gamma=10).neighbors == whole.neighbors
+
+    def test_signed_ratings_match_naive(self, monkeypatch):
+        # ratings around zero make some co-rating sums exactly zero, which
+        # sparse products leave out
+        rng = np.random.default_rng(12)
+        logs = [
+            RatingLog(f"u{u}", f"i{i:02d}", float(rng.integers(-2, 3)))
+            for u in range(30)
+            for i in range(25)
+            if rng.random() < 0.5
+        ]
+        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", 30)
+        got = build_similarity_matrix(logs, k=6, gamma=8).neighbors
+        want = naive_similarity_lists(logs, k=6, gamma=8)
+        assert got.keys() == want.keys()
+        for item, expected in want.items():
+            assert [j for j, _ in got[item]] == [j for j, _ in expected], item
+            assert np.allclose([w for _, w in got[item]], [w for _, w in expected], atol=1e-12)
+
+    def test_row_blocks_cover_rows_within_budget(self):
+        weights = np.array([3, 1, 9, 2, 2, 0, 4])
+        blocks = list(knn._row_blocks(weights, 4))
+        assert [b for _, b in blocks][-1] == len(weights)
+        assert all(a < b for a, b in blocks)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        assert all(weights[a:b].sum() <= 4 or b == a + 1 for a, b in blocks)
 
 class TestSimilarityMatrixSerialization:
     def test_truncated(self):
