@@ -42,7 +42,6 @@ class DefaultPredictor(Predictor):
         self.stats = stats
         self.r_min = r_min
         self.r_max = r_max
-        self._catalog_cache: tuple[object, np.ndarray, np.ndarray] | None = None
 
     def predict(self, user_id: str, item_id: str) -> float:
         um = self.stats.user_means.get(user_id)
@@ -57,21 +56,10 @@ class DefaultPredictor(Predictor):
             value = self.stats.global_mean
         return float(min(max(value, self.r_min), self.r_max))
 
-    def _item_vectors(self, item_ids) -> tuple[np.ndarray, np.ndarray]:
-        # Item means and known-mask aligned to the caller's catalog; cached
-        # against the catalog object itself (kept alive by the cache, so the
-        # identity check cannot be fooled by id reuse).
-        if self._catalog_cache is not None and self._catalog_cache[0] is item_ids:
-            return self._catalog_cache[1], self._catalog_cache[2]
-        means = np.array(
-            [self.stats.item_means.get(i, self.stats.global_mean) for i in item_ids]
-        )
-        known = np.array([i in self.stats.item_means for i in item_ids])
-        self._catalog_cache = (item_ids, means, known)
-        return means, known
-
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
-        means, known = self._item_vectors(item_ids)
+        rows = self.stats.item_rows(item_ids)
+        known = rows >= 0
+        means = self.stats.item_mean_array[rows]
         um = self.stats.user_means.get(user_id)
         if um is None:
             scores = np.where(known, means, self.stats.global_mean)

@@ -95,8 +95,10 @@ def load_manifest(path: str | Path) -> dict:
     name = _require(model, "name")
     if name not in MODEL_NAMES:
         raise ManifestError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
-    for key in MODEL_NUMBER_KEYS:
-        if key in model and not _is_number(model[key]):
+    for key in sorted(model.keys() - {"name"}):
+        if key not in MODEL_NUMBER_KEYS:
+            raise ManifestError(f"unknown model key {key!r}")
+        if not _is_number(model[key]):
             raise ManifestError(f"model.{key} must be a number")
     split_cfg = _section(manifest, "split")
     split_cfg.setdefault("ratio", 0.9)
@@ -157,7 +159,7 @@ def cmd_run(args) -> int:
         manifest = load_manifest(args.manifest)
         if args.seed is not None:
             manifest["split"]["seed"] = args.seed
-            manifest["model"].setdefault("seed", args.seed)
+            manifest["model"]["seed"] = args.seed
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return EXIT_MANIFEST

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +179,24 @@ class SegmentModel:
     user_means: dict[str, float]
     item_means: dict[str, float]
     global_mean: float
+
+    def __post_init__(self):
+        # the one item order that similarity matrices and factor models share
+        self.item_ids = tuple(sorted(self.item_means))
+        self.item_mean_array = np.array([self.item_means[i] for i in self.item_ids])
+        self.item_index = {i: n for n, i in enumerate(self.item_ids)}
+        self._rows_memo = (None, None)
+
+    def item_rows(self, item_ids) -> np.ndarray:
+        """Row of each id in the train item order, -1 for ids outside train.
+
+        The last sequence asked for is remembered by identity (and kept
+        alive, so a reused ``id`` cannot match), so a catalog is mapped once.
+        """
+        if self._rows_memo[0] is not item_ids:
+            rows = np.array([self.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
+            self._rows_memo = (item_ids, rows)
+        return self._rows_memo[1]
 
     def user_mean(self, user_id: str) -> float:
         """Train-set mean rating of the user, global mean if unseen in train."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,23 +19,52 @@ SIM_EPS = 1e-9
 BUILD_BLOCK_ENTRIES = 2**16
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Per-item top-K neighbor lists, sorted by descending weight then item id.
+    """Top-K neighbor lists of the sorted train items, as CSR arrays.
 
-    No item lists itself; only strictly positive similarities are kept.
+    Row r lists item_ids[r]'s neighbors, ``indices`` and ``weights`` from
+    ``indptr[r]`` to ``indptr[r + 1]``, by descending weight, then ascending
+    column (= item id). No item lists itself; only weights above SIM_EPS.
     """
 
     k: int
-    neighbors: dict[str, list[tuple[str, float]]]
+    item_ids: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.item_ids, self.item_ids[1:])):
+            raise ValueError("similarity matrix item_ids must be sorted and distinct")
+
+    @classmethod
+    def top_k(cls, k, item_ids, rows, cols, weights) -> "SimilarityMatrix":
+        """Each row's first ``k`` of the given entries by (-weight, column)."""
+        order = np.lexsort((cols, -weights, rows))
+        counts = np.bincount(rows, minlength=len(item_ids))
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        kept = order[rank < k]
+        indptr = np.concatenate(([0], np.cumsum(np.minimum(counts, k))))
+        return cls(k, tuple(item_ids), indptr, cols[kept], weights[kept])
 
     def neighbor_list(self, item_id: str) -> list[tuple[str, float]]:
-        return self.neighbors.get(item_id, [])
+        ids = self.item_ids
+        r = bisect_left(ids, item_id)
+        if r == len(ids) or ids[r] != item_id:
+            return []
+        a, b = self.indptr[r], self.indptr[r + 1]
+        return list(zip([ids[c] for c in self.indices[a:b].tolist()], self.weights[a:b].tolist()))
+
+    @property
+    def neighbors(self) -> dict[str, list[tuple[str, float]]]:
+        return {item_id: self.neighbor_list(item_id) for item_id in self.item_ids}
 
     def truncated(self, k: int) -> "SimilarityMatrix":
         if k >= self.k:
             return self
-        return SimilarityMatrix(k, {i: lst[:k] for i, lst in self.neighbors.items()})
+        rows = np.repeat(np.arange(len(self.item_ids)), np.diff(self.indptr))
+        return SimilarityMatrix.top_k(k, self.item_ids, rows, self.indices, self.weights)
 
 
 def weighted_pearson(
@@ -88,6 +118,8 @@ def build_similarity_matrix(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
     users = sorted({log.user_id for log in train})
     items = sorted({log.item_id for log in train})
     u_index = {u: n for n, u in enumerate(users)}
@@ -112,7 +144,8 @@ def build_similarity_matrix(
         # the conversion sorts each column's indices, so lookups search them
         return np.asarray(m.tocsc()[rows_idx, cols_idx]).ravel()
 
-    pairs_i, pairs_j, pairs_sim = [], [], []
+    # (i, j, similarity) of the kept pairs, one triple of arrays per block
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for start, stop in _row_blocks(reach, BUILD_BLOCK_ENTRIES):
         # only the pairs i < j: columns from start + 1 on, so local ii <= jj
         bj, rj, r2j = b[:, start + 1 :], r[:, start + 1 :], r2[:, start + 1 :]
@@ -135,25 +168,19 @@ def build_similarity_matrix(
         sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
         sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
         positive = sim > SIM_EPS
-        pairs_i += (ii[positive] + start).tolist()
-        pairs_j += (jj[positive] + start + 1).tolist()
-        pairs_sim += sim[positive].tolist()
+        found.append((ii[positive] + start, jj[positive] + start + 1, sim[positive]))
 
-    neighbors: dict[str, list[tuple[str, float]]] = {i: [] for i in items}
-    for a, bb, s in zip(pairs_i, pairs_j, pairs_sim):
-        neighbors[items[a]].append((items[bb], s))
-        neighbors[items[bb]].append((items[a], s))
-    for item_id in items:
-        lst = neighbors[item_id]
-        lst.sort(key=lambda t: (-t[1], t[0]))
-        del lst[k:]
-    return SimilarityMatrix(k, neighbors)
+    first, second, sims = (np.concatenate(part) for part in zip(*found))
+    return SimilarityMatrix.top_k(
+        k, items, np.concatenate((first, second)), np.concatenate((second, first)), np.tile(sims, 2)
+    )
 
 
 class KnnPredictor(Predictor):
     """Deviation-form prediction over the user's rated neighbors of the item.
 
-    Falls back to the default predictor when no rated neighbor exists.
+    Falls back to the default predictor when no rated neighbor exists. The
+    matrix must list the segment model's items, in its order.
     """
 
     name = "knn"
@@ -167,6 +194,8 @@ class KnnPredictor(Predictor):
         r_max: float = 5.0,
         gamma: int | None = None,
     ):
+        if matrix.item_ids != stats.item_ids:
+            raise ValueError("similarity matrix items differ from the segment model's train items")
         self.matrix = matrix
         self.stats = stats
         self.user_ratings = user_ratings
@@ -174,8 +203,9 @@ class KnnPredictor(Predictor):
         self.r_max = r_max
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
-        self._internal_arrays: dict | None = None
-        self._catalog_cache: tuple[object, np.ndarray] | None = None
+        # rows sum their neighbors in column order; another order moves last bits
+        shape = (len(matrix.item_ids),) * 2
+        self.w = sp.csr_matrix((matrix.weights, matrix.indices, matrix.indptr), shape).sorted_indices()
 
     def predict(self, user_id: str, item_id: str) -> float:
         rated = self.user_ratings.get(user_id)
@@ -193,68 +223,30 @@ class KnnPredictor(Predictor):
                 return float(min(max(base + num / den, self.r_min), self.r_max))
         return self.fallback.predict(user_id, item_id)
 
-    def _internal(self) -> dict:
-        # Weight matrix over every item the model knows about, built once;
-        # callers' item lists are mapped onto these rows.
-        if self._internal_arrays is None:
-            item_ids = sorted(set(self.matrix.neighbors) | set(self.stats.item_means))
-            index = {i: n for n, i in enumerate(item_ids)}
-            rows, cols, weights = [], [], []
-            for item_id, lst in self.matrix.neighbors.items():
-                row = index[item_id]
-                for neighbor_id, weight in lst:
-                    col = index.get(neighbor_id)
-                    if col is not None:
-                        rows.append(row)
-                        cols.append(col)
-                        weights.append(weight)
-            w = sp.csr_matrix(
-                (np.array(weights), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-                shape=(len(item_ids), len(item_ids)),
-            )
-            means = np.array(
-                [self.stats.item_means.get(i, self.stats.global_mean) for i in item_ids]
-            )
-            self._internal_arrays = {"index": index, "w": w, "means": means}
-        return self._internal_arrays
-
-    def _rows_for(self, item_ids) -> np.ndarray:
-        if self._catalog_cache is not None and self._catalog_cache[0] is item_ids:
-            return self._catalog_cache[1]
-        index = self._internal()["index"]
-        rows = np.array([index.get(i, -1) for i in item_ids], dtype=np.intp)
-        self._catalog_cache = (item_ids, rows)
-        return rows
-
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         scores = self.fallback.predict_many(user_id, item_ids)
         rated = self.user_ratings.get(user_id)
         if not rated:
             return scores
-        arrays = self._internal()
-        index = arrays["index"]
-        means = arrays["means"]
+        means = self.stats.item_mean_array
         deviation = np.zeros(len(means))
         mask = np.zeros(len(means))
         for item_id, rating in rated.items():
-            col = index.get(item_id)
+            col = self.stats.item_index.get(item_id)
             if col is not None:
                 deviation[col] = rating - means[col]
                 mask[col] = 1.0
-        num = arrays["w"] @ deviation
-        den = arrays["w"] @ mask
-        rows = self._rows_for(item_ids)
+        num = self.w @ deviation
+        den = self.w @ mask
+        rows = self.stats.item_rows(item_ids)
         known = rows >= 0
+        # rows of items outside train (-1) read the last row; never used
         row_den = np.where(known, den[rows], 0.0)
         has_neighbors = row_den > 0.0
-        row_num = np.where(known, num[rows], 0.0)
-        row_means = np.where(known, means[rows], 0.0)
-        knn_scores = row_means + np.divide(
-            row_num, row_den, out=np.zeros_like(row_num), where=has_neighbors
+        knn_scores = means[rows] + np.divide(
+            num[rows], row_den, out=np.zeros(len(rows)), where=has_neighbors
         )
-        return np.where(
-            has_neighbors, np.clip(knn_scores, self.r_min, self.r_max), scores
-        )
+        return np.where(has_neighbors, np.clip(knn_scores, self.r_min, self.r_max), scores)
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:
         return self.matrix.truncated(k)

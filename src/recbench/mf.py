@@ -165,7 +165,8 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     """Pearson correlation between item factor vectors, top-K positive neighbors.
 
     Correlations are computed for one block of rows at a time, at most
-    EXTRACT_BLOCK_BYTES of them, so items x items is never held.
+    EXTRACT_BLOCK_BYTES of them, so items x items is never held. The
+    model's item ids must be sorted, as train_mf leaves them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,30 +177,29 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     unit = np.zeros_like(centered)
     unit[safe] = centered[safe] / norms[safe, None]
 
-    item_ids = model.item_ids  # sorted at training time, so ties break by id
-    ids = np.array(item_ids, dtype=object)
-    n = len(item_ids)
+    n = len(model.item_ids)
     kth = max(n - k, 0)
     block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
     buffer = np.empty((block_rows, n))
-    neighbors: dict[str, list[tuple[str, float]]] = {}
+    # (row, column, correlation) of the candidates, one triple of arrays per block
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for start in range(0, n, block_rows):
-        rows = unit[start : start + block_rows]
-        corr = np.matmul(rows, unit.T, out=buffer[: len(rows)])
+        block = unit[start : start + block_rows]
+        corr = np.matmul(block, unit.T, out=buffer[: len(block)])
         np.clip(corr, -1.0, 1.0, out=corr)
-        for offset, sims in enumerate(corr):
-            row = start + offset
-            sims[row] = 0.0
-            floor = np.partition(sims, kth)[kth]
-            cols = np.flatnonzero((sims >= floor) & (sims > SIM_EPS))
-            # cols ascend, so the stable sort breaks ties by column
-            cols = cols[np.argsort(-sims[cols], kind="stable")[:k]]
-            neighbors[item_ids[row]] = list(zip(ids[cols].tolist(), sims[cols].tolist()))
-    return SimilarityMatrix(k, neighbors)
+        local = np.arange(len(block))
+        corr[local, start + local] = 0.0
+        floors = np.array([np.partition(sims, kth)[kth] for sims in corr])
+        # a row's candidates: its positive correlations at or above its k-th largest
+        r, c = np.nonzero((corr >= floors[:, None]) & (corr > SIM_EPS))
+        found.append((r + start, c, corr[r, c]))
+    rows, cols, sims = (np.concatenate(part) for part in zip(*found))
+    return SimilarityMatrix.top_k(k, model.item_ids, rows, cols, sims)
 
 
 class MFPredictor(Predictor):
-    """Dot-product prediction, clamped; unknown users or items fall back."""
+    """Clamped dot products over the segment model's item order; unknown
+    users or items fall back to the default predictor."""
 
     name = "mf"
 
@@ -210,12 +210,16 @@ class MFPredictor(Predictor):
         r_min: float = 1.0,
         r_max: float = 5.0,
     ):
+        if tuple(model.item_ids) != stats.item_ids:
+            raise ValueError("factor model items differ from the segment model's train items")
         self.model = model
         self.stats = stats
         self.r_min = r_min
         self.r_max = r_max
         self.fallback = DefaultPredictor(stats, r_min, r_max)
-        self._catalog_cache: tuple[object, np.ndarray, np.ndarray] | None = None
+        # item factors aligned to the last catalog scored: BLAS results depend on
+        # the layout, so gathering from a product with all factors moves last bits
+        self._block: tuple[np.ndarray, np.ndarray] | None = None
 
     def predict(self, user_id: str, item_id: str) -> float:
         raw = self.model.raw_predict(user_id, item_id)
@@ -223,23 +227,18 @@ class MFPredictor(Predictor):
             return self.fallback.predict(user_id, item_id)
         return float(min(max(raw, self.r_min), self.r_max))
 
-    def _catalog_arrays(self, item_ids) -> tuple[np.ndarray, np.ndarray]:
-        if self._catalog_cache is not None and self._catalog_cache[0] is item_ids:
-            return self._catalog_cache[1], self._catalog_cache[2]
-        rows = np.array([self.model.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
-        known = rows >= 0
-        factors = np.zeros((len(item_ids), self.model.n_factors))
-        factors[known] = self.model.item_factors[rows[known]]
-        self._catalog_cache = (item_ids, factors, known)
-        return factors, known
-
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         u = self.model.user_index.get(user_id)
         fallback_scores = self.fallback.predict_many(user_id, item_ids)
         if u is None:
             return fallback_scores
-        factors, known = self._catalog_arrays(item_ids)
-        raw = factors @ self.model.user_factors[u]
+        rows = self.stats.item_rows(item_ids)
+        known = rows >= 0
+        if self._block is None or self._block[0] is not rows:
+            factors = np.zeros((len(rows), self.model.n_factors))
+            factors[known] = self.model.item_factors[rows[known]]
+            self._block = (rows, factors)
+        raw = self._block[1] @ self.model.user_factors[u]
         return np.where(known, np.clip(raw, self.r_min, self.r_max), fallback_scores)
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:

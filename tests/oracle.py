@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from recbench.knn import SIM_EPS
+from recbench.knn import SIM_EPS, SimilarityMatrix
 
 
 def naive_rmse(pairs):
@@ -110,6 +110,21 @@ def naive_mf_item_similarity(model, k):
             (item_ids[col], float(sims[col])) for col in order if sims[col] > SIM_EPS
         ]
     return neighbors
+
+
+def similarity_matrix(k, lists, item_ids):
+    """A SimilarityMatrix over the sorted ``item_ids`` from hand-made lists
+    ``{item: [(neighbor, weight), ...]}``, each list kept in the order given."""
+    item_ids = tuple(sorted(item_ids))
+    column = {item_id: n for n, item_id in enumerate(item_ids)}
+    rows = [lists.get(item_id, []) for item_id in item_ids]
+    return SimilarityMatrix(
+        k,
+        item_ids,
+        np.cumsum([0] + [len(row) for row in rows]),
+        np.array([column[j] for row in rows for j, _ in row], dtype=np.intp),
+        np.array([w for row in rows for _, w in row], dtype=float),
+    )
 
 
 def naive_segment(user_count, user_threshold, item_count, item_threshold):

@@ -14,7 +14,7 @@ import oracle
 from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.cli import main as cli_main
 from recbench.dataset import build_segment_model, split, user_ratings_index
-from recbench.knn import KnnPredictor, SimilarityMatrix, build_similarity_matrix
+from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.metrics import (
     GLOBAL,
     RecommendationOutcome,
@@ -322,7 +322,9 @@ def test_explore_pipeline():
             key=lambda t: (-t[1], t[0]),
         )
     shuffled_report = run_core(
-        KnnPredictor(SimilarityMatrix(emulated_matrix.k, shuffled), segments, ratings),
+        KnnPredictor(
+            oracle.similarity_matrix(emulated_matrix.k, shuffled, items), segments, ratings
+        ),
         data, segments, config,
     )
 

@@ -7,6 +7,7 @@ from recbench.cli import (
     EXIT_EVALUATION,
     EXIT_MANIFEST,
     EXIT_OK,
+    EXIT_TRAINING,
     main,
 )
 from recbench.synthetic import gen_clustered, write_csv
@@ -86,6 +87,19 @@ class TestRun:
         assert main(["--seed", "99", "run", str(path), "-o", str(out2)]) == EXIT_OK
         assert (out1 / "report.json").read_bytes() != (out2 / "report.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "random", "seed": 3},
+            {"name": "mf", "seed": 3, "F": 4, "budget_seconds": 5, "validation_fraction": 0.1},
+        ],
+    )
+    def test_seed_override_replaces_model_seed(self, tmp_path, fixture_csv, model):
+        path = manifest_file(tmp_path, fixture_csv, model)
+        out = tmp_path / "out"
+        assert main(["--seed", "99", "run", str(path), "-o", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["model_config"]["seed"] == 99
+
 
 class TestErrors:
     def test_missing_manifest(self, tmp_path):
@@ -141,6 +155,7 @@ class TestErrors:
             ("model.learning_rate", "fast"),
             ("model.regularization", {}),
             ("dataset.path", 5),
+            ("model.bogus", 1),
         ],
     )
     def test_mistyped_manifest_field(self, tmp_path, fixture_csv, capsys, field, value):
@@ -156,6 +171,13 @@ class TestErrors:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_MANIFEST
         err = capsys.readouterr().err
         assert err.startswith("manifest error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gamma", [0, -5])
+    def test_gamma_below_one(self, tmp_path, fixture_csv, capsys, gamma):
+        path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "gamma": gamma})
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
+        assert "gamma must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x"])

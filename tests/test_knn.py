@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import RatingLog, build_segment_model, split, user_ratings_index
 from recbench import knn
-from recbench.knn import KnnPredictor, SimilarityMatrix, build_similarity_matrix, weighted_pearson
+from recbench.knn import KnnPredictor, build_similarity_matrix, weighted_pearson
+from recbench.mf import mf_item_similarity, train_mf
 from recbench.synthetic import gen_clustered, gen_uniform, item_group_of
 
 
@@ -67,6 +72,11 @@ class TestBuildSimilarityMatrix:
         logs = [RatingLog("u0", "solo", 4.0), RatingLog("u1", "a", 3.0), RatingLog("u2", "a", 5.0)]
         matrix = build_similarity_matrix(logs, k=5)
         assert matrix.neighbor_list("solo") == []
+
+    @pytest.mark.parametrize("gamma", [0, -5])
+    def test_gamma_below_one_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            build_similarity_matrix(gen_uniform(20, 10, 0.5, seed=1), k=5, gamma=gamma)
 
     def test_no_self_neighbors_and_sorted(self):
         logs = gen_uniform(40, 15, 0.6, seed=2)
@@ -158,10 +168,62 @@ class TestBlockedBuild:
         assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
         assert all(weights[a:b].sum() <= 4 or b == a + 1 for a, b in blocks)
 
+def assert_csr_rows(matrix):
+    """Each row sorted by (-w, col), without its own item, at most k entries
+    and only weights above SIM_EPS."""
+    indptr, indices, weights = matrix.indptr, matrix.indices, matrix.weights
+    assert indptr[0] == 0 and indptr[-1] == len(indices) == len(weights)
+    assert len(indptr) == len(matrix.item_ids) + 1
+    for row in range(len(matrix.item_ids)):
+        cols = indices[indptr[row] : indptr[row + 1]].tolist()
+        ws = weights[indptr[row] : indptr[row + 1]].tolist()
+        assert row not in cols
+        assert len(cols) <= matrix.k
+        assert all(w > knn.SIM_EPS for w in ws)
+        keys = [(-w, c) for w, c in zip(ws, cols)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), row
+
+
 class TestSimilarityMatrixSerialization:
     def test_truncated(self):
-        matrix = SimilarityMatrix(5, {"a": [("b", 0.9), ("c", 0.5), ("d", 0.1)]})
+        matrix = oracle.similarity_matrix(5, {"a": [("b", 0.9), ("c", 0.5), ("d", 0.1)]}, "abcd")
         assert matrix.truncated(2).neighbor_list("a") == [("b", 0.9), ("c", 0.5)]
+
+
+class TestSimilarityMatrixFormat:
+    def test_neighbor_list_of_unknown_item(self):
+        matrix = oracle.similarity_matrix(1, {"b": [("c", 0.5)]}, "abc")
+        assert matrix.neighbor_list("a") == []
+        assert matrix.neighbor_list("zz") == []
+        assert matrix.neighbor_list("") == []
+        assert matrix.neighbors == {"a": [], "b": [("c", 0.5)], "c": []}
+
+    def test_unsorted_item_ids_rejected(self):
+        empty = np.empty(0, np.intp)
+        with pytest.raises(ValueError):
+            knn.SimilarityMatrix(1, ("b", "a"), np.zeros(3, np.intp), empty, np.empty(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 20))
+    def test_build_rows_are_sorted_top_k(self, seed, k, gamma):
+        # integer ratings on few raters give tied weights
+        logs = gen_uniform(20, 14, 0.5, seed=seed)
+        assert_csr_rows(build_similarity_matrix(logs, k, gamma))
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_extracted_rows_are_sorted_top_k(self, k):
+        logs = gen_clustered(60, 30, 3, density=0.5, seed=4)
+        model = train_mf(logs, n_factors=4, seed=2, validation_fraction=0.1, max_epochs=2)
+        assert_csr_rows(mf_item_similarity(model, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 11, 12])
+    def test_truncated_slices_every_list(self, k):
+        matrix = build_similarity_matrix(gen_uniform(40, 20, 0.5, seed=3), k=11, gamma=5)
+        cut = matrix.truncated(k)
+        assert cut.k == min(k, 11) and cut.item_ids == matrix.item_ids
+        assert_csr_rows(cut)
+        for item_id in matrix.item_ids:
+            assert cut.neighbor_list(item_id) == matrix.neighbor_list(item_id)[:k]
 
 
 class TestKnnPredict:
@@ -177,13 +239,13 @@ class TestKnnPredict:
             RatingLog("v", "i", 3.0),
             RatingLog("w", "i", 3.0),
         ]
-        matrix = SimilarityMatrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]})
+        matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ij")
         model = self.make_predictor(logs, matrix)
         assert model.predict("u", "i") == 5.0
 
     def test_fallback_when_no_rated_neighbor(self):
         logs = [RatingLog("u", "a", 4.0), RatingLog("v", "b", 2.0), RatingLog("v", "c", 4.0)]
-        matrix = SimilarityMatrix(1, {"b": [("c", 0.5)]})
+        matrix = oracle.similarity_matrix(1, {"b": [("c", 0.5)]}, "abc")
         model = self.make_predictor(logs, matrix)
         stats = build_segment_model(logs)
         assert model.predict("u", "b") == DefaultPredictor(stats).predict("u", "b")
@@ -195,7 +257,7 @@ class TestKnnPredict:
             RatingLog("v", "i", 4.0),
             RatingLog("w", "i", 4.0),
         ]
-        matrix = SimilarityMatrix(1, {"i": [("j", 0.8)]})
+        matrix = oracle.similarity_matrix(1, {"i": [("j", 0.8)]}, "ij")
         model = self.make_predictor(logs, matrix)
         assert model.predict("u", "i") == 4.0
 
@@ -217,6 +279,18 @@ class TestKnnPredict:
             single = [model.predict(user, i) for i in catalog]
             assert np.allclose(many, single, atol=1e-12)
 
+    def test_weights_sum_in_column_order(self):
+        # the batch path must round like a weight matrix built from
+        # coordinates, whose rows list their columns in ascending order
+        logs = gen_uniform(40, 20, 0.6, seed=12)
+        matrix = build_similarity_matrix(logs, k=12, gamma=10)
+        model = self.make_predictor(logs, matrix)
+        n = len(matrix.item_ids)
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        by_coordinates = sp.csr_matrix((matrix.weights, (rows, matrix.indices)), shape=(n, n))
+        x = np.random.default_rng(1).normal(size=(n, 200)) * 10.0 ** np.arange(-3, 3, 0.03)
+        assert np.array_equal(model.w @ x, by_coordinates @ x)
+
     def test_predict_many_on_sublist_sees_outside_neighbors(self):
         # Requested items may have neighbors outside the requested list;
         # predictions must still use them.
@@ -237,3 +311,10 @@ class TestKnnPredict:
         assert sub.k == 3
         for item, lst in sub.neighbors.items():
             assert lst == matrix.neighbor_list(item)[:3]
+
+    def test_other_item_order_rejected(self):
+        logs = gen_uniform(30, 15, 0.5, seed=4)
+        matrix = build_similarity_matrix(logs, k=5, gamma=5)
+        fewer = [log for log in logs if log.item_id != "i00003"]
+        with pytest.raises(ValueError):
+            KnnPredictor(matrix, build_segment_model(fewer), user_ratings_index(logs))

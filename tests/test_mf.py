@@ -29,7 +29,8 @@ def small_model(p, q, user_ids=None, item_ids=None):
         regularization=0.008,
         seed=0,
         user_ids=user_ids or [f"u{k}" for k in range(p.shape[0])],
-        item_ids=item_ids or [f"i{k}" for k in range(q.shape[0])],
+        # zero-padded to sort in row order, as train_mf leaves item ids
+        item_ids=item_ids or [f"i{k:0{len(str(len(q) - 1))}d}" for k in range(len(q))],
         user_factors=p,
         item_factors=q,
     )
@@ -51,6 +52,12 @@ class TestPrediction:
         pred = MFPredictor(model, stats)
         assert model.raw_predict("u0", "i0") > 5.0
         assert pred.predict("u0", "i0") == 5.0
+
+    def test_other_item_order_rejected(self):
+        model = small_model([[1, 0, 0]], [[0, 1, 0], [0, 1, 1]])
+        stats = build_segment_model([RatingLog("u0", "i0", 4.0)])
+        with pytest.raises(ValueError):
+            MFPredictor(model, stats)
 
     def test_unknown_user_falls_back(self):
         model = small_model([[1, 0, 0]], [[0, 1, 0]])
@@ -206,6 +213,11 @@ class TestItemSimilarity:
         matrix = mf_item_similarity(model, k=2)
         assert matrix.neighbor_list("i0") == []
         assert all(n != "i0" for n, _ in matrix.neighbor_list("i1"))
+
+    def test_unsorted_item_ids_rejected(self):
+        model = small_model(np.ones((1, 4)), np.eye(2, 4), item_ids=["i1", "i0"])
+        with pytest.raises(ValueError):
+            mf_item_similarity(model, k=1)
 
     def test_matches_naive_pearson(self):
         rng = np.random.default_rng(3)
