@@ -12,7 +12,9 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
+import time
 from pathlib import Path
 
 from . import synthetic
@@ -169,20 +171,29 @@ def cmd_run(args) -> int:
     )
     r_min, r_max = manifest["rating_scale"]
 
+    stage_timings: dict[str, float] = {}
     try:
+        t0 = time.monotonic()
         loaded = load_dataset(
             manifest["dataset"]["path"], manifest["dataset"]["format"], r_min, r_max
         )
+        stage_timings["load"] = time.monotonic() - t0
         if loaded.dropped_duplicates:
             print(f"dropped {loaded.dropped_duplicates} duplicate logs", file=sys.stderr)
+        t0 = time.monotonic()
         data = split(loaded.logs, manifest["split"]["ratio"], manifest["split"]["seed"])
+        stage_timings["split"] = time.monotonic() - t0
+        t0 = time.monotonic()
         segments = build_segment_model(data.train)
+        stage_timings["segments"] = time.monotonic() - t0
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
 
     try:
+        t0 = time.monotonic()
         model = build_model(manifest["model"]["name"], manifest, data, segments, r_min, r_max)
+        stage_timings["fit"] = time.monotonic() - t0
     except (TrainingError, ValueError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
@@ -200,10 +211,21 @@ def cmd_run(args) -> int:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
 
-    write_report(report, outdir)
+    run_info = {
+        "stage_timings": stage_timings,
+        "peak_rss_mb": _peak_rss_mb(),
+        "dropped_duplicates": loaded.dropped_duplicates,
+    }
+    write_report(report, outdir, run_info)
     print(render_summary(report), end="")
     print(f"reports written to {outdir}")
     return EXIT_OK
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes there, KiB here
 
 
 def cmd_compare(args) -> int:

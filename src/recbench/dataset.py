@@ -190,13 +190,17 @@ class SegmentModel:
     def item_rows(self, item_ids) -> np.ndarray:
         """Row of each id in the train item order, -1 for ids outside train.
 
-        The last sequence asked for is remembered by identity (and kept
-        alive, so a reused ``id`` cannot match), so a catalog is mapped once.
+        The last tuple asked for is remembered by identity (and kept alive,
+        so a reused ``id`` cannot match), so a catalog is mapped once. Other
+        sequences can change in place and are mapped afresh on every call.
         """
-        if self._rows_memo[0] is not item_ids:
-            rows = np.array([self.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
+        memo = isinstance(item_ids, tuple)
+        if memo and self._rows_memo[0] is item_ids:
+            return self._rows_memo[1]
+        rows = np.array([self.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
+        if memo:
             self._rows_memo = (item_ids, rows)
-        return self._rows_memo[1]
+        return rows
 
     def user_mean(self, user_id: str) -> float:
         """Train-set mean rating of the user, global mean if unseen in train."""

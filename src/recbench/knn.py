@@ -181,6 +181,13 @@ class KnnPredictor(Predictor):
 
     Falls back to the default predictor when no rated neighbor exists. The
     matrix must list the segment model's items, in its order.
+
+    A catalog row only reads the matrix columns of the items the user
+    rated: for each rated item j, ascending, the items i that list j, with
+    w_ij. Its work is the in-degree of those items, not the matrix size.
+    Each item's sums add the same nonzero terms in the same (ascending j)
+    order as a product with the column-sorted weight matrix, so the scores
+    are those of that product, bit for bit.
     """
 
     name = "knn"
@@ -203,9 +210,31 @@ class KnnPredictor(Predictor):
         self.r_max = r_max
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
-        # rows sum their neighbors in column order; another order moves last bits
-        shape = (len(matrix.item_ids),) * 2
-        self.w = sp.csr_matrix((matrix.weights, matrix.indices, matrix.indptr), shape).sorted_indices()
+
+        # column-major weights: column j lists the items i with j as a neighbor
+        n = len(matrix.item_ids)
+        w = sp.csr_matrix((matrix.weights, matrix.indices, matrix.indptr), (n, n)).tocsc()
+        self.col_ptr, self.col_rows, self.col_weights = w.indptr, w.indices, w.data
+
+        # users x train items CSR of the deviations rating - item mean,
+        # ascending columns per user; items outside train are left out
+        counts = np.fromiter(map(len, user_ratings.values()), np.intp, len(user_ratings))
+        cols = np.fromiter(
+            (stats.item_index.get(i, -1) for r in user_ratings.values() for i in r),
+            np.int32,
+            counts.sum(),
+        )
+        ratings = np.fromiter(
+            (x for r in user_ratings.values() for x in r.values()), float, counts.sum()
+        )
+        owner = np.repeat(np.arange(len(counts)), counts)
+        known = cols >= 0
+        cols, ratings, owner = cols[known], ratings[known], owner[known]
+        order = np.argsort(owner * n + cols)  # (user, item) pairs are distinct
+        self.user_row = {user_id: row for row, user_id in enumerate(user_ratings)}
+        self.user_ptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(counts)))))
+        self.user_cols = cols[order]
+        self.user_dev = ratings[order] - stats.item_mean_array[self.user_cols]
 
     def predict(self, user_id: str, item_id: str) -> float:
         rated = self.user_ratings.get(user_id)
@@ -223,21 +252,34 @@ class KnnPredictor(Predictor):
                 return float(min(max(base + num / den, self.r_min), self.r_max))
         return self.fallback.predict(user_id, item_id)
 
+    def neighbor_sums(self, cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_j w_ij * v_j, sum_j w_ij) over the given columns j, for every item i.
+
+        ``cols`` must ascend; items that list none of them get (0, 0).
+        """
+        starts = self.col_ptr[cols]
+        lengths = self.col_ptr[cols + 1] - starts
+        # positions of the columns' entries, one segment after the other
+        offsets = np.cumsum(lengths) - lengths
+        entries = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+        targets = self.col_rows[entries]
+        weights = self.col_weights[entries]
+        n = len(self.col_ptr) - 1
+        # bincount adds each target's terms in input order: ascending column
+        num = np.bincount(targets, weights=weights * np.repeat(values, lengths), minlength=n)
+        den = np.bincount(targets, weights=weights, minlength=n)
+        return num, den
+
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         scores = self.fallback.predict_many(user_id, item_ids)
-        rated = self.user_ratings.get(user_id)
-        if not rated:
+        row = self.user_row.get(user_id)
+        if row is None:
             return scores
+        a, b = self.user_ptr[row], self.user_ptr[row + 1]
+        if a == b:
+            return scores
+        num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
         means = self.stats.item_mean_array
-        deviation = np.zeros(len(means))
-        mask = np.zeros(len(means))
-        for item_id, rating in rated.items():
-            col = self.stats.item_index.get(item_id)
-            if col is not None:
-                deviation[col] = rating - means[col]
-                mask[col] = 1.0
-        num = self.w @ deviation
-        den = self.w @ mask
         rows = self.stats.item_rows(item_ids)
         known = rows >= 0
         # rows of items outside train (-1) read the last row; never used

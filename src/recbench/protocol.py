@@ -105,6 +105,7 @@ def run_core(
     t0 = time.monotonic()
     catalog = data.items  # sorted ascending, so stable sort breaks ties by id
     position = {item_id: n for n, item_id in enumerate(catalog)}
+    popular = [segments.is_popular(item_id) for item_id in catalog]
     train_index = user_ratings_index(data.train)
     test_by_user: dict[str, list[RatingLog]] = {}
     for log in data.test:
@@ -120,16 +121,20 @@ def run_core(
                 f"model {model.name!r} failed on user {user_id!r}: {exc}"
             ) from exc
         test_logs = test_by_user.get(user_id, [])
+        # the user's segment for an unpopular and for a popular item
+        u = "H" if segments.is_heavy(user_id) else "L"
+        segment = (f"{u}userUitem", f"{u}userPitem")
         if test_logs:
+            positions = [position[log.item_id] for log in test_logs]
             scored_by_user[user_id] = [
                 ScoredLog(
                     user_id=user_id,
                     item_id=log.item_id,
                     true_rating=log.rating,
-                    predicted_rating=float(scores[position[log.item_id]]),
-                    segment=segments.segment_of(user_id, log.item_id),
+                    predicted_rating=float(scores[pos]),
+                    segment=segment[popular[pos]],
                 )
-                for log in test_logs
+                for log, pos in zip(test_logs, positions)
             ]
         seen = train_index.get(user_id, ()) if config.exclude_seen else ()
         top = top_n(scores, config.top_n, [position[i] for i in seen])
@@ -149,7 +154,7 @@ def run_core(
                     user_mean=user_mean,
                     item_count=segments.item_count(item_id),
                     catalog_size=data.catalog_size,
-                    segment=segments.segment_of(user_id, item_id),
+                    segment=segment[popular[pos]],
                 )
             )
         outcomes_by_user[user_id] = outcomes

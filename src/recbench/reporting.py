@@ -53,10 +53,11 @@ def report_payload(report: EvaluationReport) -> dict:
     }
 
 
-def metadata_payload(report: EvaluationReport) -> dict:
+def metadata_payload(report: EvaluationReport, run_info: dict | None = None) -> dict:
     meta = {"timings": report.core.timings}
     if report.explore:
         meta["explore_timings"] = report.explore.timings
+    meta.update(run_info or {})
     return meta
 
 
@@ -110,8 +111,12 @@ def render_summary(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvaluationReport, outdir: str | Path) -> None:
-    """Write report.json, metadata.json, per-section CSVs and summary.txt."""
+def write_report(report: EvaluationReport, outdir: str | Path, run_info: dict | None = None) -> None:
+    """Write report.json, metadata.json, per-section CSVs and summary.txt.
+
+    ``run_info`` (stage times, peak RSS, input counts) goes into
+    metadata.json only, beside the report's timings.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = report_payload(report)
@@ -119,7 +124,7 @@ def write_report(report: EvaluationReport, outdir: str | Path) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (outdir / "metadata.json").write_text(
-        json.dumps(metadata_payload(report), indent=2, sort_keys=True) + "\n",
+        json.dumps(metadata_payload(report, run_info), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     _write_table_csv(outdir / "core.csv", report.core.tables)

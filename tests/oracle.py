@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
+from recbench.baselines import DefaultPredictor
 from recbench.knn import SIM_EPS, SimilarityMatrix
 
 
@@ -125,6 +127,40 @@ def similarity_matrix(k, lists, item_ids):
         np.array([column[j] for row in rows for j, _ in row], dtype=np.intp),
         np.array([w for row in rows for _, w in row], dtype=float),
     )
+
+
+def weight_matrix(matrix):
+    """The matrix as a scipy CSR built from coordinates: each row lists its
+    columns in ascending order, so a product sums them in that order."""
+    n = len(matrix.item_ids)
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    return sp.csr_matrix((matrix.weights, (rows, matrix.indices)), shape=(n, n))
+
+
+def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0, r_max=5.0):
+    """KNN scores of ``item_ids`` from two products with the whole weight
+    matrix: W @ deviations and W @ rated-indicator, dense over the train
+    items. Items without a rated neighbor, items outside train and users
+    without ratings get the default predictor's score."""
+    w = weight_matrix(matrix)
+    column = {item_id: c for c, item_id in enumerate(matrix.item_ids)}
+    deviation = np.zeros(len(column))
+    rated = np.zeros(len(column))
+    for item_id, rating in user_ratings.get(user_id, {}).items():
+        c = column.get(item_id)
+        if c is not None:
+            deviation[c] = rating - stats.item_means[item_id]
+            rated[c] = 1.0
+    num, den = w @ deviation, w @ rated
+    default = DefaultPredictor(stats, r_min, r_max)
+    scores = []
+    for item_id in item_ids:
+        c = column.get(item_id)
+        if c is not None and den[c] > 0.0:
+            scores.append(min(max(stats.item_means[item_id] + num[c] / den[c], r_min), r_max))
+        else:
+            scores.append(default.predict(user_id, item_id))
+    return np.array(scores, dtype=float)
 
 
 def naive_segment(user_count, user_threshold, item_count, item_threshold):

@@ -54,6 +54,21 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["explore"] == payload["core"]
 
+    def test_metadata_explains_the_run(self, tmp_path, fixture_csv):
+        lines = fixture_csv.read_text().splitlines()
+        fixture_csv.write_text("\n".join(lines + lines[-2:]) + "\n")  # two duplicates
+        path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        meta = json.loads((out / "metadata.json").read_text())
+        assert set(meta["stage_timings"]) == {"load", "split", "segments", "fit"}
+        assert all(t >= 0.0 for t in meta["stage_timings"].values())
+        assert meta["peak_rss_mb"] > 0.0
+        assert meta["dropped_duplicates"] == 2
+        assert {"timings", "explore_timings"} <= set(meta)
+        report = (out / "report.json").read_text()
+        assert "peak_rss_mb" not in report and "stage_timings" not in report
+
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
         out1, out2 = tmp_path / "a", tmp_path / "b"

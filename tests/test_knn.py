@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,16 +279,24 @@ class TestKnnPredict:
             assert np.allclose(many, single, atol=1e-12)
 
     def test_weights_sum_in_column_order(self):
-        # the batch path must round like a weight matrix built from
-        # coordinates, whose rows list their columns in ascending order
+        # the batch sums must round like products with a weight matrix built
+        # from coordinates, whose rows list their columns in ascending order
         logs = gen_uniform(40, 20, 0.6, seed=12)
         matrix = build_similarity_matrix(logs, k=12, gamma=10)
         model = self.make_predictor(logs, matrix)
+        w = oracle.weight_matrix(matrix)
         n = len(matrix.item_ids)
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        by_coordinates = sp.csr_matrix((matrix.weights, (rows, matrix.indices)), shape=(n, n))
-        x = np.random.default_rng(1).normal(size=(n, 200)) * 10.0 ** np.arange(-3, 3, 0.03)
-        assert np.array_equal(model.w @ x, by_coordinates @ x)
+        rng = np.random.default_rng(1)
+        spread = 10.0 ** np.arange(-3, 3, 0.03)
+        for _ in range(200):
+            cols = np.flatnonzero(rng.random(n) < rng.random())
+            x = np.zeros(n)
+            x[cols] = rng.normal(size=len(cols)) * rng.choice(spread, len(cols))
+            rated = np.zeros(n)
+            rated[cols] = 1.0
+            num, den = model.neighbor_sums(cols, x[cols])
+            assert np.array_equal(num, w @ x)
+            assert np.array_equal(den, w @ rated)
 
     def test_predict_many_on_sublist_sees_outside_neighbors(self):
         # Requested items may have neighbors outside the requested list;
@@ -302,6 +309,46 @@ class TestKnnPredict:
             many = model.predict_many(user, sub)
             single = [model.predict(user, i) for i in sub]
             assert np.allclose(many, single, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 14), st.integers(0, 8), st.integers(1, 6))
+    def test_predict_many_matches_oracles(self, seed, n_items, n_users, k):
+        rng = np.random.default_rng(seed)
+        items = [f"i{i:02d}" for i in range(n_items)]
+        # integer ratings: deviations repeat and can be exactly zero
+        logs = [
+            RatingLog(f"u{u}", item, float(rng.integers(1, 6)))
+            for u in range(n_users)
+            for item in items
+            if rng.random() < 0.5
+        ]
+        logs.append(RatingLog("single", items[0], 4.0))
+        # nobody lists the last item as a neighbor
+        logs.append(RatingLog("unreached", items[-1], 2.0))
+        # the users' ratings arrive in no particular item order
+        logs = [logs[n] for n in rng.permutation(len(logs))]
+        stats = build_segment_model(logs)
+        train = stats.item_ids
+        # few weight levels, so neighbors tie, of mixed magnitudes, so the
+        # order of a sum shows in its last bits
+        levels = 10.0 ** rng.uniform(-3, 0, 3)
+        lists = {}
+        for i in train:
+            others = [j for j in train[:-1] if j != i and rng.random() < 0.6]
+            weighted = [(j, float(rng.choice(levels))) for j in others]
+            lists[i] = sorted(weighted, key=lambda t: (-t[1], t[0]))[:k]
+        matrix = oracle.similarity_matrix(k, lists, train)
+        ratings = user_ratings_index(logs)
+        model = KnnPredictor(matrix, stats, ratings)
+        catalog = tuple(sorted(set(train) | {"i-unknown"}))
+        sub = [catalog[c] for c in rng.integers(0, len(catalog), 5)] + ["x-unknown"]
+        for user in sorted(ratings) + ["cold"]:
+            for item_ids in (catalog, sub, []):
+                many = model.predict_many(user, item_ids)
+                by_matvec = oracle.matvec_knn_scores(matrix, stats, ratings, user, item_ids)
+                assert np.array_equal(many, by_matvec)
+                single = [model.predict(user, i) for i in item_ids]
+                assert np.allclose(many, single, rtol=0, atol=1e-12)
 
     def test_similarity_capability_truncates(self):
         logs = gen_uniform(30, 15, 0.5, seed=4)

@@ -179,22 +179,39 @@ class TestRunCore:
             assert all(items is data.items for _, items in calls)
 
 
+def make_predictor(name, data, segments):
+    if name == "default":
+        return DefaultPredictor(segments)
+    if name == "random":
+        return RandomPredictor(seed=1)
+    if name == "knn":
+        matrix = build_similarity_matrix(data.train, k=5, gamma=10)
+        return KnnPredictor(matrix, segments, user_ratings_index(data.train))
+    factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
+    return MFPredictor(factors, segments)
+
+
 @pytest.mark.parametrize("name", ["default", "random", "knn", "mf"])
 def test_predict_many_empty_item_list(name):
     data, segments = make_data(seed=14)
-    if name == "default":
-        model = DefaultPredictor(segments)
-    elif name == "random":
-        model = RandomPredictor(seed=1)
-    elif name == "knn":
-        matrix = build_similarity_matrix(data.train, k=5, gamma=10)
-        model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
-    else:
-        factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
-        model = MFPredictor(factors, segments)
+    model = make_predictor(name, data, segments)
     scores = model.predict_many(data.users[0], [])
     assert isinstance(scores, np.ndarray)
     assert scores.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["default", "knn", "mf"])
+def test_predict_many_on_list_changed_in_place(name):
+    # a list is mutable: scoring it again must not reuse the rows of its old contents
+    data, segments = make_data(seed=14)
+    model = make_predictor(name, data, segments)
+    user = data.users[0]
+    items = list(data.items[:2])
+    for change in (lambda: items.append(data.items[5]), lambda: items.__setitem__(0, data.items[7])):
+        model.predict_many(user, items)
+        change()
+        expected = [model.predict(user, item_id) for item_id in items]
+        assert np.allclose(model.predict_many(user, items), expected, rtol=0, atol=1e-12)
 
 
 class TestExplore:
