@@ -216,6 +216,8 @@ def cmd_run(args) -> int:
         "peak_rss_mb": _peak_rss_mb(),
         "dropped_duplicates": loaded.dropped_duplicates,
     }
+    if isinstance(model, MFPredictor):
+        run_info["training_log"] = model.model.training_log
     write_report(report, outdir, run_info)
     print(render_summary(report), end="")
     print(f"reports written to {outdir}")

@@ -55,6 +55,24 @@ def _rmse(p: np.ndarray, q: np.ndarray, uu: np.ndarray, ii: np.ndarray, rr: np.n
     return float(np.sqrt(np.mean((rr - pred) ** 2)))
 
 
+def sgd_levels(users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Level of each update in a sequence of (user, item) updates, from 1.
+
+    An update's level is one more than the highest level of any earlier
+    update on the same user or on the same item. So no user and no item
+    occurs twice on one level, and every update comes after, on a higher
+    level, each earlier update it shares a row with.
+    """
+    user_level = [0] * (int(users.max(initial=-1)) + 1)
+    item_level = [0] * (int(items.max(initial=-1)) + 1)
+    levels = []
+    for u, i in zip(users.tolist(), items.tolist()):
+        level = max(user_level[u], item_level[i]) + 1
+        user_level[u] = item_level[i] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.intp)
+
+
 def sgd_epoch(
     p: np.ndarray,
     q: np.ndarray,
@@ -64,18 +82,35 @@ def sgd_epoch(
     order: np.ndarray,
     lr: float,
     reg: float,
-) -> None:
-    """One in-place SGD pass in the given order, skipping the pinned slots."""
-    for n in order:
-        u = uu[n]
-        i = ii[n]
-        pu = p[u]
-        qi = q[i]
-        err = rr[n] - pu @ qi
-        pu_old = pu.copy()
-        pu[1:] += lr * (err * qi[1:] - reg * pu[1:])
-        qi[0] += lr * (err * pu_old[0] - reg * qi[0])
-        qi[2:] += lr * (err * pu_old[2:] - reg * qi[2:])
+) -> int:
+    """One in-place SGD pass in the given order, skipping the pinned slots.
+
+    The result is that of stepping one rating at a time in ``order``, bit
+    for bit. Updates that share no user and no item commute (DSGD, Gemulla
+    et al. 2011), so the ratings are applied one level of ``sgd_levels`` at
+    a time, each level as one vectorized step from the rows it gathers.
+    Every element goes through the same float operations as in a
+    one-rating step: ``np.vecdot`` runs the kernel of a single ``pu @ qi``
+    (``einsum`` would move last bits). Returns the number of levels.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    users, items = uu[order], ii[order]
+    levels = sgd_levels(users, items)
+    by_level = np.argsort(levels, kind="stable")
+    users, items, ratings = users[by_level], items[by_level], rr[order[by_level]]
+    # level 0 is empty, so the running counts start at 0: level k spans bounds[k-1]:bounds[k]
+    bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        u, i = users[start:stop], items[start:stop]
+        pu, qi = p[u], q[i]
+        err = (ratings[start:stop] - np.vecdot(pu, qi))[:, None]
+        p_new = pu + lr * (err * qi - reg * pu)
+        q_new = qi + lr * (err * pu - reg * qi)
+        p_new[:, USER_PINNED] = pu[:, USER_PINNED]
+        q_new[:, ITEM_PINNED] = qi[:, ITEM_PINNED]
+        p[u] = p_new
+        q[i] = q_new
+    return len(bounds) - 1
 
 
 def train_mf(
@@ -92,7 +127,8 @@ def train_mf(
 
     Stops when the validation RMSE has increased three consecutive epochs or
     the wall-clock budget elapses, and returns the snapshot with the best
-    validation RMSE seen.
+    validation RMSE seen. Raises TrainingError if an epoch leaves the
+    validation RMSE infinite or NaN, which a too large learning rate does.
     """
     if not train:
         raise TrainingError("empty train set")
@@ -102,6 +138,13 @@ def train_mf(
         raise TrainingError("validation_fraction must be in (0, 0.5)")
     if budget_seconds <= 0:
         raise TrainingError("budget must be positive")
+    # "not x > 0" also rejects NaN
+    if not learning_rate > 0:
+        raise TrainingError("learning_rate must be > 0")
+    if not regularization >= 0:
+        raise TrainingError("regularization must be >= 0")
+    if max_epochs is not None and max_epochs < 1:
+        raise TrainingError("max_epochs must be >= 1")
 
     user_ids = sorted({log.user_id for log in train})
     item_ids = sorted({log.item_id for log in train})
@@ -133,10 +176,20 @@ def train_mf(
     epoch = 0
     while True:
         order = rng.permutation(len(fit_idx))
-        sgd_epoch(p, q, uu_fit, ii_fit, rr_fit, order, learning_rate, regularization)
-        val_rmse = _rmse(p, q, uu_val, ii_val, rr_val)
+        # a diverging run overflows; it is reported below as a TrainingError
+        with np.errstate(over="ignore", invalid="ignore"):
+            # looked up as a module global, so a wrapper set on the module sees every epoch
+            levels = sgd_epoch(p, q, uu_fit, ii_fit, rr_fit, order, learning_rate, regularization)
+            val_rmse = _rmse(p, q, uu_val, ii_val, rr_val)
+        if not np.isfinite(val_rmse):
+            raise TrainingError(
+                f"SGD diverged at epoch {epoch}: validation RMSE is {val_rmse}; "
+                "lower learning_rate"
+            )
         elapsed = time.monotonic() - started
-        training_log.append({"epoch": epoch, "val_rmse": val_rmse, "elapsed": elapsed})
+        training_log.append(
+            {"epoch": epoch, "val_rmse": val_rmse, "elapsed": elapsed, "levels": levels}
+        )
         if val_rmse < best[0]:
             best = (val_rmse, p.copy(), q.copy())
         consecutive_increases = consecutive_increases + 1 if val_rmse > prev_val else 0

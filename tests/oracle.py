@@ -89,6 +89,21 @@ def naive_top_n(scores_by_item, n, seen=()):
     return [item for item, _ in ranked[:n]]
 
 
+def naive_sgd_epoch(p, q, uu, ii, rr, order, lr, reg):
+    """One in-place SGD pass, one rating at a time in ``order``, skipping
+    the pinned slots (user coordinate 0, item coordinate 1)."""
+    for n in order:
+        u = uu[n]
+        i = ii[n]
+        pu = p[u]
+        qi = q[i]
+        err = rr[n] - pu @ qi
+        pu_old = pu.copy()
+        pu[1:] += lr * (err * qi[1:] - reg * pu[1:])
+        qi[0] += lr * (err * pu_old[0] - reg * qi[0])
+        qi[2:] += lr * (err * pu_old[2:] - reg * qi[2:])
+
+
 def naive_mf_item_similarity(model, k):
     """Dense items x items Pearson of the item factors -> {item: [(neighbor, sim)]}.
 

@@ -88,6 +88,22 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["explore"] is not None
 
+    def test_mf_training_log_in_metadata_only(self, tmp_path, fixture_csv):
+        path = manifest_file(
+            tmp_path,
+            fixture_csv,
+            {"name": "mf", "F": 4, "budget_seconds": 60, "validation_fraction": 0.1},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        log = json.loads((out / "metadata.json").read_text())["training_log"]
+        assert [e["epoch"] for e in log] == list(range(len(log)))
+        assert all(set(e) == {"epoch", "val_rmse", "elapsed", "levels"} for e in log)
+        # one entry per epoch run, up to the third increase in a row that stopped it
+        rmse = [e["val_rmse"] for e in log]
+        assert len(rmse) >= 4 and all(a < b for a, b in zip(rmse[-4:], rmse[-3:]))
+        assert "training_log" not in (out / "report.json").read_text()
+
     def test_output_dir_env(self, tmp_path, fixture_csv, monkeypatch):
         path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
         monkeypatch.setenv("RECBENCH_OUTPUT_DIR", str(tmp_path / "env-out"))
@@ -193,6 +209,25 @@ class TestErrors:
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "gamma": gamma})
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
         assert "gamma must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"learning_rate": 0}, "learning_rate must be > 0"),
+            ({"learning_rate": -0.5}, "learning_rate must be > 0"),
+            ({"regularization": -0.1}, "regularization must be >= 0"),
+            ({"learning_rate": 50}, "SGD diverged at epoch 0"),
+        ],
+    )
+    def test_unusable_mf_step(self, tmp_path, fixture_csv, capsys, setting, message):
+        model = {"name": "mf", "F": 4, "budget_seconds": 5, "validation_fraction": 0.1, **setting}
+        path = manifest_file(tmp_path, fixture_csv, model)
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.startswith("training error:") and message in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", "x"])

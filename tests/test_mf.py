@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from recbench import mf
@@ -15,6 +17,7 @@ from recbench.mf import (
     TrainingError,
     mf_item_similarity,
     sgd_epoch,
+    sgd_levels,
     train_mf,
 )
 from recbench.synthetic import gen_planted_rank1, gen_uniform
@@ -136,6 +139,105 @@ class TestSgdUpdates:
             assert after < before
 
 
+SGD_SHAPES = (
+    "one user rates everything",
+    "one item rated by everyone",
+    "single-rating users",
+    "mixed",
+)
+
+
+def sgd_fixture(shape, n, f, rng):
+    """(p, q, uu, ii, rr): n ratings of the given shape, factors with their
+    pinned slots at 1, and one more user and item that nobody rated."""
+    if shape == "one user rates everything":  # one chain through every rating
+        uu, ii = np.zeros(n, np.intp), np.arange(n)
+    elif shape == "one item rated by everyone":
+        uu, ii = np.arange(n), np.zeros(n, np.intp)
+    elif shape == "single-rating users":
+        uu, ii = np.arange(n), rng.integers(0, 4, n)
+    else:
+        uu, ii = rng.integers(0, 5, n), rng.integers(0, 6, n)
+    rr = rng.integers(1, 6, n).astype(float)
+    p = rng.uniform(-0.5, 0.5, (int(uu.max()) + 2, f))
+    q = rng.uniform(-0.5, 0.5, (int(ii.max()) + 2, f))
+    p[:, USER_PINNED] = 1.0
+    q[:, ITEM_PINNED] = 1.0
+    return p, q, uu, ii, rr
+
+
+def epoch_order(kind, n, rng):
+    if kind == "shuffled":
+        return rng.permutation(n)
+    if kind == "repeated":  # ratings seen several times, some not at all
+        return rng.integers(0, n, 2 * n)
+    return np.array([], dtype=np.intp)
+
+
+class TestLevelSchedule:
+    """The level-scheduled epoch against one-rating-at-a-time steps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(SGD_SHAPES),
+        n=st.integers(1, 40),
+        orders=st.lists(st.sampled_from(["shuffled", "repeated", "empty"]), min_size=1, max_size=3),
+        f=st.sampled_from([3, 16]),
+        lr=st.sampled_from([0.01, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_epochs_bit_for_bit(self, shape, n, orders, f, lr, seed):
+        rng = np.random.default_rng(seed)
+        p, q, uu, ii, rr = sgd_fixture(shape, n, f, rng)
+        p_ref, q_ref = p.copy(), q.copy()
+        for kind in orders:
+            order = epoch_order(kind, n, rng)
+            levels = sgd_epoch(p, q, uu, ii, rr, order, lr, 0.008)
+            oracle.naive_sgd_epoch(p_ref, q_ref, uu, ii, rr, order, lr, 0.008)
+            assert np.array_equal(p, p_ref)
+            assert np.array_equal(q, q_ref)
+            assert levels == int(sgd_levels(uu[order], ii[order]).max(initial=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(SGD_SHAPES),
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["shuffled", "repeated", "empty"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_levels_share_no_row_and_follow_every_dependency(self, shape, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        _, _, uu, ii, _ = sgd_fixture(shape, n, 3, rng)
+        order = epoch_order(kind, n, rng)
+        users, items = uu[order], ii[order]
+        levels = sgd_levels(users, items)
+        for level in set(levels.tolist()):
+            on_level = levels == level
+            assert len(set(users[on_level].tolist())) == on_level.sum()
+            assert len(set(items[on_level].tolist())) == on_level.sum()
+        for b in range(len(order)):
+            earlier = [
+                levels[a] for a in range(b) if users[a] == users[b] or items[a] == items[b]
+            ]
+            assert levels[b] == 1 + max(earlier, default=0)
+
+    def test_one_user_chain_has_a_level_per_rating(self):
+        rng = np.random.default_rng(0)
+        p, q, uu, ii, rr = sgd_fixture("one user rates everything", 12, 4, rng)
+        assert sgd_epoch(p, q, uu, ii, rr, rng.permutation(12), 0.03, 0.008) == 12
+        assert sgd_epoch(p, q, uu, ii, rr, np.array([], dtype=np.intp), 0.03, 0.008) == 0
+
+    def test_train_mf_matches_naive_epochs(self, monkeypatch):
+        logs = gen_uniform(30, 20, 0.4, seed=2)
+        kwargs = dict(n_factors=5, seed=3, budget_seconds=1e9, validation_fraction=0.1, max_epochs=6)
+        fast = train_mf(logs, **kwargs)
+        monkeypatch.setattr(mf, "sgd_epoch", oracle.naive_sgd_epoch)
+        naive = train_mf(logs, **kwargs)
+        assert np.array_equal(fast.user_factors, naive.user_factors)
+        assert np.array_equal(fast.item_factors, naive.item_factors)
+        assert [e["val_rmse"] for e in fast.training_log] == [e["val_rmse"] for e in naive.training_log]
+
+
 class TestTraining:
     def test_pinned_coordinates_unchanged(self):
         logs = gen_uniform(30, 15, 0.5, seed=3)
@@ -171,6 +273,7 @@ class TestTraining:
         logs = gen_uniform(25, 12, 0.5, seed=8)
         model = train_mf(logs, n_factors=4, seed=1, budget_seconds=1e9, validation_fraction=0.1, max_epochs=6)
         assert [e["epoch"] for e in model.training_log] == list(range(len(model.training_log)))
+        assert all(isinstance(e["levels"], int) and e["levels"] >= 1 for e in model.training_log)
 
     def test_planted_rank1_recovery(self):
         logs = gen_planted_rank1(100, 60, 0.5, seed=11)
@@ -190,6 +293,30 @@ class TestTraining:
             train_mf(logs, n_factors=4, seed=0, budget_seconds=1, validation_fraction=0.7)
         with pytest.raises(TrainingError):
             train_mf(logs, n_factors=4, seed=0, budget_seconds=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+            ({"learning_rate": -0.5}, "learning_rate must be > 0"),
+            ({"regularization": -0.1}, "regularization must be >= 0"),
+            ({"max_epochs": 0}, "max_epochs must be >= 1"),
+            ({"max_epochs": -2}, "max_epochs must be >= 1"),
+        ],
+    )
+    def test_unusable_step_settings_rejected(self, bad, message):
+        # learning_rate 0 never raises the validation RMSE, so it would spin
+        # until the budget; max_epochs < 1 would still run one epoch
+        logs = gen_uniform(30, 20, 0.3, seed=1)
+        with pytest.raises(TrainingError, match=message):
+            train_mf(logs, n_factors=4, seed=0, budget_seconds=2, **bad)
+
+    def test_divergence_is_an_error(self):
+        # a NaN validation RMSE never counts as an increase, so without the
+        # check this ran to the budget and returned the initial factors
+        logs = gen_uniform(30, 20, 0.3, seed=1)
+        with pytest.raises(TrainingError, match="SGD diverged at epoch 0"):
+            train_mf(logs, n_factors=4, seed=0, budget_seconds=2, learning_rate=50.0)
 
 
 class TestItemSimilarity:

@@ -56,3 +56,7 @@ def test_traced_evaluation_sees_the_library(workload, tmp_path):
     assert metrics["knn.predict_calls"] > 0
     if workload == "knn-catalog":
         assert metrics["knn.neighbors"] > 0
+    else:
+        # train_mf looks sgd_epoch up on the module, where the tracer wraps it
+        assert metrics["mf.epochs"] == 5
+        assert metrics["mf.updates_per_s"] > 0
