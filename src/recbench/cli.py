@@ -262,11 +262,22 @@ def cmd_gen_fixture(args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _checked(cast, ok, rule: str):
+    """An argparse type: ``cast`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, ">= 0")
+_count = _checked(int, lambda v: v >= 1, ">= 1")
+_density = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-fixture", help="generate a synthetic dataset CSV")
     gen.add_argument("kind", choices=["uniform", "rank1", "clustered"])
     gen.add_argument("output")
-    gen.add_argument("--users", type=int, default=200)
-    gen.add_argument("--items", type=int, default=100)
-    gen.add_argument("--density", type=float, default=0.2)
-    gen.add_argument("--groups", type=int, default=4)
+    gen.add_argument("--users", type=_count, default=200)
+    gen.add_argument("--items", type=_count, default=100)
+    gen.add_argument("--density", type=_density, default=0.2)
+    gen.add_argument("--groups", type=_count, default=4)
     gen.set_defaults(func=cmd_gen_fixture)
     return parser
 

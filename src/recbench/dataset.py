@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,36 +18,91 @@ class DatasetError(Exception):
 
 @dataclass(frozen=True)
 class RatingLog:
-    """One (user, item, rating) observation. The timestamp is carried but ignored."""
+    """One (user, item, rating) observation."""
 
     user_id: str
     item_id: str
     rating: float
-    timestamp: int | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Ratings:
+    """Rating logs as columns, in log order.
+
+    ``user_ids`` and ``item_ids`` are sorted id tables; ``users`` and
+    ``items`` are int32 codes into them and ``ratings`` the float64 ratings.
+    The parts of a split keep the tables of the whole, so a code names the
+    same id in each part, and a table may list ids without a log in a part.
+    """
+
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+
+    @classmethod
+    def of(cls, logs) -> Ratings:
+        """A Ratings unchanged; a sequence of RatingLog as columns."""
+        if isinstance(logs, Ratings):
+            return logs
+        return _columns((log.user_id, log.item_id, log.rating) for log in logs)
+
+    def __len__(self) -> int:
+        return len(self.ratings)
+
+    def __iter__(self):
+        """A RatingLog view of each log, with a Python float rating."""
+        user_ids, item_ids = self.user_ids, self.item_ids
+        for u, i, r in zip(self.users.tolist(), self.items.tolist(), self.ratings.tolist()):
+            yield RatingLog(user_ids[u], item_ids[i], r)
+
+
+def _sorted_codes(codes: dict[str, int], raw: array) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids sorted, and the first-seen codes in ``raw`` renumbered into them."""
+    table = sorted(codes)
+    rank = np.empty(len(table), np.int32)
+    rank[np.fromiter(map(codes.__getitem__, table), np.intp, len(table))] = np.arange(len(table))
+    return tuple(table), rank[np.frombuffer(raw, np.intc)]
+
+
+def _columns(logs) -> Ratings:
+    """(user id, item id, rating) triples as a Ratings. Each id is coded in
+    the order it is first seen, then renumbered in sorted order."""
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    users, items, ratings = array("i"), array("i"), array("d")
+    for user_id, item_id, rating in logs:
+        users.append(user_codes.setdefault(user_id, len(user_codes)))
+        items.append(item_codes.setdefault(item_id, len(item_codes)))
+        ratings.append(rating)
+    user_ids, users = _sorted_codes(user_codes, users)
+    item_ids, items = _sorted_codes(item_codes, items)
+    return Ratings(user_ids, item_ids, users, items, np.array(ratings, dtype=float))
 
 
 @dataclass
 class LoadResult:
-    logs: list[RatingLog]
+    logs: Ratings
     dropped_duplicates: int
 
 
-def _check_rating(value: float, r_min: float, r_max: float, where: str) -> float:
-    if not (r_min <= value <= r_max):
-        raise DatasetError(f"{where}: rating {value} outside [{r_min}, {r_max}]")
-    return value
+def _dedupe(logs: Ratings) -> LoadResult:
+    """Keep each (user, item) pair once: at its first position, with its last rating."""
+    key = logs.users.astype(np.int64) * len(logs.item_ids) + logs.items
+    order = np.argsort(key, kind="stable")  # a pair's positions stay ascending
+    starts = np.diff(key[order], prepend=-1) != 0
+    # a pair's run ends where the next one starts, the last run at the end
+    first, last = order[starts], order[np.roll(starts, -1)]
+    keep = np.argsort(first)
+    first, last = first[keep], last[keep]
+    deduped = Ratings(
+        logs.user_ids, logs.item_ids, logs.users[first], logs.items[first], logs.ratings[last]
+    )
+    return LoadResult(deduped, len(key) - len(first))
 
 
-def _dedupe(logs: list[RatingLog]) -> LoadResult:
-    # Keep the last occurrence of each (user, item) pair.
-    by_key: dict[tuple[str, str], RatingLog] = {}
-    for log in logs:
-        by_key[(log.user_id, log.item_id)] = log
-    return LoadResult(list(by_key.values()), len(logs) - len(by_key))
-
-
-def _parse_csv(path: Path, r_min: float, r_max: float) -> list[RatingLog]:
-    logs: list[RatingLog] = []
+def _parse_csv(path: Path, r_min: float, r_max: float):
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -64,19 +120,17 @@ def _parse_csv(path: Path, r_min: float, r_max: float) -> list[RatingLog]:
                 if lineno == 1:  # header row
                     continue
                 raise DatasetError(f"{path}:{lineno}: bad rating {row[2]!r}") from None
-            _check_rating(rating, r_min, r_max, f"{path}:{lineno}")
-            ts: int | None = None
+            if not r_min <= rating <= r_max:
+                raise DatasetError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
             if len(row) == 4 and row[3].strip():
                 try:
-                    ts = int(row[3])
+                    int(row[3])
                 except ValueError:
                     raise DatasetError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
-            logs.append(RatingLog(row[0].strip(), row[1].strip(), rating, ts))
-    return logs
+            yield row[0].strip(), row[1].strip(), rating
 
 
-def _parse_netflix_file(path: Path, r_min: float, r_max: float) -> list[RatingLog]:
-    logs: list[RatingLog] = []
+def _parse_netflix_file(path: Path, r_min: float, r_max: float):
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -99,9 +153,9 @@ def _parse_netflix_file(path: Path, r_min: float, r_max: float) -> list[RatingLo
                 rating = float(parts[1])
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: bad rating {parts[1]!r}") from None
-            _check_rating(rating, r_min, r_max, f"{path}:{lineno}")
-            logs.append(RatingLog(parts[0].strip(), item_id, rating))
-    return logs
+            if not r_min <= rating <= r_max:
+                raise DatasetError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
+            yield parts[0].strip(), item_id, rating
 
 
 def load_dataset(
@@ -112,31 +166,31 @@ def load_dataset(
 ) -> LoadResult:
     """Load rating logs from ``source`` in the given format (``csv`` or ``netflix``).
 
-    Duplicate (user, item) pairs keep the last occurrence; the number of
-    dropped duplicates is reported in the result.
+    Duplicate (user, item) pairs keep the position of the first occurrence
+    and the rating of the last; the number of dropped duplicates is
+    reported in the result. CSV timestamps are checked, not kept.
     """
     path = Path(source)
     if fmt == "csv":
         logs = _parse_csv(path, r_min, r_max)
     elif fmt == "netflix":
-        if path.is_dir():
-            logs = []
-            for sub in sorted(path.iterdir()):
-                if sub.is_file():
-                    logs.extend(_parse_netflix_file(sub, r_min, r_max))
-        else:
-            logs = _parse_netflix_file(path, r_min, r_max)
+        files = sorted(sub for sub in path.iterdir() if sub.is_file()) if path.is_dir() else [path]
+        logs = (log for sub in files for log in _parse_netflix_file(sub, r_min, r_max))
     else:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    return _dedupe(logs)
+    return _dedupe(_columns(logs))
 
 
 @dataclass
 class SplitDataset:
-    """Seeded random train/test partition of a set of rating logs."""
+    """Seeded random train/test partition of a set of rating logs.
 
-    train: list[RatingLog]
-    test: list[RatingLog]
+    ``train`` and ``test`` share the id tables ``users`` and ``items``, so
+    an item code in either is that item's position in the catalog.
+    """
+
+    train: Ratings
+    test: Ratings
     users: tuple[str, ...]
     items: tuple[str, ...]
 
@@ -145,22 +199,26 @@ class SplitDataset:
         return len(self.items)
 
 
-def split(logs: list[RatingLog], ratio: float, seed: int) -> SplitDataset:
+def split(logs, ratio: float, seed: int) -> SplitDataset:
     """Assign each log independently to train with probability ``ratio``.
 
-    The same (logs, ratio, seed) always yields identical partitions.
+    The same (logs, ratio, seed) always yields identical partitions. The
+    users and items of the result are the id tables of ``logs``.
     """
-    if not logs:
+    logs = Ratings.of(logs)
+    if not len(logs):
         raise DatasetError("cannot split an empty log collection")
     if not 0.0 < ratio < 1.0:
         raise DatasetError(f"split ratio must be in (0,1), got {ratio}")
     rng = np.random.default_rng(seed)
-    draws = rng.random(len(logs))
-    train = [log for log, d in zip(logs, draws) if d < ratio]
-    test = [log for log, d in zip(logs, draws) if d >= ratio]
-    users = tuple(sorted({log.user_id for log in logs}))
-    items = tuple(sorted({log.item_id for log in logs}))
-    return SplitDataset(train=train, test=test, users=users, items=items)
+    in_train = rng.random(len(logs)) < ratio
+
+    def part(mask):
+        return Ratings(
+            logs.user_ids, logs.item_ids, logs.users[mask], logs.items[mask], logs.ratings[mask]
+        )
+
+    return SplitDataset(part(in_train), part(~in_train), logs.user_ids, logs.item_ids)
 
 
 @dataclass
@@ -215,29 +273,29 @@ class SegmentModel:
     def is_popular(self, item_id: str) -> bool:
         return self.item_counts.get(item_id, 0) > self.item_threshold
 
-    def segment_of(self, user_id: str, item_id: str) -> str:
-        u = "H" if self.is_heavy(user_id) else "L"
-        i = "P" if self.is_popular(item_id) else "U"
-        return f"{u}user{i}item"
+
+def _counts_and_means(codes: np.ndarray, ratings: np.ndarray, table) -> tuple[dict, dict]:
+    """{id: count} and {id: mean rating} of the ids with a log.
+
+    bincount adds each id's ratings in log order, as a running sum does.
+    """
+    counts = np.bincount(codes, minlength=len(table))
+    sums = np.bincount(codes, weights=ratings, minlength=len(table))
+    present = np.flatnonzero(counts)
+    ids = [table[c] for c in present.tolist()]
+    means = sums[present] / counts[present]
+    return dict(zip(ids, counts[present].tolist())), dict(zip(ids, means.tolist()))
 
 
-def build_segment_model(train: list[RatingLog]) -> SegmentModel:
+def build_segment_model(train) -> SegmentModel:
     """Compute thresholds, counts and means from the train set only."""
-    if not train:
+    train = Ratings.of(train)
+    if not len(train):
         raise DatasetError("cannot build a segment model from an empty train set")
-    user_counts: dict[str, int] = {}
-    item_counts: dict[str, int] = {}
-    user_sums: dict[str, float] = {}
-    item_sums: dict[str, float] = {}
-    total = 0.0
-    for log in train:
-        user_counts[log.user_id] = user_counts.get(log.user_id, 0) + 1
-        item_counts[log.item_id] = item_counts.get(log.item_id, 0) + 1
-        user_sums[log.user_id] = user_sums.get(log.user_id, 0.0) + log.rating
-        item_sums[log.item_id] = item_sums.get(log.item_id, 0.0) + log.rating
-        total += log.rating
-    user_means = {u: user_sums[u] / user_counts[u] for u in user_counts}
-    item_means = {i: item_sums[i] / item_counts[i] for i in item_counts}
+    user_counts, user_means = _counts_and_means(train.users, train.ratings, train.user_ids)
+    item_counts, item_means = _counts_and_means(train.items, train.ratings, train.item_ids)
+    # cumsum adds left to right; np.sum would add pairwise, in other last bits
+    total = float(np.cumsum(train.ratings)[-1])
     return SegmentModel(
         user_threshold=len(train) / len(user_counts),
         item_threshold=len(train) / len(item_counts),
@@ -249,10 +307,11 @@ def build_segment_model(train: list[RatingLog]) -> SegmentModel:
     )
 
 
-def user_ratings_index(logs: list[RatingLog]) -> dict[str, dict[str, float]]:
+def user_ratings_index(logs) -> dict[str, dict[str, float]]:
     """Index logs as user -> {item: rating}."""
+    logs = Ratings.of(logs)
+    user_ids, item_ids = logs.user_ids, logs.item_ids
     index: dict[str, dict[str, float]] = {}
-    for log in logs:
-        index.setdefault(log.user_id, {})[log.item_id] = log.rating
+    for u, i, r in zip(logs.users.tolist(), logs.items.tolist(), logs.ratings.tolist()):
+        index.setdefault(user_ids[u], {})[item_ids[i]] = r
     return index
-

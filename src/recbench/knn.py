@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import RatingLog, SegmentModel
+from .dataset import Ratings, SegmentModel
 
 _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
@@ -105,9 +105,7 @@ def _row_blocks(weights: np.ndarray, budget: int):
         start = stop
 
 
-def build_similarity_matrix(
-    train: list[RatingLog], k: int, gamma: int = 50
-) -> SimilarityMatrix:
+def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> SimilarityMatrix:
     """Top-K Weighted Pearson neighbors for every item of the train set.
 
     Co-rating statistics come from sparse products over the user-item matrix,
@@ -120,16 +118,13 @@ def build_similarity_matrix(
         raise ValueError("k must be >= 1")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    users = sorted({log.user_id for log in train})
-    items = sorted({log.item_id for log in train})
-    u_index = {u: n for n, u in enumerate(users)}
-    i_index = {i: n for n, i in enumerate(items)}
-
-    rows = np.array([u_index[log.user_id] for log in train])
-    cols = np.array([i_index[log.item_id] for log in train])
-    vals = np.array([log.rating for log in train])
+    train = Ratings.of(train)
+    # the train users and items, renumbered in the sorted order of the tables
+    users, rows = np.unique(train.users, return_inverse=True)
+    codes, cols = np.unique(train.items, return_inverse=True)
+    items = [train.item_ids[c] for c in codes.tolist()]
     shape = (len(users), len(items))
-    r = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    r = sp.csr_matrix((train.ratings, (rows, cols)), shape=shape)
     b = sp.csr_matrix((np.ones(len(train)), (rows, cols)), shape=shape)
 
     r2 = r.multiply(r).tocsr()

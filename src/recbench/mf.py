@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import RatingLog, SegmentModel
+from .dataset import Ratings, SegmentModel
 from .knn import SIM_EPS, SimilarityMatrix
 
 USER_PINNED = 0
@@ -114,7 +114,7 @@ def sgd_epoch(
 
 
 def train_mf(
-    train: list[RatingLog],
+    train: Ratings,
     n_factors: int = 16,
     seed: int = 0,
     budget_seconds: float = 90 * 60,
@@ -130,7 +130,8 @@ def train_mf(
     validation RMSE seen. Raises TrainingError if an epoch leaves the
     validation RMSE infinite or NaN, which a too large learning rate does.
     """
-    if not train:
+    train = Ratings.of(train)
+    if not len(train):
         raise TrainingError("empty train set")
     if n_factors < 3:
         raise TrainingError("n_factors must be >= 3 (two bias slots + one factor)")
@@ -146,13 +147,12 @@ def train_mf(
     if max_epochs is not None and max_epochs < 1:
         raise TrainingError("max_epochs must be >= 1")
 
-    user_ids = sorted({log.user_id for log in train})
-    item_ids = sorted({log.item_id for log in train})
-    u_index = {u: n for n, u in enumerate(user_ids)}
-    i_index = {i: n for n, i in enumerate(item_ids)}
-    uu = np.array([u_index[log.user_id] for log in train])
-    ii = np.array([i_index[log.item_id] for log in train])
-    rr = np.array([log.rating for log in train])
+    # the train users and items, renumbered in the sorted order of the tables
+    user_codes, uu = np.unique(train.users, return_inverse=True)
+    item_codes, ii = np.unique(train.items, return_inverse=True)
+    rr = train.ratings
+    user_ids = [train.user_ids[c] for c in user_codes.tolist()]
+    item_ids = [train.item_ids[c] for c in item_codes.tolist()]
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(train))

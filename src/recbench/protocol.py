@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import Predictor
-from .dataset import RatingLog, SegmentModel, SplitDataset, user_ratings_index
+from .dataset import Ratings, SegmentModel, SplitDataset, user_ratings_index
 from .knn import KnnPredictor
 from .metrics import (
     MetricTable,
@@ -79,7 +79,7 @@ def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
     score are sorted.
     """
     neg = -np.asarray(scores, dtype=float)
-    neg[list(seen)] = np.inf
+    neg[np.asarray(seen, dtype=np.intp)] = np.inf
     if n < len(neg):
         kth = np.partition(neg, n - 1)[n - 1]
         # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
@@ -89,6 +89,14 @@ def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
     # candidates ascend, so the stable sort breaks ties by position
     order = candidates[np.argsort(neg[candidates], kind="stable")[:n]]
     return order[neg[order] != np.inf]
+
+
+def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The logs' item codes and ratings grouped by user code, each group in
+    log order, and the bounds of the groups: user u's are [bounds[u], bounds[u + 1])."""
+    order = np.argsort(logs.users, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(logs.users, minlength=n_users))))
+    return logs.items[order], logs.ratings[order], bounds.tolist()
 
 
 def run_core(
@@ -104,55 +112,54 @@ def run_core(
     """
     t0 = time.monotonic()
     catalog = data.items  # sorted ascending, so stable sort breaks ties by id
-    position = {item_id: n for n, item_id in enumerate(catalog)}
+    item_counts = [segments.item_count(item_id) for item_id in catalog]
     popular = [segments.is_popular(item_id) for item_id in catalog]
-    train_index = user_ratings_index(data.train)
-    test_by_user: dict[str, list[RatingLog]] = {}
-    for log in data.test:
-        test_by_user.setdefault(log.user_id, []).append(log)
+    # each user's train and test item codes (= catalog positions), in log order
+    seen_items, _, seen_bounds = _by_user(data.train, len(data.users))
+    test_items, test_ratings, test_bounds = _by_user(data.test, len(data.users))
+    test_items, test_ratings = test_items.tolist(), test_ratings.tolist()
 
     scored_by_user: dict[str, list[ScoredLog]] = {}
     outcomes_by_user: dict[str, list[RecommendationOutcome]] = {}
-    for user_id in data.users:
+    for u, user_id in enumerate(data.users):
         try:
             scores = model.predict_many(user_id, catalog)
         except Exception as exc:
             raise EvaluationError(
                 f"model {model.name!r} failed on user {user_id!r}: {exc}"
             ) from exc
-        test_logs = test_by_user.get(user_id, [])
+        positions = test_items[test_bounds[u] : test_bounds[u + 1]]
+        truths = test_ratings[test_bounds[u] : test_bounds[u + 1]]
         # the user's segment for an unpopular and for a popular item
-        u = "H" if segments.is_heavy(user_id) else "L"
-        segment = (f"{u}userUitem", f"{u}userPitem")
-        if test_logs:
-            positions = [position[log.item_id] for log in test_logs]
+        h = "H" if segments.is_heavy(user_id) else "L"
+        segment = (f"{h}userUitem", f"{h}userPitem")
+        if positions:
             scored_by_user[user_id] = [
                 ScoredLog(
                     user_id=user_id,
-                    item_id=log.item_id,
-                    true_rating=log.rating,
-                    predicted_rating=float(scores[pos]),
+                    item_id=catalog[pos],
+                    true_rating=truth,
+                    predicted_rating=predicted,
                     segment=segment[popular[pos]],
                 )
-                for log, pos in zip(test_logs, positions)
+                for pos, truth, predicted in zip(positions, truths, scores[positions].tolist())
             ]
-        seen = train_index.get(user_id, ()) if config.exclude_seen else ()
-        top = top_n(scores, config.top_n, [position[i] for i in seen])
+        seen = seen_items[seen_bounds[u] : seen_bounds[u + 1]] if config.exclude_seen else ()
+        top = top_n(scores, config.top_n, seen)
         user_mean = segments.user_mean(user_id)
-        test_ratings = {log.item_id: log.rating for log in test_logs}
+        test_ratings_at = dict(zip(positions, truths))
         outcomes = []
-        for rank, pos in enumerate(top, start=1):
-            item_id = catalog[pos]
-            true_rating = test_ratings.get(item_id)
+        for rank, pos in enumerate(top.tolist(), start=1):
+            true_rating = test_ratings_at.get(pos)
             outcomes.append(
                 RecommendationOutcome(
                     user_id=user_id,
-                    item_id=item_id,
+                    item_id=catalog[pos],
                     rank=rank,
                     evaluable=true_rating is not None,
                     true_rating=true_rating,
                     user_mean=user_mean,
-                    item_count=segments.item_count(item_id),
+                    item_count=item_counts[pos],
                     catalog_size=data.catalog_size,
                     segment=segment[popular[pos]],
                 )

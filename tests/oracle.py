@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench.baselines import DefaultPredictor
+from recbench.dataset import SegmentModel
 from recbench.knn import SIM_EPS, SimilarityMatrix
 
 
@@ -238,9 +239,9 @@ def naive_core_report(model, data, segments, top_n, exclude_seen=True):
         )
 
     # Discover
-    catalog = sorted({log.item_id for log in data.train + data.test})
+    catalog = sorted({log.item_id for log in [*data.train, *data.test]})
     outcomes_by_user = {}
-    for user_id in sorted({log.user_id for log in data.train + data.test}):
+    for user_id in sorted({log.user_id for log in [*data.train, *data.test]}):
         seen = train_by_user.get(user_id, set()) if exclude_seen else set()
         scores = {i: model.predict(user_id, i) for i in catalog}
         top = naive_top_n(scores, top_n, seen)
@@ -286,3 +287,50 @@ def naive_core_report(model, data, segments, top_n, exclude_seen=True):
         "Precision": precision_cells,
         "AMI": ami_cells,
     }
+
+
+def naive_dedupe(logs):
+    """Keep the last occurrence of each (user, item) pair, at the position
+    of its first -> (logs, dropped duplicates)."""
+    by_key = {}
+    for log in logs:
+        by_key[(log.user_id, log.item_id)] = log
+    return list(by_key.values()), len(logs) - len(by_key)
+
+
+def naive_split(logs, ratio, seed):
+    """Each log to train with probability ``ratio``, one draw per log in
+    order -> (train, test, sorted user ids, sorted item ids)."""
+    rng = np.random.default_rng(seed)
+    draws = rng.random(len(logs))
+    train = [log for log, d in zip(logs, draws) if d < ratio]
+    test = [log for log, d in zip(logs, draws) if d >= ratio]
+    users = tuple(sorted({log.user_id for log in logs}))
+    items = tuple(sorted({log.item_id for log in logs}))
+    return train, test, users, items
+
+
+def naive_segment_model(train):
+    """Counts, means and thresholds with one running sum per id, in log order."""
+    user_counts = {}
+    item_counts = {}
+    user_sums = {}
+    item_sums = {}
+    total = 0.0
+    for log in train:
+        user_counts[log.user_id] = user_counts.get(log.user_id, 0) + 1
+        item_counts[log.item_id] = item_counts.get(log.item_id, 0) + 1
+        user_sums[log.user_id] = user_sums.get(log.user_id, 0.0) + log.rating
+        item_sums[log.item_id] = item_sums.get(log.item_id, 0.0) + log.rating
+        total += log.rating
+    user_means = {u: user_sums[u] / user_counts[u] for u in user_counts}
+    item_means = {i: item_sums[i] / item_counts[i] for i in item_counts}
+    return SegmentModel(
+        user_threshold=len(train) / len(user_counts),
+        item_threshold=len(train) / len(item_counts),
+        user_counts=user_counts,
+        item_counts=item_counts,
+        user_means=user_means,
+        item_means=item_means,
+        global_mean=total / len(train),
+    )

@@ -288,3 +288,27 @@ class TestGenFixture:
         assert main(["--seed", "5", "gen-fixture", "uniform", str(a)]) == EXIT_OK
         assert main(["--seed", "5", "gen-fixture", "uniform", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--users", "-1"),
+            ("--users", "0"),
+            ("--items", "0"),
+            ("--groups", "0"),
+            ("--groups", "-3"),
+            ("--users", "2.5"),
+            ("--density", "0"),
+            ("--density", "-0.1"),
+            ("--density", "1.5"),
+            ("--density", "nan"),
+            ("--density", "dense"),
+        ],
+    )
+    def test_bad_argument_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fix.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-fixture", "clustered", str(out), flag, value])
+        assert exc.value.code == EXIT_MANIFEST
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()

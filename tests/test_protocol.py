@@ -265,7 +265,7 @@ class TestDeterminismAndLeakage:
                       validation_fraction=0.1, max_epochs=3)
         assert np.array_equal(f1.user_factors, f2.user_factors)
         assert np.array_equal(f1.item_factors, f2.item_factors)
-        assert perturbed_test != data.test  # the perturbation is real
+        assert perturbed_test != list(data.test)  # the perturbation is real
 
     def test_evaluable_outcomes_backed_by_test_logs(self):
         data, segments = make_data(seed=12)
