@@ -169,6 +169,27 @@ def cmd_run(args) -> int:
     outdir = args.output or manifest.get("output_dir") or os.environ.get(
         OUTPUT_DIR_ENV, "recbench-out"
     )
+    try:  # before the run, not after it: a run can take hours
+        created = _make_output_dir(Path(outdir))
+    except OSError as exc:
+        print(f"manifest error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
+        return EXIT_MANIFEST
+    code = _run(manifest, outdir)
+    if code != EXIT_OK:
+        for path in created:  # a failed run writes nothing, so these are empty
+            path.rmdir()
+    return code
+
+
+def _make_output_dir(outdir: Path) -> list[Path]:
+    """Create ``outdir`` and its missing parents; return those created, deepest first."""
+    missing = [path for path in (outdir, *outdir.parents) if not path.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    return missing
+
+
+def _run(manifest: dict, outdir: str) -> int:
+    """Load, split, fit, evaluate and write the reports of a checked manifest."""
     r_min, r_max = manifest["rating_scale"]
 
     stage_timings: dict[str, float] = {}
@@ -215,6 +236,7 @@ def cmd_run(args) -> int:
         "stage_timings": stage_timings,
         "peak_rss_mb": _peak_rss_mb(),
         "dropped_duplicates": loaded.dropped_duplicates,
+        "cold_test_logs": data.cold_test_logs(),
     }
     if isinstance(model, MFPredictor):
         run_info["training_log"] = model.model.training_log
@@ -233,7 +255,7 @@ def _peak_rss_mb() -> float:
 def cmd_compare(args) -> int:
     try:
         payloads = [load_report(p) for p in args.reports]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"cannot load report: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
     try:

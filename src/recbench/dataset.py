@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# numpy imports numpy.random on first use; import it with this module, so
+# split's first draw does not pay for that import
+import numpy.random  # noqa: F401
 
 SEGMENTS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem")
 
@@ -197,6 +200,18 @@ class SplitDataset:
     @property
     def catalog_size(self) -> int:
         return len(self.items)
+
+    def cold_test_logs(self) -> dict[str, int]:
+        """How many test logs have a user, or an item, without a train rating."""
+
+        def cold(train_codes, test_codes, table):
+            warm = np.bincount(train_codes, minlength=len(table)) > 0
+            return int(np.count_nonzero(~warm[test_codes]))
+
+        return {
+            "user": cold(self.train.users, self.test.users, self.users),
+            "item": cold(self.train.items, self.test.items, self.items),
+        }
 
 
 def split(logs, ratio: float, seed: int) -> SplitDataset:

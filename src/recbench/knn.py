@@ -6,7 +6,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .baselines import DefaultPredictor, Predictor
 from .dataset import Ratings, SegmentModel
@@ -15,7 +14,9 @@ _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
 # the positivity filter must agree between the naive and vectorized routes.
 SIM_EPS = 1e-9
-# Entries of a co-rating product that build_similarity_matrix computes at once.
+# Co-rating pairs that build_similarity_matrix expands for one block of item
+# rows, bounded by the rating counts of the block's raters summed over its
+# items; an item over that bound gets a block of its own.
 BUILD_BLOCK_ENTRIES = 2**16
 
 
@@ -93,6 +94,13 @@ def weighted_pearson(
     return corr * min(n, gamma) / gamma
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[r], ..., starts[r] + lengths[r] - 1 of each run r,
+    one run after the other."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 def _row_blocks(weights: np.ndarray, budget: int):
     """Consecutive row ranges [start, stop) whose weights sum to at most
     ``budget``; a row heavier than that gets a range of its own."""
@@ -108,11 +116,14 @@ def _row_blocks(weights: np.ndarray, budget: int):
 def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> SimilarityMatrix:
     """Top-K Weighted Pearson neighbors for every item of the train set.
 
-    Co-rating statistics come from sparse products over the user-item matrix,
-    so only co-rated item pairs are ever materialized, and the products are
-    computed for one block of item rows at a time, at most
-    BUILD_BLOCK_ENTRIES entries each, so the whole items x items product
-    is never held either.
+    Co-rating statistics are summed over expanded pairs: each (item i,
+    rater u) entry is paired with u's items j > i, so only co-rated pairs
+    i < j are ever materialized. Items are taken one block of rows at a
+    time, at most BUILD_BLOCK_ENTRIES expanded pairs each, so the whole
+    items x items product is never held either. Each pair's sums add its
+    terms in ascending rater order, the order of a row-wise sparse product
+    (Gustavson 1978), so the similarities are those of that product, bit
+    for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -120,55 +131,59 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
         raise ValueError("gamma must be >= 1")
     train = Ratings.of(train)
     # the train users and items, renumbered in the sorted order of the tables
-    users, rows = np.unique(train.users, return_inverse=True)
-    codes, cols = np.unique(train.items, return_inverse=True)
-    items = [train.item_ids[c] for c in codes.tolist()]
-    shape = (len(users), len(items))
-    r = sp.csr_matrix((train.ratings, (rows, cols)), shape=shape)
-    b = sp.csr_matrix((np.ones(len(train)), (rows, cols)), shape=shape)
-
-    r2 = r.multiply(r).tocsr()
-    # item-major copies: a block of their rows times a user-major matrix is
-    # that block's rows of a co-rating product
-    rt, bt, r2t = r.T.tocsr(), b.T.tocsr(), r2.T.tocsr()
-    # bound on the entries of an item's product row: every rating of each
-    # of its raters, capped at the catalog
-    reach = np.minimum(bt @ np.asarray(b.sum(axis=1)).ravel(), len(items))
-
-    def entries(m, rows_idx, cols_idx):
-        # the conversion sorts each column's indices, so lookups search them
-        return np.asarray(m.tocsc()[rows_idx, cols_idx]).ravel()
+    _, users = np.unique(train.users, return_inverse=True)
+    codes, items = np.unique(train.items, return_inverse=True)
+    item_ids = [train.item_ids[c] for c in codes.tolist()]
+    n = len(item_ids)
+    ratings = train.ratings
+    # user-major copy, by (user, item): each rater's items ascend
+    key = users * n + items  # (user, item) pairs are distinct
+    by_user = np.argsort(key)
+    user_key, user_items, user_ratings = key[by_user], items[by_user], ratings[by_user]
+    degree = np.bincount(users)
+    user_end = np.cumsum(degree)
+    # item-major entries, by (item, user): each item's raters ascend
+    by_item = np.lexsort((users, items))
+    entry_items, entry_users, entry_ratings = items[by_item], users[by_item], ratings[by_item]
+    item_ptr = np.concatenate(([0], np.cumsum(np.bincount(items, minlength=n))))
+    # an entry's pairs: its rater's items after its item, [after, user_end)
+    after = np.searchsorted(user_key, key[by_item], side="right")
+    # bound on an item's expanded pairs: the rating counts of its raters
+    reach = np.bincount(items, weights=degree[users], minlength=n)
 
     # (i, j, similarity) of the kept pairs, one triple of arrays per block
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     for start, stop in _row_blocks(reach, BUILD_BLOCK_ENTRIES):
-        # only the pairs i < j: columns from start + 1 on, so local ii <= jj
-        bj, rj, r2j = b[:, start + 1 :], r[:, start + 1 :], r2[:, start + 1 :]
-        co = sp.triu(bt[start:stop] @ bj).tocoo()  # common-rater counts
-        mask = co.data >= 2
-        ii, jj, n = co.row[mask], co.col[mask], co.data[mask]
-        if len(ii) == 0:
-            continue
-        sum_xy = entries(rt[start:stop] @ rj, ii, jj)
-        sum_x = entries(rt[start:stop] @ bj, ii, jj)  # i's ratings over common raters
-        sum_y = entries(bt[start:stop] @ rj, ii, jj)
-        sum_x2 = entries(r2t[start:stop] @ bj, ii, jj)
-        sum_y2 = entries(bt[start:stop] @ r2j, ii, jj)
+        a, b = item_ptr[start], item_ptr[stop]
+        lengths = user_end[entry_users[a:b]] - after[a:b]
+        pos = _runs(after[a:b], lengths)
+        i, x = np.repeat(entry_items[a:b], lengths), np.repeat(entry_ratings[a:b], lengths)
+        j, y = user_items[pos], user_ratings[pos]
+        # the pairs come in (i, rater, j) order: each pair's terms by ascending rater
+        pair, inverse = np.unique(i * n + j, return_inverse=True)
+        counts = np.bincount(inverse)
+        kept = counts >= 2
 
-        cov = sum_xy - sum_x * sum_y / n
-        var_x = sum_x2 - sum_x**2 / n
-        var_y = sum_y2 - sum_y**2 / n
+        def sums(terms):
+            return np.bincount(inverse, weights=terms)[kept]
+
+        sum_x, sum_y, sum_xy = sums(x), sums(y), sums(x * y)
+        sum_x2, sum_y2 = sums(x * x), sums(y * y)
+        pair, count = pair[kept], counts[kept].astype(float)
+
+        cov = sum_xy - sum_x * sum_y / count
+        var_x = sum_x2 - sum_x**2 / count
+        var_y = sum_y2 - sum_y**2 / count
         valid = (var_x > _VAR_EPS) & (var_y > _VAR_EPS)
-        sim = np.zeros(len(n))
+        sim = np.zeros(len(count))
         sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
-        sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
+        sim = np.clip(sim, -1.0, 1.0) * np.minimum(count, gamma) / gamma
         positive = sim > SIM_EPS
-        found.append((ii[positive] + start, jj[positive] + start + 1, sim[positive]))
+        found.append((pair[positive] // n, pair[positive] % n, sim[positive]))
 
     first, second, sims = (np.concatenate(part) for part in zip(*found))
-    return SimilarityMatrix.top_k(
-        k, items, np.concatenate((first, second)), np.concatenate((second, first)), np.tile(sims, 2)
-    )
+    rows, cols = np.concatenate((first, second)), np.concatenate((second, first))
+    return SimilarityMatrix.top_k(k, item_ids, rows, cols, np.tile(sims, 2))
 
 
 class KnnPredictor(Predictor):
@@ -206,10 +221,13 @@ class KnnPredictor(Predictor):
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
 
-        # column-major weights: column j lists the items i with j as a neighbor
+        # column-major weights: column j lists the items i with j as a
+        # neighbor, ascending; a stable sort keeps the rows' order
         n = len(matrix.item_ids)
-        w = sp.csr_matrix((matrix.weights, matrix.indices, matrix.indptr), (n, n)).tocsc()
-        self.col_ptr, self.col_rows, self.col_weights = w.indptr, w.indices, w.data
+        by_col = np.argsort(matrix.indices, kind="stable")
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        self.col_ptr = np.concatenate(([0], np.cumsum(np.bincount(matrix.indices, minlength=n))))
+        self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
 
         # users x train items CSR of the deviations rating - item mean,
         # ascending columns per user; items outside train are left out
@@ -254,9 +272,7 @@ class KnnPredictor(Predictor):
         """
         starts = self.col_ptr[cols]
         lengths = self.col_ptr[cols + 1] - starts
-        # positions of the columns' entries, one segment after the other
-        offsets = np.cumsum(lengths) - lengths
-        entries = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+        entries = _runs(starts, lengths)
         targets = self.col_rows[entries]
         weights = self.col_weights[entries]
         n = len(self.col_ptr) - 1

@@ -134,8 +134,16 @@ def write_report(report: EvaluationReport, outdir: str | Path, run_info: dict | 
 
 
 def load_report(path: str | Path) -> dict:
-    """Load a report.json payload."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a report.json payload; ValueError if it is not one."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        ok = isinstance(payload["model"], str) and {"r_min", "r_max"} <= payload["protocol"].keys()
+        _tables_from_payload(payload["core"])
+    except (KeyError, TypeError, AttributeError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path} is not a report: no model name, protocol or core tables")
+    return payload
 
 
 class IncompatibleReports(Exception):

@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import SegmentModel
-from recbench.knn import SIM_EPS, SimilarityMatrix
+from recbench.dataset import Ratings, SegmentModel
+from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 
 
 def naive_rmse(pairs):
@@ -142,6 +142,47 @@ def similarity_matrix(k, lists, item_ids):
         np.cumsum([0] + [len(row) for row in rows]),
         np.array([column[j] for row in rows for j, _ in row], dtype=np.intp),
         np.array([w for row in rows for _, w in row], dtype=float),
+    )
+
+
+def sparse_similarity_matrix(train, k, gamma):
+    """Top-K Weighted Pearson neighbors from whole-catalog sparse products.
+
+    scipy's row-wise product adds each co-rating sum over the common raters
+    in ascending rater order, so ``build_similarity_matrix`` must match
+    this bit for bit.
+    """
+    train = Ratings.of(train)
+    _, rows = np.unique(train.users, return_inverse=True)
+    codes, cols = np.unique(train.items, return_inverse=True)
+    items = [train.item_ids[c] for c in codes.tolist()]
+    shape = (rows.max() + 1, len(items))
+    r = sp.csr_matrix((train.ratings, (rows, cols)), shape=shape)
+    b = sp.csr_matrix((np.ones(len(train)), (rows, cols)), shape=shape)
+    r2 = r.multiply(r).tocsr()
+    rt, bt, r2t = r.T.tocsr(), b.T.tocsr(), r2.T.tocsr()
+
+    co = sp.triu(bt @ b, k=1).tocoo()  # common-rater counts of the pairs i < j
+    mask = co.data >= 2
+    i, j, n = co.row[mask], co.col[mask], co.data[mask]
+
+    def entries(product):
+        product = product.tocsc()
+        return np.array([product[a, b] for a, b in zip(i.tolist(), j.tolist())], dtype=float)
+
+    sum_xy, sum_x, sum_y = entries(rt @ r), entries(rt @ b), entries(bt @ r)
+    sum_x2, sum_y2 = entries(r2t @ b), entries(bt @ r2)
+    cov = sum_xy - sum_x * sum_y / n
+    var_x = sum_x2 - sum_x**2 / n
+    var_y = sum_y2 - sum_y**2 / n
+    valid = (var_x > _VAR_EPS) & (var_y > _VAR_EPS)
+    sim = np.zeros(len(n))
+    sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
+    sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
+    keep = sim > SIM_EPS
+    i, j, sim = i[keep], j[keep], sim[keep]
+    return SimilarityMatrix.top_k(
+        k, items, np.concatenate((i, j)), np.concatenate((j, i)), np.tile(sim, 2)
     )
 
 

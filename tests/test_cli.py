@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import recbench
 from recbench.cli import (
     EXIT_DATASET,
     EXIT_EVALUATION,
@@ -10,6 +15,7 @@ from recbench.cli import (
     EXIT_TRAINING,
     main,
 )
+from recbench.dataset import RatingLog, split
 from recbench.synthetic import gen_clustered, write_csv
 
 
@@ -55,8 +61,15 @@ class TestRun:
         assert payload["explore"] == payload["core"]
 
     def test_metadata_explains_the_run(self, tmp_path, fixture_csv):
-        lines = fixture_csv.read_text().splitlines()
-        fixture_csv.write_text("\n".join(lines + lines[-2:]) + "\n")  # two duplicates
+        header, *lines = fixture_csv.read_text().splitlines()
+        # the split sends a log to test by its position alone: put the only
+        # rating of a cold user and of a cold item at the first two test positions
+        probe = split([RatingLog(str(n), "i", 1.0) for n in range(len(lines) + 2)], 0.8, 7)
+        first, second = sorted(int(log.user_id) for log in probe.test)[:2]
+        lines.insert(first, "cold-user,i00000,3.0")
+        lines.insert(second, "u00000,cold-item,4.0")
+        lines += lines[-2:]  # two duplicates, dropped before the split
+        fixture_csv.write_text("\n".join([header, *lines]) + "\n")
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
         out = tmp_path / "out"
         assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
@@ -65,9 +78,11 @@ class TestRun:
         assert all(t >= 0.0 for t in meta["stage_timings"].values())
         assert meta["peak_rss_mb"] > 0.0
         assert meta["dropped_duplicates"] == 2
+        assert meta["cold_test_logs"] == {"user": 1, "item": 1}
         assert {"timings", "explore_timings"} <= set(meta)
         report = (out / "report.json").read_text()
         assert "peak_rss_mb" not in report and "stage_timings" not in report
+        assert "cold_test_logs" not in report
 
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
@@ -204,10 +219,21 @@ class TestErrors:
         assert err.startswith("manifest error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("output", ["report.json", "report.json/sub"])
+    def test_unusable_output_dir(self, tmp_path, fixture_csv, capsys, output):
+        (tmp_path / "report.json").write_text("{}")
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / output)]) == EXIT_MANIFEST
+        captured = capsys.readouterr()
+        assert captured.err.startswith("manifest error: cannot create output directory")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("gamma", [0, -5])
     def test_gamma_below_one(self, tmp_path, fixture_csv, capsys, gamma):
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "gamma": gamma})
-        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
+        # the run makes both directories first, and takes both away on failure
+        assert main(["run", str(path), "-o", str(tmp_path / "out" / "sub")]) == EXIT_TRAINING
         assert "gamma must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -271,6 +297,36 @@ class TestCompare:
         )
         assert main(["run", str(b_path), "-o", str(tmp_path / "b")]) == EXIT_OK
         assert main(["compare", str(a), str(tmp_path / "b" / "report.json")]) == EXIT_EVALUATION
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"a": 1},
+            {"model": "x", "protocol": {"r_min": 1, "r_max": 5}, "core": {"tables": [1]}},
+        ],
+    )
+    def test_non_report_json_rejected(self, tmp_path, capsys, payload):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(payload))
+        assert main(["compare", str(path)]) == EXIT_EVALUATION
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load report:") and "Traceback" not in err
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only: the package must not import it."""
+    code = (
+        "import sys, recbench, recbench.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print('numpy.random' in sys.modules)"
+    )
+    path = [str(Path(recbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == ["[]", "True"]
 
 
 class TestGenFixture:

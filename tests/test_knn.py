@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,39 @@ class TestBlockedBuild:
         for item, expected in want.items():
             assert [j for j, _ in got[item]] == [j for j, _ in expected], item
             assert np.allclose([w for _, w in got[item]], [w for _, w in expected], atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 30, 2**40])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from(["integer", "tenths", "float", "signed"]),
+        st.integers(1, 8),
+        st.integers(1, 12),
+    )
+    def test_matches_sparse_products_bit_for_bit(self, budget, seed, scale, k, gamma):
+        rng = np.random.default_rng(seed)
+        draw = {
+            "integer": lambda: float(rng.integers(1, 6)),  # tied weights at the K cut
+            "tenths": lambda: rng.integers(10, 51) / 10,  # sums whose order shows
+            "float": lambda: float(rng.uniform(1, 5)),
+            "signed": lambda: float(rng.integers(-2, 3)),  # sums of exactly zero
+        }[scale]
+        n_users, n_items = rng.integers(2, 25), rng.integers(2, 16)
+        logs = [
+            RatingLog(f"u{u:02d}", f"i{i:02d}", draw())
+            for u in range(n_users)
+            for i in range(n_items)
+            if rng.random() < 0.5
+        ]
+        # a user with a single rating and an item with a single rater
+        logs += [RatingLog("single", "i00", draw()), RatingLog("u00", "solo", draw())]
+        logs = [logs[n] for n in rng.permutation(len(logs))]
+        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+            got = build_similarity_matrix(logs, k, gamma)
+        want = oracle.sparse_similarity_matrix(logs, k, gamma)
+        assert got.k == want.k and got.item_ids == want.item_ids
+        for field in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_row_blocks_cover_rows_within_budget(self):
         weights = np.array([3, 1, 9, 2, 2, 0, 4])
