@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import resource
 import sys
@@ -23,7 +22,15 @@ from .dataset import DatasetError, build_segment_model, load_dataset, split, use
 from .knn import KnnPredictor, build_similarity_matrix
 from .mf import MFPredictor, TrainingError, train_mf
 from .protocol import EvaluationError, ProtocolConfig, evaluate
-from .reporting import IncompatibleReports, load_report, render_compare, render_summary, write_report
+from .reporting import (
+    IncompatibleReports,
+    is_int,
+    is_number,
+    load_report,
+    render_compare,
+    render_summary,
+    write_report,
+)
 
 EXIT_OK = 0
 EXIT_MANIFEST = 2
@@ -66,18 +73,6 @@ def _section(manifest: dict, key: str, required: bool = False) -> dict:
     return value
 
 
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _is_int(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
 def load_manifest(path: str | Path) -> dict:
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -100,20 +95,20 @@ def load_manifest(path: str | Path) -> dict:
     for key in sorted(model.keys() - {"name"}):
         if key not in MODEL_NUMBER_KEYS:
             raise ManifestError(f"unknown model key {key!r}")
-        if not _is_number(model[key]):
+        if not is_number(model[key]):
             raise ManifestError(f"model.{key} must be a number")
     split_cfg = _section(manifest, "split")
     split_cfg.setdefault("ratio", 0.9)
     split_cfg.setdefault("seed", 42)
-    if not (_is_number(split_cfg["ratio"]) and 0.0 < split_cfg["ratio"] < 1.0):
+    if not (is_number(split_cfg["ratio"]) and 0.0 < split_cfg["ratio"] < 1.0):
         raise ManifestError("split.ratio must be a number in (0,1)")
-    if not _is_int(split_cfg["seed"], 0):
+    if not is_int(split_cfg["seed"], 0):
         raise ManifestError("split.seed must be an integer >= 0")
     scale = manifest.setdefault("rating_scale", [1.0, 5.0])
     if not (
         isinstance(scale, list)
         and len(scale) == 2
-        and all(_is_number(v) for v in scale)
+        and all(is_number(v) for v in scale)
         and scale[0] < scale[1]
     ):
         raise ManifestError("rating_scale must be two numbers [r_min, r_max] with r_min < r_max")
@@ -122,7 +117,7 @@ def load_manifest(path: str | Path) -> dict:
     protocol.setdefault("explore_k", 100)
     protocol.setdefault("exclude_seen", True)
     for key in ("top_n", "explore_k"):
-        if not _is_int(protocol[key], 1):
+        if not is_int(protocol[key], 1):
             raise ManifestError(f"protocol.{key} must be an integer >= 1")
     if not isinstance(protocol["exclude_seen"], bool):
         raise ManifestError("protocol.exclude_seen must be true or false")

@@ -126,10 +126,6 @@ def ami_user(outcomes: list[RecommendationOutcome]) -> float | None:
     return total / len(evaluable)
 
 
-def count_ami_excluded(outcomes: list[RecommendationOutcome]) -> int:
-    return sum(1 for o in outcomes if o.evaluable and o.item_count == 0)
-
-
 def aggregate_rmse(scored: list[ScoredLog], function: str = "Decide") -> MetricTable:
     table = MetricTable(function, "RMSE")
     table.cells[GLOBAL] = (rmse(scored), len(scored))
@@ -182,39 +178,40 @@ def aggregate_discover(
     segment; users without evaluable outcomes in a cell are excluded from its
     average. Supports count evaluable outcomes, so cells sum to Global.
     Returns (precision table, AMI table, number of AMI-excluded outcomes).
+
+    One pass over the outcomes routes each evaluable one to Global and to
+    its own cell, in the user's order.
     """
+    cells = (GLOBAL,) + SEGMENTS
+    precisions: dict[str, list[float]] = {segment: [] for segment in cells}
+    amis: dict[str, list[float]] = {segment: [] for segment in cells}
+    precision_support = dict.fromkeys(cells, 0)
+    ami_support = dict.fromkeys(cells, 0)
+    excluded = 0
+    for user_outcomes in outcomes_by_user.values():
+        evaluable = [o for o in user_outcomes if o.evaluable]
+        by_segment: dict[str, list[RecommendationOutcome]] = {}
+        for o in evaluable:
+            by_segment.setdefault(o.segment, []).append(o)
+        for segment, outcomes in ((GLOBAL, evaluable), *by_segment.items()):
+            if not outcomes:
+                continue
+            precisions[segment].append(precision_user(outcomes))
+            precision_support[segment] += len(outcomes)
+            a = ami_user(outcomes)
+            if a is not None:
+                amis[segment].append(a)
+                ami_support[segment] += sum(1 for o in outcomes if o.item_count > 0)
+        excluded += sum(1 for o in evaluable if o.item_count == 0)
+
     precision_table = MetricTable("Discover", "Precision")
     ami_table = MetricTable("Discover", "AMI")
-    excluded = 0
-    for segment in (GLOBAL,) + SEGMENTS:
-        precisions = []
-        amis = []
-        precision_support = 0
-        ami_support = 0
-        for user_outcomes in outcomes_by_user.values():
-            cell = [
-                o
-                for o in user_outcomes
-                if segment == GLOBAL or o.segment == segment
-            ]
-            p = precision_user(cell)
-            if p is not None:
-                precisions.append(p)
-                precision_support += sum(1 for o in cell if o.evaluable)
-            a = ami_user(cell)
-            if a is not None:
-                amis.append(a)
-                ami_support += sum(1 for o in cell if o.evaluable and o.item_count > 0)
-            if segment == GLOBAL:
-                excluded += count_ami_excluded(cell)
+    for segment in cells:
+        p, a = precisions[segment], amis[segment]
         precision_table.cells[segment] = (
-            (math.fsum(precisions) / len(precisions), precision_support)
-            if precisions
-            else (None, 0)
+            (math.fsum(p) / len(p), precision_support[segment]) if p else (None, 0)
         )
-        ami_table.cells[segment] = (
-            (math.fsum(amis) / len(amis), ami_support) if amis else (None, 0)
-        )
+        ami_table.cells[segment] = (math.fsum(a) / len(a), ami_support[segment]) if a else (None, 0)
     return precision_table, ami_table, excluded
 
 

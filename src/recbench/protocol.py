@@ -4,13 +4,15 @@ Steps: one pass scoring every user over the catalog, whose rows feed the
 error on test logs (Decide), pairwise rank compatibility per user (Compare)
 and top-N generation with relevance and impact judgments (Discover); then
 re-evaluation of a model's extracted similarity matrix through a KNN
-predictor (Explore).
+predictor (Explore). When that predictor would be the model itself, Explore
+is the core report, which ``run_core`` keeps for it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,11 +51,16 @@ class ProtocolConfig:
 
 @dataclass
 class CoreReport:
-    """Decide / Compare / Discover tables for one predictor."""
+    """Decide / Compare / Discover tables for one predictor.
+
+    ``reused_core`` marks an Explore report that is the model's core report,
+    taken as it was instead of re-scored.
+    """
 
     tables: list[MetricTable]
     ami_excluded: int
     timings: dict[str, float] = field(default_factory=dict)
+    reused_core: bool = False
 
     def table(self, metric: str) -> MetricTable:
         for t in self.tables:
@@ -69,6 +76,21 @@ class EvaluationReport:
     config: ProtocolConfig
     core: CoreReport
     explore: CoreReport | None
+
+
+@dataclass(frozen=True)
+class _CoreRun:
+    """A KNN's core report and the inputs it was computed from."""
+
+    report: CoreReport
+    data: SplitDataset
+    segments: SegmentModel
+    config: ProtocolConfig
+
+
+# The last core report of each live KnnPredictor. Weak keys: an entry goes
+# with its model, and with it the data the entry holds.
+_core_runs: weakref.WeakKeyDictionary[KnnPredictor, _CoreRun] = weakref.WeakKeyDictionary()
 
 
 def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
@@ -183,11 +205,32 @@ def run_core(
     precision_table, ami_table, ami_excluded = aggregate_discover(outcomes_by_user)
     timings["discover"] = time.monotonic() - t0
 
-    return CoreReport(
+    report = CoreReport(
         tables=[rmse_table, comp_macro, comp_micro, precision_table, ami_table],
         ami_excluded=ami_excluded,
         timings=timings,
     )
+    if type(model) is KnnPredictor:  # a subclass may score otherwise than its emulation
+        _core_runs[model] = _CoreRun(report, data, segments, replace(config))
+    return report
+
+
+def _reusable_core(model, matrix, user_ratings, data, segments, config) -> CoreReport | None:
+    """The model's core report if the KNN that Explore would build on
+    ``matrix`` is the model itself, scoring the same data; else None."""
+    run = _core_runs.get(model) if type(model) is KnnPredictor else None
+    if (
+        run is not None
+        and matrix is model.matrix
+        and model.stats is segments
+        and (model.r_min, model.r_max) == (config.r_min, config.r_max)
+        and run.data is data
+        and run.segments is segments
+        and run.config == config
+        and model.user_ratings == user_ratings
+    ):
+        return run.report
+    return None
 
 
 def run_explore(
@@ -198,17 +241,29 @@ def run_explore(
 ) -> CoreReport | None:
     """Re-run the core evaluation through a KNN built on the model's similarities.
 
-    Returns None for models without a similarity capability.
+    Returns None for models without a similarity capability. A KNN with
+    K <= explore_k extracts its own matrix, so the emulated KNN would be the
+    model: if ``run_core`` evaluated it on these same inputs, its report is
+    returned, not scored again.
     """
     t0 = time.monotonic()
     matrix = model.item_similarity_matrix(config.explore_k)
     extract_s = time.monotonic() - t0
     if matrix is None:
         return None
+    user_ratings = user_ratings_index(data.train)
+    core = _reusable_core(model, matrix, user_ratings, data, segments, config)
+    if core is not None:
+        return CoreReport(
+            tables=core.tables,
+            ami_excluded=core.ami_excluded,
+            timings={"extract": extract_s},
+            reused_core=True,
+        )
     emulated = KnnPredictor(
         matrix,
         segments,
-        user_ratings_index(data.train),
+        user_ratings,
         r_min=config.r_min,
         r_max=config.r_max,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -57,6 +58,7 @@ def metadata_payload(report: EvaluationReport, run_info: dict | None = None) -> 
     meta = {"timings": report.core.timings}
     if report.explore:
         meta["explore_timings"] = report.explore.timings
+        meta["explore_reused_core"] = report.explore.reused_core
     meta.update(run_info or {})
     return meta
 
@@ -133,16 +135,42 @@ def write_report(report: EvaluationReport, outdir: str | Path, run_info: dict | 
     (outdir / "summary.txt").write_text(render_summary(report), encoding="utf-8")
 
 
+def is_number(value) -> bool:
+    """A finite JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _valid_cell(value, support) -> bool:
+    return (value is None or is_number(value)) and is_int(support, 0)
+
+
 def load_report(path: str | Path) -> dict:
-    """Load a report.json payload; ValueError if it is not one."""
+    """Load a report.json payload; ValueError if it is not one.
+
+    Each core cell must hold a finite number or null and an int support
+    >= 0, under string function and metric names (segment names are JSON
+    object keys, so always strings).
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         ok = isinstance(payload["model"], str) and {"r_min", "r_max"} <= payload["protocol"].keys()
-        _tables_from_payload(payload["core"])
+        ok = ok and all(
+            isinstance(t.function, str)
+            and isinstance(t.metric, str)
+            and all(_valid_cell(*cell) for cell in t.cells.values())
+            for t in _tables_from_payload(payload["core"])
+        )
     except (KeyError, TypeError, AttributeError):
         ok = False
     if not ok:
-        raise ValueError(f"{path} is not a report: no model name, protocol or core tables")
+        raise ValueError(
+            f"{path} is not a report: no model name, protocol or core tables,"
+            " or a cell that is not a finite number or null with a support >= 0"
+        )
     return payload
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: direct enumeration of pairs, full
 sorts, one model.predict call per (user, item). Nothing is shared with the
-library's own computation paths.
+library's own computation paths, except where a reference checks only one
+layer (``per_cell_aggregate_discover`` judges each user with the library's
+per-user measures and checks the aggregation alone).
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import Ratings, SegmentModel
+from recbench.dataset import SEGMENTS, Ratings, SegmentModel
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
+from recbench.metrics import GLOBAL, MetricTable, ami_user, precision_user
 
 
 def naive_rmse(pairs):
@@ -79,6 +82,41 @@ def naive_macro(values):
     if not values:
         return None
     return sum(values) / len(values)
+
+
+def per_cell_aggregate_discover(outcomes_by_user):
+    """``metrics.aggregate_discover`` one cell at a time: for each of Global
+    and the four segments, every user's outcomes are filtered to the cell
+    and judged by ``precision_user`` and ``ami_user``."""
+    precision_table = MetricTable("Discover", "Precision")
+    ami_table = MetricTable("Discover", "AMI")
+    excluded = 0
+    for segment in (GLOBAL,) + SEGMENTS:
+        precisions = []
+        amis = []
+        precision_support = 0
+        ami_support = 0
+        for user_outcomes in outcomes_by_user.values():
+            cell = [o for o in user_outcomes if segment == GLOBAL or o.segment == segment]
+            p = precision_user(cell)
+            if p is not None:
+                precisions.append(p)
+                precision_support += sum(1 for o in cell if o.evaluable)
+            a = ami_user(cell)
+            if a is not None:
+                amis.append(a)
+                ami_support += sum(1 for o in cell if o.evaluable and o.item_count > 0)
+            if segment == GLOBAL:
+                excluded += sum(1 for o in cell if o.evaluable and o.item_count == 0)
+        precision_table.cells[segment] = (
+            (math.fsum(precisions) / len(precisions), precision_support)
+            if precisions
+            else (None, 0)
+        )
+        ami_table.cells[segment] = (
+            (math.fsum(amis) / len(amis), ami_support) if amis else (None, 0)
+        )
+    return precision_table, ami_table, excluded
 
 
 def naive_top_n(scores_by_item, n, seen=()):

@@ -84,6 +84,26 @@ class TestRun:
         assert "peak_rss_mb" not in report and "stage_timings" not in report
         assert "cold_test_logs" not in report
 
+    @pytest.mark.parametrize(
+        "model, reused",
+        [
+            ({"name": "knn", "K": 8, "gamma": 20}, True),  # K = explore_k
+            ({"name": "knn", "K": 5, "gamma": 20}, True),
+            ({"name": "knn", "K": 9, "gamma": 20}, False),
+            ({"name": "mf", "F": 4, "budget_seconds": 5, "validation_fraction": 0.1}, False),
+            ({"name": "default"}, None),  # no Explore
+        ],
+    )
+    def test_metadata_says_whether_explore_reused_core(self, tmp_path, fixture_csv, model, reused):
+        path = manifest_file(tmp_path, fixture_csv, model)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta.get("explore_reused_core") is reused
+        if reused is not None:
+            assert ("score" in meta["explore_timings"]) is not reused
+        assert "reused" not in (out / "report.json").read_text()
+
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -310,6 +330,33 @@ class TestCompare:
         path = tmp_path / "other.json"
         path.write_text(json.dumps(payload))
         assert main(["compare", str(path)]) == EXIT_EVALUATION
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load report:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("value", "high"),
+            ("value", True),
+            ("support", "12"),
+            ("support", -1),
+            ("support", 2.0),
+            ("function", 3),
+            ("metric", None),
+        ],
+    )
+    def test_mistyped_cell_rejected(self, tmp_path, fixture_csv, capsys, field, bad):
+        report = self.run_model(tmp_path, fixture_csv, {"name": "default"}, "default")
+        payload = json.loads(report.read_text())
+        table = payload["core"]["tables"][0]
+        if field in ("function", "metric"):
+            table[field] = bad
+        else:
+            table["cells"]["Global"][field] = bad
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", str(report)]) == EXIT_EVALUATION
         err = capsys.readouterr().err
         assert err.startswith("cannot load report:") and "Traceback" not in err
 

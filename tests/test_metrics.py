@@ -235,3 +235,33 @@ class TestCompUserAgainstOracle:
             for k, (t, p) in enumerate(zip(levels, continuous))
         ]
         assert comp_user(scored(pairs)) == oracle.naive_comp_pairs(pairs)
+
+
+@st.composite
+def outcomes_by_user(draw):
+    """Up to 8 users' top-N slots: unevaluable slots, ties at the user's
+    mean, items never in train (count 0), users and segments without any
+    evaluable slot."""
+    result = {}
+    for u in range(draw(st.integers(0, 8))):
+        mean = draw(st.sampled_from([2.5, 3.0, 3.25]))
+        slots = st.tuples(
+            st.none() | TRUTHS | st.just(3.0),
+            st.integers(0, 4),
+            st.sampled_from(SEGMENTS),
+        )
+        result[f"u{u}"] = [
+            outcome(truth, mean, count, user=f"u{u}", segment=segment, rank=rank, item=f"i{rank}")
+            for rank, (truth, count, segment) in enumerate(draw(st.lists(slots, max_size=10)), 1)
+        ]
+    return result
+
+
+class TestAggregateDiscoverAgainstOracle:
+    """The one-pass routing against the cell-by-cell filter: the same cells,
+    values equal to the last bit (``math.fsum`` is exact in any order)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(outcomes_by_user())
+    def test_generated_outcomes(self, outcomes):
+        assert aggregate_discover(outcomes) == oracle.per_cell_aggregate_discover(outcomes)

@@ -1,11 +1,24 @@
+import gc
+import weakref
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from recbench import protocol
 from recbench.baselines import DefaultPredictor, Predictor, RandomPredictor
-from recbench.dataset import build_segment_model, split, user_ratings_index
+from recbench.dataset import (
+    RatingLog,
+    Ratings,
+    SplitDataset,
+    build_segment_model,
+    split,
+    user_ratings_index,
+)
 from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.metrics import GLOBAL
 from recbench.mf import MFPredictor, train_mf
@@ -168,8 +181,9 @@ class TestRunCore:
             return predict_many(self, user_id, item_ids)
 
         # Patched on the class, so Explore's emulated KNN is counted too.
+        # K > explore_k, so Explore scores a truncated matrix, not the core's.
         monkeypatch.setattr(KnnPredictor, "predict_many", counting)
-        matrix = build_similarity_matrix(data.train, k=5, gamma=10)
+        matrix = build_similarity_matrix(data.train, k=6, gamma=10)
         model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
         config = ProtocolConfig(top_n=4, explore_k=5)
         for run in (run_core, run_explore):
@@ -235,6 +249,252 @@ class TestExplore:
     def test_random_predictor_absent(self):
         data, segments = make_data(seed=9)
         assert run_explore(RandomPredictor(0), data, segments, ProtocolConfig()) is None
+
+
+def split_of(train, test):
+    """A SplitDataset whose train and test are exactly these (user, item, rating) logs."""
+    logs = Ratings.of([RatingLog(*log) for log in train + test])
+    in_train = np.arange(len(logs)) < len(train)
+
+    def part(mask):
+        return Ratings(
+            logs.user_ids, logs.item_ids, logs.users[mask], logs.items[mask], logs.ratings[mask]
+        )
+
+    return SplitDataset(part(in_train), part(~in_train), logs.user_ids, logs.item_ids)
+
+
+@st.composite
+def split_cases(draw):
+    """Up to 8 users x 8 items, each (user, item) rated 1-5 once, in train
+    or in test: tied ratings and scores, cold users and items (test only),
+    single-rating users and empty segments all occur."""
+    users = st.sampled_from([f"u{n}" for n in range(draw(st.integers(1, 8)))])
+    items = st.sampled_from([f"i{n}" for n in range(draw(st.integers(1, 8)))])
+    cells = draw(
+        st.dictionaries(
+            st.tuples(users, items), st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=40
+        )
+    )
+    train = [(u, i, float(r)) for (u, i), (r, in_train) in cells.items() if in_train]
+    test = [(u, i, float(r)) for (u, i), (r, in_train) in cells.items() if not in_train]
+    assume(train)
+    data = split_of(train, test)
+    return data, build_segment_model(data.train)
+
+
+def every_case():
+    """Each case at once: a single-rating user (u2), a cold user (u3) and a
+    cold item (i3) in test, tied ratings, and no popular item, so both
+    Pitem segments are empty."""
+    train = [
+        ("u0", "i0", 5.0), ("u0", "i1", 4.0), ("u0", "i2", 3.0),
+        ("u1", "i0", 4.0), ("u1", "i1", 3.0), ("u2", "i2", 1.0),
+    ]
+    test = [("u3", "i0", 3.0), ("u0", "i3", 2.0), ("u1", "i2", 5.0)]
+    data = split_of(train, test)
+    return data, build_segment_model(data.train)
+
+
+CONFIGS = st.builds(
+    ProtocolConfig, top_n=st.integers(1, 4), explore_k=st.integers(1, 4), exclude_seen=st.booleans()
+)
+
+
+def knn_model(data, segments, k, user_ratings=None):
+    matrix = build_similarity_matrix(data.train, k=k, gamma=2)
+    return KnnPredictor(matrix, segments, user_ratings or user_ratings_index(data.train))
+
+
+@contextmanager
+def knn_scored_users():
+    """The user of every KnnPredictor.predict_many call made inside."""
+    users = []
+    predict_many = KnnPredictor.predict_many
+
+    def counting(self, user_id, item_ids):
+        users.append(user_id)
+        return predict_many(self, user_id, item_ids)
+
+    KnnPredictor.predict_many = counting
+    try:
+        yield users
+    finally:
+        KnnPredictor.predict_many = predict_many
+
+
+def assert_matches_oracle(report, matrix, data, segments, config):
+    """The report's cells are the oracle's for a KNN on ``matrix`` and the train ratings."""
+    emulated = KnnPredictor(
+        matrix, segments, user_ratings_index(data.train), config.r_min, config.r_max
+    )
+    reference = oracle.naive_core_report(
+        emulated, data, segments, config.top_n, config.exclude_seen
+    )
+    for metric, cells in reference.items():
+        table = report.table(metric)
+        assert table.cells.keys() == cells.keys(), metric
+        for segment, (value, support) in cells.items():
+            got_value, got_support = table.cells[segment]
+            assert got_support == support, (metric, segment)
+            if value is None:
+                assert got_value is None, (metric, segment)
+            else:
+                assert abs(got_value - value) < 1e-9, (metric, segment)
+
+
+def assert_rescored(model, data, segments, config):
+    """run_explore scores every user through a KNN on the extracted matrix,
+    and its cells are the oracle's for that KNN."""
+    matrix = model.item_similarity_matrix(config.explore_k)
+    with knn_scored_users() as users:
+        explore = run_explore(model, data, segments, config)
+    assert users == list(data.users)
+    assert not explore.reused_core
+    assert "score" in explore.timings
+    assert_matches_oracle(explore, matrix, data, segments, config)
+
+
+class TestExploreReusesNativeKnnCore:
+    """A KNN with K <= explore_k is its own Explore predictor: Explore returns
+    the core report of the same inputs unscored. Any other case re-scores."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_cases(), CONFIGS, st.integers(0, 2))
+    @example(every_case(), ProtocolConfig(top_n=2, explore_k=2), 0)
+    def test_k_at_most_explore_k_reuses_core(self, case, config, below):
+        data, segments = case
+        model = knn_model(data, segments, max(1, config.explore_k - below))
+        core = run_core(model, data, segments, config)
+        with knn_scored_users() as users:
+            explore = run_explore(model, data, segments, config)
+        assert users == []
+        assert explore.reused_core
+        assert set(explore.timings) == {"extract"}
+        assert [t.cells for t in explore.tables] == [t.cells for t in core.tables]
+        assert explore.ami_excluded == core.ami_excluded
+        assert_matches_oracle(explore, model.matrix, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.integers(1, 2))
+    @example(every_case(), ProtocolConfig(top_n=2, explore_k=1), 1)
+    def test_k_above_explore_k(self, case, config, above):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k + above)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_no_core_run_before(self, case, config):
+        data, segments = case
+        assert_rescored(knn_model(data, segments, config.explore_k), data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_config_changed_in_place_after_core(self, case, config):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k)
+        run_core(model, data, segments, config)
+        config.top_n += 1
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_other_segments_object(self, case, config):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, build_segment_model(data.train), config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_core_on_other_segments_object(self, case, config):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k)
+        run_core(model, data, build_segment_model(data.train), config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_model_on_other_segments_object(self, case, config):
+        data, segments = case
+        model = knn_model(data, build_segment_model(data.train), config.explore_k)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_other_data_object(self, case, config):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k)
+        run_core(model, data, segments, config)
+        assert_rescored(model, replace(data), segments, config)  # equal, but not the same
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_rating_scale_other_than_the_models(self, case, config):
+        data, segments = case
+        model = knn_model(data, segments, config.explore_k)
+        config.r_max = 4.0
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_knn_subclass(self, case, config):
+        class DefaultScores(KnnPredictor):
+            def predict_many(self, user_id, item_ids):
+                return self.fallback.predict_many(user_id, item_ids)
+
+        data, segments = case
+        model = DefaultScores(
+            build_similarity_matrix(data.train, k=config.explore_k, gamma=2),
+            segments,
+            user_ratings_index(data.train),
+        )
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_knn_on_other_ratings_than_train(self, case, config):
+        data, segments = case
+        ratings = user_ratings_index(data.train)
+        user, rated = next(iter(ratings.items()))
+        item, rating = next(iter(rated.items()))
+        rated[item] = rating % 5 + 1
+        model = knn_model(data, segments, config.explore_k, ratings)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=20, deadline=None)
+    @given(split_cases(), CONFIGS)
+    def test_mf(self, case, config):
+        data, segments = case
+        assume(len(data.train) >= 2)
+        factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.3, max_epochs=2)
+        model = MFPredictor(factors, segments)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    def test_evaluate_reuses_core(self):
+        data, segments = make_data(seed=15)
+        model = knn_model(data, segments, 5)
+        report = evaluate(model, data, segments, ProtocolConfig(top_n=4, explore_k=5))
+        assert report.explore.reused_core
+        assert [t.cells for t in report.explore.tables] == [t.cells for t in report.core.tables]
+
+    def test_entry_goes_with_its_model(self):
+        data, segments = make_data(seed=16)
+        model = knn_model(data, segments, 5)
+        run_core(model, data, segments, ProtocolConfig(top_n=4, explore_k=5))
+        assert protocol._core_runs[model].data is data
+        data_ref = weakref.ref(data)
+        del model, data, segments
+        gc.collect()
+        assert not protocol._core_runs
+        assert data_ref() is None
 
 
 class TestDeterminismAndLeakage:
