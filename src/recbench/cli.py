@@ -21,11 +21,9 @@ from .baselines import DefaultPredictor, RandomPredictor
 from .dataset import DatasetError, build_segment_model, load_dataset, split, user_ratings_index
 from .knn import KnnPredictor, build_similarity_matrix
 from .mf import MFPredictor, TrainingError, train_mf
-from .protocol import EvaluationError, ProtocolConfig, evaluate
+from .protocol import EvaluationError, ProtocolConfig, evaluate, is_int, is_number
 from .reporting import (
     IncompatibleReports,
-    is_int,
-    is_number,
     load_report,
     render_compare,
     render_summary,

@@ -10,6 +10,7 @@ is the core report, which ``run_core`` keeps for it.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from dataclasses import dataclass, field, replace
@@ -30,12 +31,27 @@ from .metrics import (
 )
 
 
+# Bytes of scores run_core holds for one block of users.
+SCORE_BLOCK_BYTES = 2**19
+
+
 class EvaluationError(Exception):
     """Raised when a model fails on a (user, item) pair during evaluation."""
 
 
+def is_number(value) -> bool:
+    """A finite JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass
 class ProtocolConfig:
+    """The protocol's settings, checked by the rules of the manifest."""
+
     top_n: int = 10
     explore_k: int = 100
     exclude_seen: bool = True
@@ -43,10 +59,13 @@ class ProtocolConfig:
     r_max: float = 5.0
 
     def __post_init__(self):
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.explore_k < 1:
-            raise ValueError("explore_k must be >= 1")
+        for name in ("top_n", "explore_k"):
+            if not is_int(getattr(self, name), 1):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not isinstance(self.exclude_seen, bool):
+            raise ValueError("exclude_seen must be True or False")
+        if not (is_number(self.r_min) and is_number(self.r_max) and self.r_min < self.r_max):
+            raise ValueError("r_min and r_max must be finite numbers with r_min < r_max")
 
 
 @dataclass
@@ -93,32 +112,42 @@ class _CoreRun:
 _core_runs: weakref.WeakKeyDictionary[KnnPredictor, _CoreRun] = weakref.WeakKeyDictionary()
 
 
-def top_n(scores: np.ndarray, n: int, seen=()) -> np.ndarray:
-    """Positions of the ``n`` highest scores, ties by ascending position.
+def block_top_n(
+    scores: np.ndarray, n: int, seen: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) of the ``n`` highest scores of each row of a block,
+    rows ascending, each row's best first and its ties by ascending position.
 
-    Positions in ``seen`` are never picked, so fewer than ``n`` come back
-    when the rest run out. Only the candidates at or above the n-th highest
-    score are sorted.
+    The (row, position) pairs in ``seen`` and -inf scores are never picked,
+    so a row yields fewer than ``n`` when the rest run out; NaN scores rank
+    after every other. Only each row's candidates at or above its n-th
+    highest score are sorted.
     """
-    neg = -np.asarray(scores, dtype=float)
-    neg[np.asarray(seen, dtype=np.intp)] = np.inf
-    if n < len(neg):
-        kth = np.partition(neg, n - 1)[n - 1]
-        # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
-        candidates = np.flatnonzero(~(neg > kth))
-    else:
-        candidates = np.arange(len(neg))
-    # candidates ascend, so the stable sort breaks ties by position
-    order = candidates[np.argsort(neg[candidates], kind="stable")[:n]]
-    return order[neg[order] != np.inf]
+    neg = np.negative(scores)
+    neg[seen] = np.inf
+    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None] if n < neg.shape[1] else np.inf
+    # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
+    rows, cols = np.nonzero(~(neg > kth))
+    keys = neg[rows, cols]
+    # candidates ascend by (row, position), so the stable sort breaks ties by position
+    order = np.lexsort((keys, rows))
+    rows, cols, keys = rows[order], cols[order], keys[order]
+    first = np.arange(len(rows)) - np.searchsorted(rows, rows) < n
+    keep = first & (keys != np.inf)
+    return rows[keep], cols[keep]
 
 
-def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The logs' item codes and ratings grouped by user code, each group in
-    log order, and the bounds of the groups: user u's are [bounds[u], bounds[u + 1])."""
+def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The logs' user codes, item codes and ratings grouped by user code, each
+    group in log order, and the bounds of the groups: user u's are
+    [bounds[u], bounds[u + 1])."""
     order = np.argsort(logs.users, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(logs.users, minlength=n_users))))
-    return logs.items[order], logs.ratings[order], bounds.tolist()
+    return logs.users[order], logs.items[order], logs.ratings[order], bounds.tolist()
+
+
+# the segment of a (heavy?, popular?) test log or top-N slot
+_SEGMENT = (("LuserUitem", "LuserPitem"), ("HuserUitem", "HuserPitem"))
 
 
 def run_core(
@@ -129,68 +158,89 @@ def run_core(
 ) -> CoreReport:
     """Evaluate Decide, Compare and Discover for one trained predictor.
 
-    Each user is scored once over the catalog. Decide and Compare read the
-    user's test items out of that row, and Discover ranks the same row.
+    Each user is scored once over the catalog, into a block of users of at
+    most SCORE_BLOCK_BYTES. Decide and Compare read the users' test items
+    out of the block, and Discover ranks it. Records are made only for test
+    logs and for the top-N slots that hold a test item, the evaluable ones:
+    Discover judges no other slot.
     """
-    t0 = time.monotonic()
-    catalog = data.items  # sorted ascending, so stable sort breaks ties by id
-    item_counts = [segments.item_count(item_id) for item_id in catalog]
+    t_start = time.monotonic()
+    users, catalog = data.users, data.items  # the catalog sorted, so ties go by id
+    heavy = [segments.is_heavy(user_id) for user_id in users]
     popular = [segments.is_popular(item_id) for item_id in catalog]
     # each user's train and test item codes (= catalog positions), in log order
-    seen_items, _, seen_bounds = _by_user(data.train, len(data.users))
-    test_items, test_ratings, test_bounds = _by_user(data.test, len(data.users))
-    test_items, test_ratings = test_items.tolist(), test_ratings.tolist()
+    seen_users, seen_items, _, seen_bounds = _by_user(data.train, len(users))
+    test_users, test_items, test_ratings, test_bounds = _by_user(data.test, len(users))
+    predicted = np.empty(len(test_items))
+    hits = []  # (user, position, rank, test log) of each evaluable slot
+    block = np.empty((max(1, SCORE_BLOCK_BYTES // (8 * max(len(catalog), 1))), len(catalog)))
+    # a block's test logs by (row, position), -1 elsewhere: restored after each block
+    test_at = np.full(block.shape, -1, dtype=np.intp)
+    score_s = 0.0
+    for u0 in range(0, len(users), len(block)):
+        u1 = min(u0 + len(block), len(users))
+        scores = block[: u1 - u0]
+        t0 = time.monotonic()
+        for row, user_id in enumerate(users[u0:u1]):
+            try:
+                scores[row] = model.predict_many(user_id, catalog)
+            except Exception as exc:
+                raise EvaluationError(
+                    f"model {model.name!r} failed on user {user_id!r}: {exc}"
+                ) from exc
+        score_s += time.monotonic() - t0
+        tests = slice(test_bounds[u0], test_bounds[u1])
+        test_slots = (test_users[tests] - u0, test_items[tests])
+        predicted[tests] = scores[test_slots]
+        seen = slice(seen_bounds[u0], seen_bounds[u1] if config.exclude_seen else seen_bounds[u0])
+        rows, cols = block_top_n(scores, config.top_n, (seen_users[seen] - u0, seen_items[seen]))
+        test_at[test_slots] = np.arange(tests.start, tests.stop)
+        found = test_at[rows, cols]
+        test_at[test_slots] = -1
+        hit = np.flatnonzero(found >= 0)
+        rank = hit + 1 - np.searchsorted(rows, rows[hit])  # rows are grouped, best first
+        hits += zip(
+            (rows[hit] + u0).tolist(), cols[hit].tolist(), rank.tolist(), found[hit].tolist()
+        )
 
-    scored_by_user: dict[str, list[ScoredLog]] = {}
+    truths = test_ratings.tolist()
+    scored = [
+        ScoredLog(
+            user_id=users[u],
+            item_id=catalog[pos],
+            true_rating=truth,
+            predicted_rating=prediction,
+            segment=_SEGMENT[heavy[u]][popular[pos]],
+        )
+        for u, pos, truth, prediction in zip(
+            test_users.tolist(), test_items.tolist(), truths, predicted.tolist()
+        )
+    ]
+    scored_by_user = {
+        users[u]: scored[lo:hi]
+        for u, (lo, hi) in enumerate(zip(test_bounds, test_bounds[1:]))
+        if lo < hi
+    }
     outcomes_by_user: dict[str, list[RecommendationOutcome]] = {}
-    for u, user_id in enumerate(data.users):
-        try:
-            scores = model.predict_many(user_id, catalog)
-        except Exception as exc:
-            raise EvaluationError(
-                f"model {model.name!r} failed on user {user_id!r}: {exc}"
-            ) from exc
-        positions = test_items[test_bounds[u] : test_bounds[u + 1]]
-        truths = test_ratings[test_bounds[u] : test_bounds[u + 1]]
-        # the user's segment for an unpopular and for a popular item
-        h = "H" if segments.is_heavy(user_id) else "L"
-        segment = (f"{h}userUitem", f"{h}userPitem")
-        if positions:
-            scored_by_user[user_id] = [
-                ScoredLog(
-                    user_id=user_id,
-                    item_id=catalog[pos],
-                    true_rating=truth,
-                    predicted_rating=predicted,
-                    segment=segment[popular[pos]],
-                )
-                for pos, truth, predicted in zip(positions, truths, scores[positions].tolist())
-            ]
-        seen = seen_items[seen_bounds[u] : seen_bounds[u + 1]] if config.exclude_seen else ()
-        top = top_n(scores, config.top_n, seen)
-        user_mean = segments.user_mean(user_id)
-        test_ratings_at = dict(zip(positions, truths))
-        outcomes = []
-        for rank, pos in enumerate(top.tolist(), start=1):
-            true_rating = test_ratings_at.get(pos)
-            outcomes.append(
-                RecommendationOutcome(
-                    user_id=user_id,
-                    item_id=catalog[pos],
-                    rank=rank,
-                    evaluable=true_rating is not None,
-                    true_rating=true_rating,
-                    user_mean=user_mean,
-                    item_count=item_counts[pos],
-                    catalog_size=data.catalog_size,
-                    segment=segment[popular[pos]],
-                )
+    for u, pos, rank, t in hits:
+        user_id = users[u]
+        outcomes_by_user.setdefault(user_id, []).append(
+            RecommendationOutcome(
+                user_id=user_id,
+                item_id=catalog[pos],
+                rank=rank,
+                evaluable=True,
+                true_rating=truths[t],
+                user_mean=segments.user_mean(user_id),
+                item_count=segments.item_count(catalog[pos]),
+                catalog_size=data.catalog_size,
+                segment=_SEGMENT[heavy[u]][popular[pos]],
             )
-        outcomes_by_user[user_id] = outcomes
-    timings = {"score": time.monotonic() - t0}
+        )
+    timings = {"score": score_s, "rank": time.monotonic() - t_start - score_s}
 
     t0 = time.monotonic()
-    rmse_table = aggregate_rmse([s for lst in scored_by_user.values() for s in lst])
+    rmse_table = aggregate_rmse(scored)
     timings["decide"] = time.monotonic() - t0
 
     t0 = time.monotonic()

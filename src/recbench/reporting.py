@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
 from .dataset import SEGMENTS
 from .metrics import GLOBAL, MetricTable, tables_to_rows
-from .protocol import CoreReport, EvaluationReport, ProtocolConfig
+from .protocol import CoreReport, EvaluationReport, is_int, is_number
 
 CSV_COLUMNS = ("function", "metric", "segment", "value", "support")
 SUMMARY_COLUMNS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem", GLOBAL)
@@ -133,15 +132,6 @@ def write_report(report: EvaluationReport, outdir: str | Path, run_info: dict | 
     if report.explore is not None:
         _write_table_csv(outdir / "explore.csv", report.explore.tables)
     (outdir / "summary.txt").write_text(render_summary(report), encoding="utf-8")
-
-
-def is_number(value) -> bool:
-    """A finite JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def is_int(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def _valid_cell(value, support) -> bool:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: direct enumeration of pairs, full
 sorts, one model.predict call per (user, item). Nothing is shared with the
 library's own computation paths, except where a reference checks only one
 layer (``per_cell_aggregate_discover`` judges each user with the library's
-per-user measures and checks the aggregation alone).
+per-user measures and checks the aggregation alone). ``top_n`` is the
+per-row ranking that the library's block ranking replaced, kept as its
+reference.
 """
 
 from __future__ import annotations
@@ -126,6 +128,27 @@ def naive_top_n(scores_by_item, n, seen=()):
         key=lambda t: (-t[1], t[0]),
     )
     return [item for item, _ in ranked[:n]]
+
+
+def top_n(scores, n, seen=()):
+    """Positions of the ``n`` highest scores of one row, ties by ascending
+    position: the per-row reference for ``protocol.block_top_n``.
+
+    Positions in ``seen`` are never picked, nor -inf scores, so fewer than
+    ``n`` come back when the rest run out. Only the candidates at or above
+    the n-th highest score are sorted.
+    """
+    neg = -np.asarray(scores, dtype=float)
+    neg[np.asarray(seen, dtype=np.intp)] = np.inf
+    if n < len(neg):
+        kth = np.partition(neg, n - 1)[n - 1]
+        # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
+        candidates = np.flatnonzero(~(neg > kth))
+    else:
+        candidates = np.arange(len(neg))
+    # candidates ascend, so the stable sort breaks ties by position
+    order = candidates[np.argsort(neg[candidates], kind="stable")[:n]]
+    return order[neg[order] != np.inf]
 
 
 def naive_sgd_epoch(p, q, uu, ii, rr, order, lr, reg):

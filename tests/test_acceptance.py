@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import json
 import time
 
@@ -381,6 +382,53 @@ def test_determinism_and_no_leakage(tmp_path):
     report_line("determinism & no-leakage", ok)
     assert byte_identical
     assert no_leakage
+
+
+REFERENCE_FIXTURES = {
+    "clustered": lambda: gen_clustered(1500, 500, 5, 0.05, seed=1),
+    "uniform": lambda: gen_uniform(400, 300, 0.3, seed=1),
+}
+
+# report.json sha256 of `recbench run` with the manifest defaults, by
+# (fixture, model, exclude_seen). MF is left out: its dot products run
+# through BLAS kernels chosen per CPU, so its last bits may differ by machine.
+REFERENCE_DIGESTS = {
+    ("clustered", "default", True): "7c146cc5e1c72bc432cf9826c38b931aa9be26d8efe40edd0e6a1d7f95ccaa4c",
+    ("clustered", "default", False): "2c14105a956e71a195f6f6e75f44301cbcdb52724e6ad4385b8a34a17f929614",
+    ("clustered", "random", True): "24eedc5cecdec4ec5ee378e62aec3c0fb1c1dfbf33ef569ad5bfb3849275f120",
+    ("clustered", "random", False): "a29219e92737c3e470f835f147c709e0b24d6760fd3c6e577279c516c4d21820",
+    ("clustered", "knn", True): "e992ff115bc9c2e38d97445ba186f8e66c62ae568208d2d72a5aabed62a2f169",
+    ("clustered", "knn", False): "d8185c903feedb1eba50b92462d8993b6da400dff3672059b6b58737c6ffa4c6",
+    ("uniform", "default", True): "64115ca2b375f312d8c90567ab195c53ee377a142ea0719bc65ef8896f83cfbc",
+    ("uniform", "default", False): "fd1ddf25e4d4a91af56d64d0f4a11c38a4c26cbb1478ad96d94dff34f18b17f4",
+    ("uniform", "random", True): "8d4574555702d31f0ed242825d1d1bb5d533b2c4f0c592d8ccba01746ff5cc29",
+    ("uniform", "random", False): "ff43f055a672fb85964e27c371855f0803f31c4346089ae4f5a0c5d932a5a677",
+    ("uniform", "knn", True): "da391684c9f203e62d72ca6dde87e28d204678e9b72ffb3f33ed9b1c974ec1f7",
+    ("uniform", "knn", False): "b79812e79af933b6f478c331e110b7cf9960bcb08420c376e5dead5b31b0ddb7",
+}
+
+
+@pytest.mark.slow
+def test_reference_report_digests(tmp_path):
+    """The reference runs' report.json bytes are pinned: a change to the
+    evaluation path that moves any reported number shows here."""
+    for fixture, generate in REFERENCE_FIXTURES.items():
+        write_csv(generate(), tmp_path / f"{fixture}.csv")
+    got = {}
+    for fixture, model, exclude_seen in REFERENCE_DIGESTS:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "dataset": {"path": str(tmp_path / f"{fixture}.csv"), "format": "csv"},
+            "model": {"name": model},
+            "protocol": {"exclude_seen": exclude_seen},
+        }))
+        out = tmp_path / f"{fixture}-{model}-{exclude_seen}"
+        assert cli_main(["run", str(manifest), "-o", str(out)]) == 0
+        got[fixture, model, exclude_seen] = hashlib.sha256(
+            (out / "report.json").read_bytes()
+        ).hexdigest()
+    report_line("reference report digests", got == REFERENCE_DIGESTS)
+    assert got == REFERENCE_DIGESTS
 
 
 @pytest.mark.slow

@@ -80,8 +80,9 @@ class TestRun:
         assert meta["dropped_duplicates"] == 2
         assert meta["cold_test_logs"] == {"user": 1, "item": 1}
         assert {"timings", "explore_timings"} <= set(meta)
+        assert {"score", "rank", "decide", "compare", "discover"} <= set(meta["timings"])
         report = (out / "report.json").read_text()
-        assert "peak_rss_mb" not in report and "stage_timings" not in report
+        assert "peak_rss_mb" not in report and "timings" not in report
         assert "cold_test_logs" not in report
 
     @pytest.mark.parametrize(
@@ -101,7 +102,7 @@ class TestRun:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta.get("explore_reused_core") is reused
         if reused is not None:
-            assert ("score" in meta["explore_timings"]) is not reused
+            assert ({"score", "rank"} <= set(meta["explore_timings"])) is not reused
         assert "reused" not in (out / "report.json").read_text()
 
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):

@@ -25,10 +25,10 @@ from recbench.mf import MFPredictor, train_mf
 from recbench.protocol import (
     EvaluationError,
     ProtocolConfig,
+    block_top_n,
     evaluate,
     run_core,
     run_explore,
-    top_n,
 )
 from recbench.synthetic import gen_clustered, gen_uniform
 
@@ -74,10 +74,12 @@ def make_data(seed=0, n_users=30, n_items=20, density=0.5, ratio=0.75):
 
 
 def top_items(model, user_id, items, n, seen=()):
-    """The user's top-``n`` of ``items`` (sorted ascending) by ``top_n``."""
+    """The user's top-``n`` of ``items`` (sorted ascending) by a one-row block."""
     position = {item_id: k for k, item_id in enumerate(items)}
-    scores = model.predict_many(user_id, items)
-    return [items[k] for k in top_n(scores, n, [position[i] for i in seen])]
+    scores = model.predict_many(user_id, items)[None, :]
+    cols = np.array([position[i] for i in seen], dtype=np.intp)
+    _, top = block_top_n(scores, n, (np.zeros_like(cols), cols))
+    return [items[k] for k in top]
 
 
 @st.composite
@@ -113,8 +115,80 @@ class TestGenerateTopN:
     @example(([2.0, 2.0, 2.0], 3, set()))  # n equal to the catalog, all tied
     def test_matches_naive_on_generated_scores(self, case):
         scores, n, seen = case
-        got = top_n(np.array(scores), n, sorted(seen)).tolist()
+        got = oracle.top_n(np.array(scores), n, sorted(seen)).tolist()
         assert got == oracle.naive_top_n(dict(enumerate(scores)), n, seen)
+
+
+@st.composite
+def block_cases(draw):
+    """A block of 1-8 rows with ties and infinities (NaN too, if asked),
+    each row's seen set empty, all positions or random, and n up to past
+    the catalog size."""
+    values = st.sampled_from([1.0, 2.5, 4.0, np.inf, -np.inf]) | st.floats(-10.0, 10.0)
+    if draw(st.booleans()):
+        values |= st.just(np.nan)
+    n_items = draw(st.integers(1, 30))
+    row = st.lists(values, min_size=n_items, max_size=n_items)
+    scores = np.array(draw(st.lists(row, min_size=1, max_size=8)))
+    every = set(range(n_items))
+    seen = [
+        draw(st.just(set()) | st.just(every) | st.sets(st.integers(0, n_items - 1)))
+        for _ in scores
+    ]
+    return scores, draw(st.integers(1, n_items + 3)), seen
+
+
+class TestBlockTopN:
+    """Each row of the block ranking is the per-row reference's, and, with
+    -inf scores counted as seen and no NaN, the naive full sort's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_cases())
+    @example((np.array([[3.0, 3.0, 1.0], [3.0, 3.0, 1.0]]), 5, [{0, 1, 2}, set()]))
+    @example((np.array([[np.nan, -np.inf], [np.nan, 2.0]]), 1, [set(), {1}]))
+    def test_rows_match_per_row_reference(self, case):
+        scores, n, seen = case
+        seen_rows = np.array([r for r, cols in enumerate(seen) for _ in cols], dtype=np.intp)
+        seen_cols = np.array([c for cols in seen for c in sorted(cols)], dtype=np.intp)
+        original = scores.copy()
+        rows, cols = block_top_n(scores, n, (seen_rows, seen_cols))
+        assert np.array_equal(scores, original, equal_nan=True)  # the block is not changed
+        assert np.all(np.diff(rows) >= 0)
+        for r, row in enumerate(scores):
+            got = cols[rows == r].tolist()
+            assert got == oracle.top_n(row, n, sorted(seen[r])).tolist()
+            if not np.isnan(row).any():
+                never = seen[r] | {c for c, v in enumerate(row) if v == -np.inf}
+                assert got == oracle.naive_top_n(dict(enumerate(row.tolist())), n, never)
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"top_n": 2.5},
+            {"top_n": True},
+            {"top_n": "3"},
+            {"top_n": 0},
+            {"explore_k": 2.5},
+            {"explore_k": False},
+            {"explore_k": 0},
+            {"exclude_seen": 1},
+            {"exclude_seen": "yes"},
+            {"r_min": float("nan")},
+            {"r_max": float("inf")},
+            {"r_min": "1"},
+            {"r_min": True},
+            {"r_min": 5.0, "r_max": 1.0},
+            {"r_min": 3.0, "r_max": 3.0},
+        ],
+    )
+    def test_rejects_what_a_manifest_may_not_hold(self, kwargs):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**kwargs)
+
+    def test_accepts_integers_for_the_rating_scale(self):
+        assert ProtocolConfig(top_n=1, explore_k=1, exclude_seen=False, r_min=0, r_max=10).r_max == 10
 
 
 class TestRunCore:
@@ -133,15 +207,7 @@ class TestRunCore:
         config = ProtocolConfig(top_n=5, explore_k=5, exclude_seen=exclude_seen)
         report = run_core(model, data, segments, config)
         reference = oracle.naive_core_report(model, data, segments, 5, exclude_seen)
-        for metric, cells in reference.items():
-            table = report.table(metric)
-            for segment, (value, support) in cells.items():
-                got_value, got_support = table.cells[segment]
-                assert got_support == support, (metric, segment)
-                if value is None:
-                    assert got_value is None, (metric, segment)
-                else:
-                    assert abs(got_value - value) < 1e-12, (metric, segment)
+        assert_cells_match(report, reference, tolerance=1e-12)
 
     def test_random_predictor_matches_naive_reference(self):
         data, segments = make_data(seed=3, n_users=25, n_items=12)
@@ -170,6 +236,18 @@ class TestRunCore:
         data, segments = make_data(seed=5)
         with pytest.raises(EvaluationError, match="exploding"):
             run_core(Exploding(), data, segments, ProtocolConfig(top_n=3, explore_k=3))
+
+    def test_failure_of_a_wrong_length_row_identifies_user(self):
+        data, segments = make_data(seed=5)
+
+        class ShortRow(Predictor):
+            name = "short"
+
+            def predict_many(self, user_id, item_ids):
+                return np.zeros(len(item_ids) - 1)
+
+        with pytest.raises(EvaluationError, match=repr(data.users[0])):
+            run_core(ShortRow(), data, segments, ProtocolConfig(top_n=3, explore_k=3))
 
     def test_each_user_scored_once_over_catalog(self, monkeypatch):
         data, segments = make_data(seed=13)
@@ -226,6 +304,95 @@ def test_predict_many_on_list_changed_in_place(name):
         change()
         expected = [model.predict(user, item_id) for item_id in items]
         assert np.allclose(model.predict_many(user, items), expected, rtol=0, atol=1e-12)
+
+
+def boundary_cases():
+    """``every_case`` (4 users) and a 31-user split: 3-user blocks leave an
+    uneven last block in both."""
+    return [every_case(), make_data(seed=17, n_users=31, n_items=12, density=0.3)]
+
+
+def assert_cells_match(report, reference, tolerance=1e-9):
+    """The report's tables hold the reference's {metric: {segment: (value, support)}}."""
+    for metric, cells in reference.items():
+        table = report.table(metric)
+        assert table.cells.keys() == cells.keys(), metric
+        for segment, (value, support) in cells.items():
+            got_value, got_support = table.cells[segment]
+            assert got_support == support, (metric, segment)
+            if value is None:
+                assert got_value is None, (metric, segment)
+            else:
+                assert abs(got_value - value) < tolerance, (metric, segment)
+
+
+class TestRunCoreBlocks:
+    """Blocks of users, set by SCORE_BLOCK_BYTES, change no cell: one user
+    per block, three with an uneven last block, or all in one block."""
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("exclude_seen", [True, False])
+    @pytest.mark.parametrize("name", ["default", "random", "knn", "mf"])
+    def test_block_sizes_leave_the_tables_alone(self, monkeypatch, name, exclude_seen, case):
+        data, segments = boundary_cases()[case]
+        if name == "mf":
+            factors = train_mf(
+                data.train, n_factors=4, seed=1, validation_fraction=0.3, max_epochs=2
+            )
+            model = MFPredictor(factors, segments)
+        else:
+            model = make_predictor(name, data, segments)
+        config = ProtocolConfig(top_n=3, explore_k=5, exclude_seen=exclude_seen)
+        default = run_core(model, data, segments, config)
+        reference = oracle.naive_core_report(model, data, segments, 3, exclude_seen)
+        assert_cells_match(default, reference)
+        row_bytes = 8 * len(data.items)
+        for users in (1, 3, len(data.users)):
+            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * row_bytes)
+            report = run_core(model, data, segments, config)
+            assert [t.cells for t in report.tables] == [t.cells for t in default.tables]
+            assert report.ami_excluded == default.ami_excluded
+
+    @pytest.mark.parametrize("exclude_seen", [True, False])
+    @pytest.mark.parametrize("users", [1, 3, None])
+    def test_outcomes_are_the_evaluable_slots(self, monkeypatch, users, exclude_seen):
+        """Discover gets one outcome per top-N slot that holds a test item,
+        with its rank among all the user's slots, and no other."""
+        data, segments = boundary_cases()[1]
+        model = RandomPredictor(seed=2)  # integer levels: many ties
+        if users is not None:
+            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+        judged = {}
+        aggregate = protocol.aggregate_discover
+        monkeypatch.setattr(
+            protocol, "aggregate_discover", lambda outcomes: judged.update(outcomes) or aggregate(outcomes)
+        )
+        run_core(model, data, segments, ProtocolConfig(top_n=4, explore_k=5, exclude_seen=exclude_seen))
+        train_index, test_index = user_ratings_index(data.train), user_ratings_index(data.test)
+        expected = {}
+        for user in data.users:
+            scores = {i: model.predict(user, i) for i in data.items}
+            seen = set(train_index.get(user, ())) if exclude_seen else set()
+            for rank, item in enumerate(oracle.naive_top_n(scores, 4, seen), start=1):
+                if item in test_index.get(user, {}):
+                    expected.setdefault(user, []).append((item, rank, test_index[user][item]))
+        got = {
+            user: [(o.item_id, o.rank, o.true_rating) for o in outcomes]
+            for user, outcomes in judged.items()
+        }
+        assert expected and got == expected
+        assert all(o.evaluable for outcomes in judged.values() for o in outcomes)
+
+    def test_fixtures_hold_every_case(self):
+        for data, _ in boundary_cases():
+            assert len(data.users) % 3
+            assert set(data.test.users.tolist()) < set(range(len(data.users)))  # users without test logs
+        # cold users and items, single-rating users, empty Pitem segments
+        data, segments = every_case()
+        assert set(data.test.users.tolist()) - set(data.train.users.tolist())
+        assert set(data.test.items.tolist()) - set(data.train.items.tolist())
+        assert 1 in segments.user_counts.values()
+        assert not any(segments.is_popular(i) for i in data.items)
 
 
 class TestExplore:
@@ -331,16 +498,7 @@ def assert_matches_oracle(report, matrix, data, segments, config):
     reference = oracle.naive_core_report(
         emulated, data, segments, config.top_n, config.exclude_seen
     )
-    for metric, cells in reference.items():
-        table = report.table(metric)
-        assert table.cells.keys() == cells.keys(), metric
-        for segment, (value, support) in cells.items():
-            got_value, got_support = table.cells[segment]
-            assert got_support == support, (metric, segment)
-            if value is None:
-                assert got_value is None, (metric, segment)
-            else:
-                assert abs(got_value - value) < 1e-9, (metric, segment)
+    assert_cells_match(report, reference)
 
 
 def assert_rescored(model, data, segments, config):
@@ -351,7 +509,7 @@ def assert_rescored(model, data, segments, config):
         explore = run_explore(model, data, segments, config)
     assert users == list(data.users)
     assert not explore.reused_core
-    assert "score" in explore.timings
+    assert {"score", "rank"} <= set(explore.timings)
     assert_matches_oracle(explore, matrix, data, segments, config)
 
 
