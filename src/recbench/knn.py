@@ -57,6 +57,15 @@ class SimilarityMatrix:
         a, b = self.indptr[r], self.indptr[r + 1]
         return list(zip([ids[c] for c in self.indices[a:b].tolist()], self.weights[a:b].tolist()))
 
+    def counts(self) -> dict[str, int]:
+        """K, the items, their neighbors in all, and the items with fewer than K."""
+        return {
+            "k": self.k,
+            "items": len(self.item_ids),
+            "neighbors": int(self.indptr[-1]),
+            "items_short_of_k": int(np.count_nonzero(np.diff(self.indptr) < self.k)),
+        }
+
     @property
     def neighbors(self) -> dict[str, list[tuple[str, float]]]:
         return {item_id: self.neighbor_list(item_id) for item_id in self.item_ids}

@@ -214,12 +214,47 @@ def train_mf(
     )
 
 
+def _rows_top_k(corr: np.ndarray, floors: np.ndarray, k: int):
+    """Each row's first ``k`` correlations above SIM_EPS by (-correlation,
+    column), given each row's k-th largest in ``floors``. Returns each row's
+    count, then the columns and correlations, row after row."""
+    # one comparison: the floor, raised to the first float above SIM_EPS
+    floors = np.maximum(floors, np.nextafter(SIM_EPS, np.inf))
+    # row-major positions: each row's candidates by ascending column
+    at = np.flatnonzero(corr >= floors[:, None])
+    sims = corr.ravel()[at]
+    rows, cols = np.divmod(at, corr.shape[1])
+    del at
+    # cut the ties at the floor first, so a row packs at most k entries
+    # however many tie: fewer than k lie above the floor (at least the
+    # row's k-th largest), and the ties fill the rest by ascending column
+    counts = np.bincount(rows, minlength=len(corr))
+    ties = np.flatnonzero(sims == floors[rows])
+    tie_rows = rows[ties]
+    tie_rank = np.arange(len(ties)) - np.searchsorted(tie_rows, tie_rows)
+    room = k - counts + np.bincount(tie_rows, minlength=len(corr))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[ties[tie_rank >= room[tie_rows]]] = False
+    rows, cols, sims = rows[keep], cols[keep], sims[keep]
+    # each row's kept entries, by column, packed into one row of
+    # -correlations: a stable argsort along it breaks ties by column
+    counts = np.bincount(rows, minlength=len(corr))
+    starts = np.cumsum(counts) - counts
+    packed = np.full((len(corr), counts.max(initial=0)), np.inf)
+    packed[rows, np.arange(len(rows)) - starts[rows]] = -sims
+    order = np.argsort(packed, axis=1, kind="stable") + starts[:, None]
+    picked = order[np.arange(packed.shape[1]) < counts[:, None]]
+    return counts, cols[picked], sims[picked]
+
+
 def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     """Pearson correlation between item factor vectors, top-K positive neighbors.
 
     Correlations are computed for one block of rows at a time, at most
-    EXTRACT_BLOCK_BYTES of them, so items x items is never held. The
-    model's item ids must be sorted, as train_mf leaves them.
+    EXTRACT_BLOCK_BYTES of them, and each row is cut to its top K before
+    the next block, so neither items x items nor every row's candidates
+    are ever held. The model's item ids must be sorted, as train_mf leaves
+    them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -234,8 +269,11 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     kth = max(n - k, 0)
     block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
     buffer = np.empty((block_rows, n))
-    # (row, column, correlation) of the candidates, one triple of arrays per block
-    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    # no item lists itself, so a row keeps at most min(k, n - 1)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    indices = np.empty(n * min(k, max(n - 1, 0)), dtype=np.intp)
+    weights = np.empty(len(indices))
+    nnz = 0
     for start in range(0, n, block_rows):
         block = unit[start : start + block_rows]
         corr = np.matmul(block, unit.T, out=buffer[: len(block)])
@@ -243,11 +281,15 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
         local = np.arange(len(block))
         corr[local, start + local] = 0.0
         floors = np.array([np.partition(sims, kth)[kth] for sims in corr])
-        # a row's candidates: its positive correlations at or above its k-th largest
-        r, c = np.nonzero((corr >= floors[:, None]) & (corr > SIM_EPS))
-        found.append((r + start, c, corr[r, c]))
-    rows, cols, sims = (np.concatenate(part) for part in zip(*found))
-    return SimilarityMatrix.top_k(k, model.item_ids, rows, cols, sims)
+        counts, cols, sims = _rows_top_k(corr, floors, k)
+        indptr[start + 1 : start + len(block) + 1] = nnz + np.cumsum(counts)
+        indices[nnz : nnz + len(cols)] = cols
+        weights[nnz : nnz + len(cols)] = sims
+        nnz += len(cols)
+    buffer = corr = None  # the block goes before the output is trimmed
+    if nnz < len(indices):
+        indices, weights = indices[:nnz].copy(), weights[:nnz].copy()
+    return SimilarityMatrix(k, tuple(model.item_ids), indptr, indices, weights)
 
 
 class MFPredictor(Predictor):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,13 @@ def is_int(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
-    """The protocol's settings, checked by the rules of the manifest."""
+    """The protocol's settings, checked by the rules of the manifest.
+
+    Frozen, so the checks hold for the object's whole life; a variant is
+    made with ``dataclasses.replace``, which checks it again.
+    """
 
     top_n: int = 10
     explore_k: int = 100
@@ -73,13 +77,15 @@ class CoreReport:
     """Decide / Compare / Discover tables for one predictor.
 
     ``reused_core`` marks an Explore report that is the model's core report,
-    taken as it was instead of re-scored.
+    taken as it was instead of re-scored. ``matrix_counts`` holds an Explore
+    report's ``SimilarityMatrix.counts``.
     """
 
     tables: list[MetricTable]
     ami_excluded: int
     timings: dict[str, float] = field(default_factory=dict)
     reused_core: bool = False
+    matrix_counts: dict[str, int] | None = None
 
     def table(self, metric: str) -> MetricTable:
         for t in self.tables:
@@ -261,11 +267,36 @@ def run_core(
         timings=timings,
     )
     if type(model) is KnnPredictor:  # a subclass may score otherwise than its emulation
-        _core_runs[model] = _CoreRun(report, data, segments, replace(config))
+        _core_runs[model] = _CoreRun(report, data, segments, config)
     return report
 
 
-def _reusable_core(model, matrix, user_ratings, data, segments, config) -> CoreReport | None:
+def _scores_train(model: KnnPredictor, data: SplitDataset) -> bool:
+    """Whether the ratings ``predict_many`` reads, the model's users x items
+    CSR of deviations, are those of ``data.train``, in whatever order the
+    model was given them. A train set that repeats a (user, item) pair,
+    which ``load_dataset`` never leaves, does not match."""
+    stats, train = model.stats, data.train
+    row_of = np.fromiter((model.user_row.get(u, -1) for u in data.users), np.intp, len(data.users))
+    cols = stats.item_rows(data.items)[train.items]
+    known = cols >= 0  # as in the model, items outside its train are left out
+    rows, cols = row_of[train.users[known]], cols[known]
+    if len(rows) != len(model.user_cols) or (rows < 0).any():
+        return False
+    n = len(stats.item_ids)
+    # the model's (row, column) keys ascend: rows in order, columns within each
+    model_rows = np.repeat(np.arange(len(model.user_ptr) - 1), np.diff(model.user_ptr))
+    model_keys = model_rows * n + model.user_cols
+    keys = rows * n + cols
+    at = np.minimum(np.searchsorted(model_keys, keys), len(keys) - 1)
+    return bool(
+        (model_keys[at] == keys).all()
+        and (np.bincount(at, minlength=len(keys)) == 1).all()
+        and (model.user_dev[at] == train.ratings[known] - stats.item_mean_array[cols]).all()
+    )
+
+
+def _reusable_core(model, matrix, data, segments, config) -> CoreReport | None:
     """The model's core report if the KNN that Explore would build on
     ``matrix`` is the model itself, scoring the same data; else None."""
     run = _core_runs.get(model) if type(model) is KnnPredictor else None
@@ -277,7 +308,7 @@ def _reusable_core(model, matrix, user_ratings, data, segments, config) -> CoreR
         and run.data is data
         and run.segments is segments
         and run.config == config
-        and model.user_ratings == user_ratings
+        and _scores_train(model, data)
     ):
         return run.report
     return None
@@ -301,24 +332,25 @@ def run_explore(
     extract_s = time.monotonic() - t0
     if matrix is None:
         return None
-    user_ratings = user_ratings_index(data.train)
-    core = _reusable_core(model, matrix, user_ratings, data, segments, config)
+    core = _reusable_core(model, matrix, data, segments, config)
     if core is not None:
         return CoreReport(
             tables=core.tables,
             ami_excluded=core.ami_excluded,
             timings={"extract": extract_s},
             reused_core=True,
+            matrix_counts=matrix.counts(),
         )
     emulated = KnnPredictor(
         matrix,
         segments,
-        user_ratings,
+        user_ratings_index(data.train),
         r_min=config.r_min,
         r_max=config.r_max,
     )
     report = run_core(emulated, data, segments, config)
     report.timings["extract"] = extract_s
+    report.matrix_counts = matrix.counts()
     return report
 
 

@@ -58,6 +58,7 @@ def metadata_payload(report: EvaluationReport, run_info: dict | None = None) -> 
     if report.explore:
         meta["explore_timings"] = report.explore.timings
         meta["explore_reused_core"] = report.explore.reused_core
+        meta["explore_matrix"] = report.explore.matrix_counts
     meta.update(run_info or {})
     return meta
 

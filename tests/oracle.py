@@ -16,6 +16,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from recbench import mf
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import SEGMENTS, Ratings, SegmentModel
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
@@ -189,6 +190,39 @@ def naive_mf_item_similarity(model, k):
             (item_ids[col], float(sims[col])) for col in order if sims[col] > SIM_EPS
         ]
     return neighbors
+
+
+def blocked_mf_item_similarity(model, k):
+    """``mf.mf_item_similarity`` as it was before it cut each block's rows
+    to K: the same correlation blocks (of ``mf.EXTRACT_BLOCK_BYTES``, read
+    at call time), every block's candidates gathered, then ordered and cut
+    at once by ``SimilarityMatrix.top_k``. The extraction must equal it
+    bit for bit."""
+    m = model.item_factors
+    centered = m - m.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    safe = norms > 1e-12
+    unit = np.zeros_like(centered)
+    unit[safe] = centered[safe] / norms[safe, None]
+
+    n = len(model.item_ids)
+    kth = max(n - k, 0)
+    block_rows = max(1, mf.EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
+    buffer = np.empty((block_rows, n))
+    # (row, column, correlation) of the candidates, one triple of arrays per block
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for start in range(0, n, block_rows):
+        block = unit[start : start + block_rows]
+        corr = np.matmul(block, unit.T, out=buffer[: len(block)])
+        np.clip(corr, -1.0, 1.0, out=corr)
+        local = np.arange(len(block))
+        corr[local, start + local] = 0.0
+        floors = np.array([np.partition(sims, kth)[kth] for sims in corr])
+        # a row's candidates: its positive correlations at or above its k-th largest
+        r, c = np.nonzero((corr >= floors[:, None]) & (corr > SIM_EPS))
+        found.append((r + start, c, corr[r, c]))
+    rows, cols, sims = (np.concatenate(part) for part in zip(*found))
+    return SimilarityMatrix.top_k(k, model.item_ids, rows, cols, sims)
 
 
 def similarity_matrix(k, lists, item_ids):

@@ -105,6 +105,30 @@ class TestRun:
             assert ({"score", "rank"} <= set(meta["explore_timings"])) is not reused
         assert "reused" not in (out / "report.json").read_text()
 
+    @pytest.mark.parametrize(
+        "model, k",
+        [
+            ({"name": "knn", "K": 5, "gamma": 20}, 5),  # reused: the KNN's own K
+            ({"name": "knn", "K": 9, "gamma": 20}, 8),  # truncated to explore_k
+            ({"name": "mf", "F": 4, "budget_seconds": 5, "validation_fraction": 0.1}, 8),
+        ],
+    )
+    def test_metadata_describes_the_explore_matrix(self, tmp_path, fixture_csv, model, k):
+        path = manifest_file(tmp_path, fixture_csv, model)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        counts = json.loads((out / "metadata.json").read_text())["explore_matrix"]
+        assert set(counts) == {"k", "items", "neighbors", "items_short_of_k"}
+        assert counts["k"] == k
+        assert 0 < counts["items"] <= len(fixture_csv.read_text().splitlines())
+        short = counts["items_short_of_k"]
+        assert 0 <= short <= counts["items"]
+        # each full row holds k, each short row fewer
+        assert (counts["items"] - short) * k <= counts["neighbors"] <= counts["items"] * k - short
+        report = (out / "report.json").read_text()
+        for key in ("explore_matrix", "items_short_of_k", "neighbors"):
+            assert key not in report
+
     def test_rerun_byte_identical(self, tmp_path, fixture_csv):
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
         out1, out2 = tmp_path / "a", tmp_path / "b"

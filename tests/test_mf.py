@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -409,6 +410,54 @@ class TestBlockedExtraction:
         assert_same_neighbors(
             mf_item_similarity(model, k).neighbors, oracle.naive_mf_item_similarity(model, k)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.one_of(
+                        # equal entries: a zero-variance row; few distinct
+                        # patterns: tied vectors, so ties at the K boundary
+                        st.integers(-2, 2).map(lambda v: [float(v)] * 4),
+                        st.lists(st.integers(-1, 1).map(float), min_size=4, max_size=4),
+                        st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.integers(1, n + 2),  # K: 1 to more than the items
+                st.integers(1, 4),  # rows per block
+            )
+        )
+    )
+    @example(([[0.0, 1, 0, 1]] + [[1.0, 0, 1, 0]] * 3 + [[0.0, 1, 0, 1]] * 4, 2, 3))
+    @example(([[0.0, 1, 0, 1]] * 3 + [[2.0] * 4] * 2 + [[0.0, 0, 1, 1]], 1, 1))
+    def test_equals_all_candidates_reference(self, case):
+        """Bit for bit: each block's rows cut to K give the CSR arrays of
+        sorting every block's candidates at once."""
+        q, k, block_rows = case
+        model = small_model(np.ones((1, 4)), q)
+        with mock.patch.object(mf, "EXTRACT_BLOCK_BYTES", 8 * len(q) * block_rows):
+            got = mf_item_similarity(model, k)
+            want = oracle.blocked_mf_item_similarity(model, k)
+        assert got.k == want.k and got.item_ids == want.item_ids
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.weights, want.weights)
+
+    def test_memory_is_the_block_and_the_output(self):
+        """Peak memory: at most the block buffer, half of it again in
+        temporaries, and twice the n x K output (its trimmed copy)."""
+        n_items, k = 3000, 100
+        model = small_model(np.ones((1, 16)), np.random.default_rng(8).normal(0, 1, (n_items, 16)))
+        tracemalloc.start()
+        try:
+            mf_item_similarity(model, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mf.EXTRACT_BLOCK_BYTES + 2 * n_items * k * 16
 
     def test_memory_bounded_by_block(self):
         n_items = 3000

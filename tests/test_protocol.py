@@ -1,7 +1,7 @@
 import gc
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -189,6 +189,14 @@ class TestProtocolConfig:
 
     def test_accepts_integers_for_the_rating_scale(self):
         assert ProtocolConfig(top_n=1, explore_k=1, exclude_seen=False, r_min=0, r_max=10).r_max == 10
+
+    def test_frozen(self):
+        config = ProtocolConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.top_n = 2.5
+        with pytest.raises(ValueError):
+            replace(config, top_n=2.5)  # a variant is checked again
+        assert config.top_n == 10
 
 
 class TestRunCore:
@@ -408,6 +416,28 @@ class TestExplore:
         for core_table, explore_table in zip(core.tables, explore.tables):
             assert core_table.cells == explore_table.cells
 
+    @pytest.mark.parametrize("k", [3, 8, 40])
+    def test_report_counts_the_explore_matrix(self, k):
+        data, segments = make_data(seed=13)
+        factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
+        for model in (
+            MFPredictor(factors, segments),
+            KnnPredictor(
+                build_similarity_matrix(data.train, k=k, gamma=10),
+                segments,
+                user_ratings_index(data.train),
+            ),
+        ):
+            explore = run_explore(model, data, segments, ProtocolConfig(top_n=3, explore_k=k))
+            matrix = model.item_similarity_matrix(k)
+            lengths = [len(matrix.neighbor_list(i)) for i in matrix.item_ids]
+            assert explore.matrix_counts == {
+                "k": k,
+                "items": len(segments.item_ids),
+                "neighbors": sum(lengths),
+                "items_short_of_k": sum(n < k for n in lengths),
+            }
+
     def test_no_capability_marks_absent(self):
         data, segments = make_data(seed=8)
         report = evaluate(DefaultPredictor(segments), data, segments, ProtocolConfig(top_n=3, explore_k=3))
@@ -554,8 +584,7 @@ class TestExploreReusesNativeKnnCore:
         data, segments = case
         model = knn_model(data, segments, config.explore_k)
         run_core(model, data, segments, config)
-        config.top_n += 1
-        assert_rescored(model, data, segments, config)
+        assert_rescored(model, data, segments, replace(config, top_n=config.top_n + 1))
 
     @settings(max_examples=30, deadline=None)
     @given(split_cases(), CONFIGS)
@@ -594,7 +623,7 @@ class TestExploreReusesNativeKnnCore:
     def test_rating_scale_other_than_the_models(self, case, config):
         data, segments = case
         model = knn_model(data, segments, config.explore_k)
-        config.r_max = 4.0
+        config = replace(config, r_max=4.0)
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 
@@ -625,6 +654,38 @@ class TestExploreReusesNativeKnnCore:
         model = knn_model(data, segments, config.explore_k, ratings)
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
+    def test_knn_rated_one_more_train_item(self, case, config, rng):
+        data, segments = case
+        ratings = user_ratings_index(data.train)
+        gaps = [(u, i) for u, rated in ratings.items() for i in segments.item_ids if i not in rated]
+        assume(gaps)
+        user, item = rng.choice(gaps)
+        ratings[user][item] = 3.0
+        model = knn_model(data, segments, config.explore_k, ratings)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
+    def test_knn_given_train_ratings_in_another_order(self, case, config, rng):
+        data, segments = case
+        users = list(user_ratings_index(data.train).items())
+        rng.shuffle(users)
+        ratings = {}
+        for user, rated in users:
+            items = list(rated.items())
+            rng.shuffle(items)
+            ratings[user] = dict(items)
+        model = knn_model(data, segments, config.explore_k, ratings)
+        core = run_core(model, data, segments, config)
+        with knn_scored_users() as scored:
+            explore = run_explore(model, data, segments, config)
+        assert scored == []
+        assert explore.reused_core
+        assert [t.cells for t in explore.tables] == [t.cells for t in core.tables]
 
     @settings(max_examples=20, deadline=None)
     @given(split_cases(), CONFIGS)
