@@ -56,16 +56,27 @@ class DefaultPredictor(Predictor):
             value = self.stats.global_mean
         return float(min(max(value, self.r_min), self.r_max))
 
-    def predict_many(self, user_id: str, item_ids) -> np.ndarray:
-        rows = self.stats.item_rows(item_ids)
-        known = rows >= 0
-        means = self.stats.item_mean_array[rows]
+    def train_row(self, user_id: str) -> np.ndarray:
+        """Unclipped scores of the train items, in the segment model's order,
+        then of any item outside train: the last entry, which the -1 that
+        ``item_rows`` gives such an item reads."""
+        means = self.stats.item_mean_array
+        row = np.empty(len(means) + 1)
         um = self.stats.user_means.get(user_id)
         if um is None:
-            scores = np.where(known, means, self.stats.global_mean)
+            row[:-1] = means
+            row[-1] = self.stats.global_mean
         else:
-            scores = np.where(known, (means + um) / 2.0, um)
-        return np.clip(scores, self.r_min, self.r_max)
+            np.add(means, um, out=row[:-1])
+            row[:-1] /= 2.0
+            row[-1] = um
+        return row
+
+    def predict_many(self, user_id: str, item_ids) -> np.ndarray:
+        row = self.train_row(user_id)
+        np.maximum(row, self.r_min, out=row)
+        np.minimum(row, self.r_max, out=row)
+        return row[self.stats.item_rows(item_ids)]
 
 
 class RandomPredictor(Predictor):

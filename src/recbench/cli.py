@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -41,17 +42,11 @@ OUTPUT_DIR_ENV = "RECBENCH_OUTPUT_DIR"
 MODEL_NAMES = ("knn", "mf", "default", "random")
 
 
+# Model keys read as integers by build_model; the fit checks the ranges of
+# all but seed, which must be >= 0 as split.seed is.
+MODEL_INT_KEYS = ("K", "gamma", "F", "seed")
 # Model keys read as numbers by build_model.
-MODEL_NUMBER_KEYS = (
-    "K",
-    "gamma",
-    "F",
-    "seed",
-    "budget_seconds",
-    "validation_fraction",
-    "learning_rate",
-    "regularization",
-)
+MODEL_NUMBER_KEYS = ("budget_seconds", "validation_fraction", "learning_rate", "regularization")
 
 
 class ManifestError(Exception):
@@ -73,7 +68,7 @@ def _section(manifest: dict, key: str, required: bool = False) -> dict:
 
 def load_manifest(path: str | Path) -> dict:
     try:
-        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+        manifest = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -91,9 +86,15 @@ def load_manifest(path: str | Path) -> dict:
     if name not in MODEL_NAMES:
         raise ManifestError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
     for key in sorted(model.keys() - {"name"}):
-        if key not in MODEL_NUMBER_KEYS:
+        if key == "seed":
+            if not is_int(model[key], 0):
+                raise ManifestError("model.seed must be an integer >= 0")
+        elif key in MODEL_INT_KEYS:
+            if not is_int(model[key], -math.inf):
+                raise ManifestError(f"model.{key} must be an integer")
+        elif key not in MODEL_NUMBER_KEYS:
             raise ManifestError(f"unknown model key {key!r}")
-        if not is_number(model[key]):
+        elif not is_number(model[key]):
             raise ManifestError(f"model.{key} must be a number")
     split_cfg = _section(manifest, "split")
     split_cfg.setdefault("ratio", 0.9)
@@ -208,7 +209,8 @@ def _run(manifest: dict, outdir: str) -> int:
         t0 = time.monotonic()
         model = build_model(manifest["model"]["name"], manifest, data, segments, r_min, r_max)
         stage_timings["fit"] = time.monotonic() - t0
-    except (TrainingError, ValueError) as exc:
+    # a size the manifest allows can still be too large to allocate or index
+    except (TrainingError, ValueError, MemoryError, OverflowError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 

@@ -107,7 +107,7 @@ def _dedupe(logs: Ratings) -> LoadResult:
 
 def _parse_csv(path: Path, r_min: float, r_max: float):
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -135,7 +135,7 @@ def _parse_csv(path: Path, r_min: float, r_max: float):
 
 def _parse_netflix_file(path: Path, r_min: float, r_max: float):
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -106,8 +106,8 @@ def weighted_pearson(
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions starts[r], ..., starts[r] + lengths[r] - 1 of each run r,
     one run after the other."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+    offsets = lengths.cumsum() - lengths
+    return (starts - offsets).repeat(lengths) + np.arange(lengths.sum())
 
 
 def _row_blocks(weights: np.ndarray, budget: int):
@@ -235,7 +235,8 @@ class KnnPredictor(Predictor):
         n = len(matrix.item_ids)
         by_col = np.argsort(matrix.indices, kind="stable")
         rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        self.col_ptr = np.concatenate(([0], np.cumsum(np.bincount(matrix.indices, minlength=n))))
+        self.col_len = np.bincount(matrix.indices, minlength=n)
+        self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
         self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
 
         # users x train items CSR of the deviations rating - item mean,
@@ -279,36 +280,33 @@ class KnnPredictor(Predictor):
 
         ``cols`` must ascend; items that list none of them get (0, 0).
         """
-        starts = self.col_ptr[cols]
-        lengths = self.col_ptr[cols + 1] - starts
-        entries = _runs(starts, lengths)
+        lengths = self.col_len[cols]
+        entries = _runs(self.col_ptr[cols], lengths)
         targets = self.col_rows[entries]
         weights = self.col_weights[entries]
-        n = len(self.col_ptr) - 1
+        n = len(self.col_len)
         # bincount adds each target's terms in input order: ascending column
-        num = np.bincount(targets, weights=weights * np.repeat(values, lengths), minlength=n)
+        num = np.bincount(targets, weights=weights * values.repeat(lengths), minlength=n)
         den = np.bincount(targets, weights=weights, minlength=n)
         return num, den
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
-        scores = self.fallback.predict_many(user_id, item_ids)
-        row = self.user_row.get(user_id)
-        if row is None:
-            return scores
-        a, b = self.user_ptr[row], self.user_ptr[row + 1]
-        if a == b:
-            return scores
-        num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
-        means = self.stats.item_mean_array
-        rows = self.stats.item_rows(item_ids)
-        known = rows >= 0
-        # rows of items outside train (-1) read the last row; never used
-        row_den = np.where(known, den[rows], 0.0)
-        has_neighbors = row_den > 0.0
-        knn_scores = means[rows] + np.divide(
-            num[rows], row_den, out=np.zeros(len(rows)), where=has_neighbors
-        )
-        return np.where(has_neighbors, np.clip(knn_scores, self.r_min, self.r_max), scores)
+        # the default predictor's row, with the KNN score put over it
+        # wherever a rated neighbor lists the item, then clipped
+        row = self.fallback.train_row(user_id)
+        user = self.user_row.get(user_id)
+        if user is not None:
+            a, b = self.user_ptr[user], self.user_ptr[user + 1]
+            if a < b:
+                num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
+                has_neighbors = den > 0.0
+                # a 1 where no rated neighbor lists the item: never put in the row
+                scores = num / np.where(has_neighbors, den, 1.0)
+                scores += self.stats.item_mean_array
+                np.putmask(row[:-1], has_neighbors, scores)
+        np.maximum(row, self.r_min, out=row)
+        np.minimum(row, self.r_max, out=row)
+        return row[self.stats.item_rows(item_ids)]
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:
         return self.matrix.truncated(k)

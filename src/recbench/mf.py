@@ -312,9 +312,10 @@ class MFPredictor(Predictor):
         self.r_min = r_min
         self.r_max = r_max
         self.fallback = DefaultPredictor(stats, r_min, r_max)
-        # item factors aligned to the last catalog scored: BLAS results depend on
-        # the layout, so gathering from a product with all factors moves last bits
-        self._block: tuple[np.ndarray, np.ndarray] | None = None
+        # item factors aligned to the last catalog scored, and the positions
+        # outside train: BLAS results depend on the layout, so gathering from
+        # a product with all factors moves last bits
+        self._block: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def predict(self, user_id: str, item_id: str) -> float:
         raw = self.model.raw_predict(user_id, item_id)
@@ -324,17 +325,21 @@ class MFPredictor(Predictor):
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         u = self.model.user_index.get(user_id)
-        fallback_scores = self.fallback.predict_many(user_id, item_ids)
         if u is None:
-            return fallback_scores
+            return self.fallback.predict_many(user_id, item_ids)
         rows = self.stats.item_rows(item_ids)
-        known = rows >= 0
         if self._block is None or self._block[0] is not rows:
+            outside = rows < 0
             factors = np.zeros((len(rows), self.model.n_factors))
-            factors[known] = self.model.item_factors[rows[known]]
-            self._block = (rows, factors)
-        raw = self._block[1] @ self.model.user_factors[u]
-        return np.where(known, np.clip(raw, self.r_min, self.r_max), fallback_scores)
+            factors[~outside] = self.model.item_factors[rows[~outside]]
+            self._block = (rows, factors, np.flatnonzero(outside))
+        _, factors, outside = self._block
+        scores = factors @ self.model.user_factors[u]
+        # the default predictor's score of an item outside train, before clipping
+        scores[outside] = self.stats.user_mean(user_id)
+        np.maximum(scores, self.r_min, out=scores)
+        np.minimum(scores, self.r_max, out=scores)
+        return scores
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:
         return mf_item_similarity(self.model, k)

@@ -133,8 +133,9 @@ def block_top_n(
     neg[seen] = np.inf
     kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None] if n < neg.shape[1] else np.inf
     # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
-    rows, cols = np.nonzero(~(neg > kth))
-    keys = neg[rows, cols]
+    at = np.flatnonzero(~(neg > kth))
+    keys = neg.ravel()[at]
+    rows, cols = np.divmod(at, neg.shape[1])
     # candidates ascend by (row, position), so the stable sort breaks ties by position
     order = np.lexsort((keys, rows))
     rows, cols, keys = rows[order], cols[order], keys[order]

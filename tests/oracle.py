@@ -6,7 +6,9 @@ library's own computation paths, except where a reference checks only one
 layer (``per_cell_aggregate_discover`` judges each user with the library's
 per-user measures and checks the aggregation alone). ``top_n`` is the
 per-row ranking that the library's block ranking replaced, kept as its
-reference.
+reference. ``nonzero_block_top_n``, ``default_scores`` and
+``gathered_mf_scores`` are earlier bodies of library paths, kept as the
+bit-for-bit references of the bodies that replaced them.
 """
 
 from __future__ import annotations
@@ -150,6 +152,22 @@ def top_n(scores, n, seen=()):
     # candidates ascend, so the stable sort breaks ties by position
     order = candidates[np.argsort(neg[candidates], kind="stable")[:n]]
     return order[neg[order] != np.inf]
+
+
+def nonzero_block_top_n(scores, n, seen):
+    """``protocol.block_top_n`` as it was before it scanned the candidates
+    flat: a 2-D ``np.nonzero`` of the candidate mask and a gather of the
+    keys by (row, column). The flat scan must return the same pairs."""
+    neg = np.negative(scores)
+    neg[seen] = np.inf
+    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None] if n < neg.shape[1] else np.inf
+    rows, cols = np.nonzero(~(neg > kth))
+    keys = neg[rows, cols]
+    order = np.lexsort((keys, rows))
+    rows, cols, keys = rows[order], cols[order], keys[order]
+    first = np.arange(len(rows)) - np.searchsorted(rows, rows) < n
+    keep = first & (keys != np.inf)
+    return rows[keep], cols[keep]
 
 
 def naive_sgd_epoch(p, q, uu, ii, rr, order, lr, reg):
@@ -313,6 +331,39 @@ def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0,
         else:
             scores.append(default.predict(user_id, item_id))
     return np.array(scores, dtype=float)
+
+
+def default_scores(stats, user_id, item_ids, r_min=1.0, r_max=5.0):
+    """``DefaultPredictor.predict_many`` as it was before it built one row
+    over the train items: the item means gathered over ``item_ids``, the
+    fallbacks put in by ``np.where``, then ``np.clip``. The row must equal
+    it bit for bit."""
+    rows = stats.item_rows(item_ids)
+    known = rows >= 0
+    means = stats.item_mean_array[rows]
+    um = stats.user_means.get(user_id)
+    if um is None:
+        scores = np.where(known, means, stats.global_mean)
+    else:
+        scores = np.where(known, (means + um) / 2.0, um)
+    return np.clip(scores, r_min, r_max)
+
+
+def gathered_mf_scores(model, stats, user_id, item_ids, r_min=1.0, r_max=5.0):
+    """``MFPredictor.predict_many`` as it was before it clipped in place: the
+    same gemv over the item factors gathered in ``item_ids``' order, then
+    the default predictor's scores over the whole row, and ``np.where``
+    between the two."""
+    fallback = default_scores(stats, user_id, item_ids, r_min, r_max)
+    u = model.user_index.get(user_id)
+    if u is None:
+        return fallback
+    rows = stats.item_rows(item_ids)
+    known = rows >= 0
+    factors = np.zeros((len(rows), model.n_factors))
+    factors[known] = model.item_factors[rows[known]]
+    raw = factors @ model.user_factors[u]
+    return np.where(known, np.clip(raw, r_min, r_max), fallback)
 
 
 def naive_segment(user_count, user_threshold, item_count, item_threshold):

@@ -264,6 +264,46 @@ class TestErrors:
         assert err.startswith("manifest error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "model, key, value",
+        [
+            ("knn", "K", 2.5),
+            ("knn", "K", 1e300),
+            ("knn", "gamma", 50.0),
+            ("mf", "F", 1e12),
+            ("mf", "seed", -1),
+            ("random", "seed", -1),
+            ("random", "seed", 7.0),
+        ],
+    )
+    def test_model_key_not_an_integer(self, tmp_path, fixture_csv, capsys, model, key, value):
+        path = manifest_file(tmp_path, fixture_csv, {"name": model, key: value})
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        assert err.startswith(f"manifest error: model.{key} must be an integer")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model, key, value",
+        [("mf", "F", 10**12), ("knn", "K", 10**300)],
+    )
+    def test_integer_too_large_to_fit(self, tmp_path, fixture_csv, capsys, model, key, value):
+        # an integer passes the manifest; the fit cannot allocate or index it
+        # (F = 10**12 asks for 437 TiB, more than a process can map)
+        path = manifest_file(tmp_path, fixture_csv, {"name": model, key: value})
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.startswith("training error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_in_manifest(self, tmp_path, fixture_csv):
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_OK
+
     @pytest.mark.parametrize("output", ["report.json", "report.json/sub"])
     def test_unusable_output_dir(self, tmp_path, fixture_csv, capsys, output):
         (tmp_path / "report.json").write_text("{}")

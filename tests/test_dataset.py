@@ -68,6 +68,14 @@ class TestLoadCsv:
         with pytest.raises(DatasetError):
             load_dataset(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("header", ["", "user_id,item_id,rating\n"])
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, header):
+        path = tmp_path / "r.csv"
+        path.write_text("\ufeff" + header + "u1,i1,4\nu1,i2,3\nu2,i1,5\n", encoding="utf-8")
+        logs = load_dataset(path).logs
+        assert logs.user_ids == ("u1", "u2") and logs.item_ids == ("i1", "i2")
+        assert list(logs)[0] == RatingLog("u1", "i1", 4.0)
+
 
 class TestLoadNetflix:
     def test_single_item_file(self, tmp_path):
@@ -99,6 +107,11 @@ class TestLoadNetflix:
             RatingLog("20", "1", 2.0),
             RatingLog("10", "2", 4.0),
         ]
+
+    def test_byte_order_mark_is_not_part_of_the_first_item(self, tmp_path):
+        path = tmp_path / "mv_1.txt"
+        path.write_text("\ufeff1:\n10,4,2005-01-01\n2:\n10,2,2005-01-01\n", encoding="utf-8")
+        assert load_dataset(path, fmt="netflix").logs.item_ids == ("1", "2")
 
     def test_customer_line_before_header(self, tmp_path):
         path = write(tmp_path, "bad.txt", "10,4,2005-01-01\n")

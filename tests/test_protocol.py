@@ -138,6 +138,13 @@ def block_cases(draw):
     return scores, draw(st.integers(1, n_items + 3)), seen
 
 
+def seen_cells(seen):
+    """(rows, columns) of the cells in each row's seen set."""
+    rows = np.array([r for r, cols in enumerate(seen) for _ in cols], dtype=np.intp)
+    cols = np.array([c for cols in seen for c in sorted(cols)], dtype=np.intp)
+    return rows, cols
+
+
 class TestBlockTopN:
     """Each row of the block ranking is the per-row reference's, and, with
     -inf scores counted as seen and no NaN, the naive full sort's."""
@@ -148,10 +155,8 @@ class TestBlockTopN:
     @example((np.array([[np.nan, -np.inf], [np.nan, 2.0]]), 1, [set(), {1}]))
     def test_rows_match_per_row_reference(self, case):
         scores, n, seen = case
-        seen_rows = np.array([r for r, cols in enumerate(seen) for _ in cols], dtype=np.intp)
-        seen_cols = np.array([c for cols in seen for c in sorted(cols)], dtype=np.intp)
         original = scores.copy()
-        rows, cols = block_top_n(scores, n, (seen_rows, seen_cols))
+        rows, cols = block_top_n(scores, n, seen_cells(seen))
         assert np.array_equal(scores, original, equal_nan=True)  # the block is not changed
         assert np.all(np.diff(rows) >= 0)
         for r, row in enumerate(scores):
@@ -160,6 +165,17 @@ class TestBlockTopN:
             if not np.isnan(row).any():
                 never = seen[r] | {c for c, v in enumerate(row) if v == -np.inf}
                 assert got == oracle.naive_top_n(dict(enumerate(row.tolist())), n, never)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_cases())
+    @example((np.array([[np.nan, np.inf, -np.inf, 2.0]] * 2), 4, [set(), {3}]))  # n = m
+    @example((np.array([[1.0, np.nan], [np.nan, np.nan]]), 3, [{0}, set()]))  # n > m
+    def test_equals_the_two_dimensional_scan(self, case):
+        scores, n, seen = case
+        got = block_top_n(scores, n, seen_cells(seen))
+        want = oracle.nonzero_block_top_n(scores, n, seen_cells(seen))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestProtocolConfig:
