@@ -18,7 +18,7 @@ from .dataset import (
 )
 from .knn import KnnPredictor, SimilarityMatrix, build_similarity_matrix, weighted_pearson
 from .mf import FactorModel, MFPredictor, mf_item_similarity, train_mf
-from .metrics import ami_user, comp_user, precision_user, rmse
+from .metrics import comp_user
 from .protocol import EvaluationReport, ProtocolConfig, evaluate, run_core, run_explore
 
 __all__ = [
@@ -39,10 +39,7 @@ __all__ = [
     "train_mf",
     "mf_item_similarity",
     "MFPredictor",
-    "rmse",
     "comp_user",
-    "precision_user",
-    "ami_user",
     "ProtocolConfig",
     "EvaluationReport",
     "run_core",

@@ -66,7 +66,8 @@ def _section(manifest: dict, key: str, required: bool = False) -> dict:
     return value
 
 
-def load_manifest(path: str | Path) -> dict:
+def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
+    """The checked manifest, and the protocol settings it holds."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
@@ -103,24 +104,16 @@ def load_manifest(path: str | Path) -> dict:
         raise ManifestError("split.ratio must be a number in (0,1)")
     if not is_int(split_cfg["seed"], 0):
         raise ManifestError("split.seed must be an integer >= 0")
-    scale = manifest.setdefault("rating_scale", [1.0, 5.0])
-    if not (
-        isinstance(scale, list)
-        and len(scale) == 2
-        and all(is_number(v) for v in scale)
-        and scale[0] < scale[1]
-    ):
-        raise ManifestError("rating_scale must be two numbers [r_min, r_max] with r_min < r_max")
+    scale = manifest.get("rating_scale", [1.0, 5.0])
+    if not (isinstance(scale, list) and len(scale) == 2):
+        raise ManifestError("rating_scale must be two numbers [r_min, r_max]")
     protocol = _section(manifest, "protocol")
-    protocol.setdefault("top_n", 10)
-    protocol.setdefault("explore_k", 100)
-    protocol.setdefault("exclude_seen", True)
-    for key in ("top_n", "explore_k"):
-        if not is_int(protocol[key], 1):
-            raise ManifestError(f"protocol.{key} must be an integer >= 1")
-    if not isinstance(protocol["exclude_seen"], bool):
-        raise ManifestError("protocol.exclude_seen must be true or false")
-    return manifest
+    settings = {k: protocol[k] for k in ("top_n", "explore_k", "exclude_seen") if k in protocol}
+    try:
+        config = ProtocolConfig(**settings, r_min=scale[0], r_max=scale[1])
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
+    return manifest, config
 
 
 def build_model(name: str, manifest: dict, data, segments, r_min: float, r_max: float):
@@ -152,7 +145,7 @@ def build_model(name: str, manifest: dict, data, segments, r_min: float, r_max: 
 
 def cmd_run(args) -> int:
     try:
-        manifest = load_manifest(args.manifest)
+        manifest, config = load_manifest(args.manifest)
         if args.seed is not None:
             manifest["split"]["seed"] = args.seed
             manifest["model"]["seed"] = args.seed
@@ -168,7 +161,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"manifest error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
         return EXIT_MANIFEST
-    code = _run(manifest, outdir)
+    code = _run(manifest, config, outdir)
     if code != EXIT_OK:
         for path in created:  # a failed run writes nothing, so these are empty
             path.rmdir()
@@ -182,9 +175,9 @@ def _make_output_dir(outdir: Path) -> list[Path]:
     return missing
 
 
-def _run(manifest: dict, outdir: str) -> int:
+def _run(manifest: dict, config: ProtocolConfig, outdir: str) -> int:
     """Load, split, fit, evaluate and write the reports of a checked manifest."""
-    r_min, r_max = manifest["rating_scale"]
+    r_min, r_max = config.r_min, config.r_max
 
     stage_timings: dict[str, float] = {}
     try:
@@ -214,13 +207,6 @@ def _run(manifest: dict, outdir: str) -> int:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 
-    config = ProtocolConfig(
-        top_n=manifest["protocol"]["top_n"],
-        explore_k=manifest["protocol"]["explore_k"],
-        exclude_seen=manifest["protocol"]["exclude_seen"],
-        r_min=r_min,
-        r_max=r_max,
-    )
     try:
         report = evaluate(model, data, segments, config)
     except EvaluationError as exc:
@@ -267,13 +253,10 @@ def cmd_gen_fixture(args) -> int:
         logs = synthetic.gen_uniform(args.users, args.items, args.density, seed)
     elif args.kind == "rank1":
         logs = synthetic.gen_planted_rank1(args.users, args.items, args.density, seed)
-    elif args.kind == "clustered":
+    else:
         logs = synthetic.gen_clustered(
             args.users, args.items, args.groups, args.density, seed
         )
-    else:
-        print(f"unknown fixture kind {args.kind!r}", file=sys.stderr)
-        return EXIT_MANIFEST
     synthetic.write_csv(logs, args.output)
     print(f"wrote {len(logs)} logs to {args.output}")
     return EXIT_OK

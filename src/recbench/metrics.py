@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import SEGMENTS
 
 GLOBAL = "Global"
@@ -20,21 +22,6 @@ class ScoredLog:
     item_id: str
     true_rating: float
     predicted_rating: float
-    segment: str
-
-
-@dataclass(frozen=True)
-class RecommendationOutcome:
-    """One top-N slot for one user, with everything needed to judge it."""
-
-    user_id: str
-    item_id: str
-    rank: int
-    evaluable: bool
-    true_rating: float | None
-    user_mean: float
-    item_count: int
-    catalog_size: int
     segment: str
 
 
@@ -51,14 +38,6 @@ class MetricTable:
 
     def support(self, segment: str) -> int:
         return self.cells.get(segment, (None, 0))[1]
-
-
-def rmse(scored: list[ScoredLog]) -> float | None:
-    """Root mean squared error; None (absent) for an empty collection."""
-    if not scored:
-        return None
-    total = math.fsum((s.true_rating - s.predicted_rating) ** 2 for s in scored)
-    return math.sqrt(total / len(scored))
 
 
 def comp_user(scored: list[ScoredLog]) -> tuple[int, int]:
@@ -95,124 +74,96 @@ def comp_user(scored: list[ScoredLog]) -> tuple[int, int]:
     return compatible, counted
 
 
-def _sign(x: float) -> int:
-    return int(x > 0) - int(x < 0)
+def _cells(cells: np.ndarray):
+    """(cell name, members) of Global and of each segment, for entries
+    whose ``cells`` hold their index into SEGMENTS."""
+    yield GLOBAL, slice(None)
+    for code, segment in enumerate(SEGMENTS):
+        yield segment, cells == code
 
 
-def precision_user(outcomes: list[RecommendationOutcome]) -> float | None:
-    """Fraction of evaluable outcomes whose rating is at least the user's mean."""
-    evaluable = [o for o in outcomes if o.evaluable]
-    if not evaluable:
-        return None
-    relevant = sum(1 for o in evaluable if o.true_rating >= o.user_mean)
-    return relevant / len(evaluable)
+def _rmse_cell(squares: np.ndarray) -> tuple[float | None, int]:
+    if not len(squares):
+        return None, 0
+    return math.sqrt(math.fsum(squares.tolist()) / len(squares)), len(squares)
 
 
-def ami_user(outcomes: list[RecommendationOutcome]) -> float | None:
-    """Average Measure of Impact over the user's evaluable outcomes.
-
-    Each evaluable outcome contributes catalog_size / count(i), signed by
-    whether the rating beats the user's mean (a rating exactly at the mean
-    contributes 0). Outcomes whose item never occurs in train (count 0) are
-    excluded; the caller reports them separately.
-    """
-    evaluable = [o for o in outcomes if o.evaluable and o.item_count > 0]
-    if not evaluable:
-        return None
-    total = math.fsum(
-        (1.0 / o.item_count) * _sign(o.true_rating - o.user_mean) * o.catalog_size
-        for o in evaluable
-    )
-    return total / len(evaluable)
-
-
-def aggregate_rmse(scored: list[ScoredLog], function: str = "Decide") -> MetricTable:
-    table = MetricTable(function, "RMSE")
-    table.cells[GLOBAL] = (rmse(scored), len(scored))
-    for segment in SEGMENTS:
-        cell = [s for s in scored if s.segment == segment]
-        table.cells[segment] = (rmse(cell), len(cell))
+def aggregate_rmse(truths: np.ndarray, predictions: np.ndarray, cells: np.ndarray) -> MetricTable:
+    """RMSE over the test logs, globally and per segment; ``cells`` holds
+    each log's index into SEGMENTS. An empty cell is absent (None, 0)."""
+    # C pow, as Python's ``** 2``: d * d differs from it in the last bit for some d
+    squares = np.float_power(truths - predictions, 2.0)
+    table = MetricTable("Decide", "RMSE")
+    for segment, members in _cells(cells):
+        table.cells[segment] = _rmse_cell(squares[members])
     return table
 
 
 def aggregate_comp(
-    per_user: dict[str, tuple[int, int]],
-    user_segment: dict[str, str],
-    function: str = "Compare",
+    compatible: np.ndarray, counted: np.ndarray, heavy: np.ndarray
 ) -> tuple[MetricTable, MetricTable]:
-    """Macro (mean of per-user ratios) and micro (pooled pairs) COMP tables.
+    """Macro (mean of per-user ratios) and micro (pooled pairs) COMP tables
+    from each user's ``comp_user`` counts and whether the user is heavy.
 
     Segmented by user segment only; the items of a pair may span item segments.
     Macro supports count users, micro supports count pairs.
     """
-    macro = MetricTable(function, "COMP_macro")
-    micro = MetricTable(function, "COMP_micro")
-    for segment in (GLOBAL,) + USER_SEGMENTS:
-        ratios = []
-        pooled_compatible = 0
-        pooled_counted = 0
-        for user_id, (compatible, counted) in per_user.items():
-            if segment != GLOBAL and user_segment[user_id] != segment:
-                continue
-            pooled_compatible += compatible
-            pooled_counted += counted
-            if counted > 0:
-                ratios.append(compatible / counted)
-        macro.cells[segment] = (
-            (math.fsum(ratios) / len(ratios), len(ratios)) if ratios else (None, 0)
-        )
+    macro = MetricTable("Compare", "COMP_macro")
+    micro = MetricTable("Compare", "COMP_micro")
+    for segment, members in ((GLOBAL, slice(None)), ("Huser", heavy), ("Luser", ~heavy)):
+        c, n = compatible[members], counted[members]
+        ratios = (c[n > 0] / n[n > 0]).tolist()  # int / int, correctly rounded as in Python
+        macro.cells[segment] = (math.fsum(ratios) / len(ratios), len(ratios)) if ratios else (None, 0)
+        pooled_compatible, pooled_counted = int(c.sum()), int(n.sum())
         micro.cells[segment] = (
-            (pooled_compatible / pooled_counted, pooled_counted)
-            if pooled_counted
-            else (None, 0)
+            (pooled_compatible / pooled_counted, pooled_counted) if pooled_counted else (None, 0)
         )
     return macro, micro
 
 
 def aggregate_discover(
-    outcomes_by_user: dict[str, list[RecommendationOutcome]],
+    users: np.ndarray,
+    cells: np.ndarray,
+    truths: np.ndarray,
+    user_means: np.ndarray,
+    item_counts: np.ndarray,
+    catalog_size: int,
 ) -> tuple[MetricTable, MetricTable, int]:
     """Precision and AMI tables, macro-averaged over users per segment cell.
 
-    A cell restricts each user's evaluable outcomes to that (user x item)
-    segment; users without evaluable outcomes in a cell are excluded from its
-    average. Supports count evaluable outcomes, so cells sum to Global.
-    Returns (precision table, AMI table, number of AMI-excluded outcomes).
-
-    One pass over the outcomes routes each evaluable one to Global and to
-    its own cell, in the user's order.
+    One entry per evaluable top-N slot, grouped by user code: its user, its
+    index into SEGMENTS, the test rating it holds, the user's train mean and
+    the item's train count. A user's precision in a cell is the share of
+    its slots there rated at least its mean. Its AMI averages
+    catalog_size / count(i) over those slots, signed by whether the rating
+    beats the mean (0 at the mean); slots whose item never occurs in train
+    (count 0) are left out of AMI and counted apart. Users without a slot
+    in a cell are left out of its average. Supports count slots, so cells
+    sum to Global. Returns (precision table, AMI table, number of
+    AMI-excluded slots).
     """
-    cells = (GLOBAL,) + SEGMENTS
-    precisions: dict[str, list[float]] = {segment: [] for segment in cells}
-    amis: dict[str, list[float]] = {segment: [] for segment in cells}
-    precision_support = dict.fromkeys(cells, 0)
-    ami_support = dict.fromkeys(cells, 0)
-    excluded = 0
-    for user_outcomes in outcomes_by_user.values():
-        evaluable = [o for o in user_outcomes if o.evaluable]
-        by_segment: dict[str, list[RecommendationOutcome]] = {}
-        for o in evaluable:
-            by_segment.setdefault(o.segment, []).append(o)
-        for segment, outcomes in ((GLOBAL, evaluable), *by_segment.items()):
-            if not outcomes:
-                continue
-            precisions[segment].append(precision_user(outcomes))
-            precision_support[segment] += len(outcomes)
-            a = ami_user(outcomes)
-            if a is not None:
-                amis[segment].append(a)
-                ami_support[segment] += sum(1 for o in outcomes if o.item_count > 0)
-        excluded += sum(1 for o in evaluable if o.item_count == 0)
-
+    relevant = (truths >= user_means).astype(np.intp)
+    counted = item_counts > 0
+    impact = np.zeros(len(truths))  # 0.0 for an uncounted slot, which leaves a user's sum alone
+    # left to right, as (1.0 / count) * sign * catalog_size
+    impact[counted] = 1.0 / item_counts[counted] * np.sign(truths - user_means)[counted] * catalog_size
     precision_table = MetricTable("Discover", "Precision")
     ami_table = MetricTable("Discover", "AMI")
-    for segment in cells:
-        p, a = precisions[segment], amis[segment]
-        precision_table.cells[segment] = (
-            (math.fsum(p) / len(p), precision_support[segment]) if p else (None, 0)
-        )
-        ami_table.cells[segment] = (math.fsum(a) / len(a), ami_support[segment]) if a else (None, 0)
-    return precision_table, ami_table, excluded
+    for segment, members in _cells(cells):
+        cell_users = users[members]
+        if not len(cell_users):
+            precision_table.cells[segment] = ami_table.cells[segment] = (None, 0)
+            continue
+        starts = np.flatnonzero(np.diff(cell_users, prepend=-1))  # each user's first slot
+        bounds = starts.tolist() + [len(cell_users)]
+        precisions = (np.add.reduceat(relevant[members], starts) / np.diff(bounds)).tolist()
+        precision_table.cells[segment] = (math.fsum(precisions) / len(precisions), len(cell_users))
+        impacts = impact[members].tolist()
+        sums = np.array([math.fsum(impacts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        n = np.add.reduceat(counted[members].astype(np.intp), starts)
+        amis = (sums[n > 0] / n[n > 0]).tolist()
+        ami_table.cells[segment] = (math.fsum(amis) / len(amis), int(n.sum())) if amis else (None, 0)
+    return precision_table, ami_table, int(np.count_nonzero(~counted))
 
 
 def tables_to_rows(tables: list[MetricTable]) -> list[tuple[str, str, str, float | None, int]]:

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import Predictor
-from .dataset import Ratings, SegmentModel, SplitDataset, user_ratings_index
+from .dataset import SEGMENTS, Ratings, SegmentModel, SplitDataset, user_ratings_index
 from .knn import KnnPredictor
 from .metrics import (
     MetricTable,
-    RecommendationOutcome,
     ScoredLog,
     aggregate_comp,
     aggregate_discover,
@@ -153,10 +152,6 @@ def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return logs.users[order], logs.items[order], logs.ratings[order], bounds.tolist()
 
 
-# the segment of a (heavy?, popular?) test log or top-N slot
-_SEGMENT = (("LuserUitem", "LuserPitem"), ("HuserUitem", "HuserPitem"))
-
-
 def run_core(
     model: Predictor,
     data: SplitDataset,
@@ -167,19 +162,21 @@ def run_core(
 
     Each user is scored once over the catalog, into a block of users of at
     most SCORE_BLOCK_BYTES. Decide and Compare read the users' test items
-    out of the block, and Discover ranks it. Records are made only for test
-    logs and for the top-N slots that hold a test item, the evaluable ones:
-    Discover judges no other slot.
+    out of the block, and Discover ranks it. Discover judges only the top-N
+    slots that hold a test item, the evaluable ones, which are kept as the
+    test logs they hold.
     """
     t_start = time.monotonic()
     users, catalog = data.users, data.items  # the catalog sorted, so ties go by id
-    heavy = [segments.is_heavy(user_id) for user_id in users]
-    popular = [segments.is_popular(item_id) for item_id in catalog]
+    heavy = np.array([segments.is_heavy(user_id) for user_id in users], dtype=bool)
+    popular = np.array([segments.is_popular(item_id) for item_id in catalog], dtype=bool)
     # each user's train and test item codes (= catalog positions), in log order
     seen_users, seen_items, _, seen_bounds = _by_user(data.train, len(users))
     test_users, test_items, test_ratings, test_bounds = _by_user(data.test, len(users))
+    # each test log's index into SEGMENTS: (Huser, Luser) x (Pitem, Uitem)
+    test_cells = ~heavy[test_users] + 2 * ~popular[test_items]
     predicted = np.empty(len(test_items))
-    hits = []  # (user, position, rank, test log) of each evaluable slot
+    slots = []  # the test log of each evaluable slot, by user and in rank order
     block = np.empty((max(1, SCORE_BLOCK_BYTES // (8 * max(len(catalog), 1))), len(catalog)))
     # a block's test logs by (row, position), -1 elsewhere: restored after each block
     test_at = np.full(block.shape, -1, dtype=np.intp)
@@ -204,62 +201,38 @@ def run_core(
         test_at[test_slots] = np.arange(tests.start, tests.stop)
         found = test_at[rows, cols]
         test_at[test_slots] = -1
-        hit = np.flatnonzero(found >= 0)
-        rank = hit + 1 - np.searchsorted(rows, rows[hit])  # rows are grouped, best first
-        hits += zip(
-            (rows[hit] + u0).tolist(), cols[hit].tolist(), rank.tolist(), found[hit].tolist()
-        )
-
-    truths = test_ratings.tolist()
-    scored = [
-        ScoredLog(
-            user_id=users[u],
-            item_id=catalog[pos],
-            true_rating=truth,
-            predicted_rating=prediction,
-            segment=_SEGMENT[heavy[u]][popular[pos]],
-        )
-        for u, pos, truth, prediction in zip(
-            test_users.tolist(), test_items.tolist(), truths, predicted.tolist()
-        )
-    ]
-    scored_by_user = {
-        users[u]: scored[lo:hi]
-        for u, (lo, hi) in enumerate(zip(test_bounds, test_bounds[1:]))
-        if lo < hi
-    }
-    outcomes_by_user: dict[str, list[RecommendationOutcome]] = {}
-    for u, pos, rank, t in hits:
-        user_id = users[u]
-        outcomes_by_user.setdefault(user_id, []).append(
-            RecommendationOutcome(
-                user_id=user_id,
-                item_id=catalog[pos],
-                rank=rank,
-                evaluable=True,
-                true_rating=truths[t],
-                user_mean=segments.user_mean(user_id),
-                item_count=segments.item_count(catalog[pos]),
-                catalog_size=data.catalog_size,
-                segment=_SEGMENT[heavy[u]][popular[pos]],
-            )
-        )
+        slots.append(found[found >= 0])
+    slots = np.concatenate(slots) if slots else np.empty(0, np.intp)
     timings = {"score": score_s, "rank": time.monotonic() - t_start - score_s}
 
     t0 = time.monotonic()
-    rmse_table = aggregate_rmse(scored)
+    rmse_table = aggregate_rmse(test_ratings, predicted, test_cells)
     timings["decide"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    per_user_comp = {u: comp_user(lst) for u, lst in scored_by_user.items()}
-    user_segment = {
-        u: "Huser" if segments.is_heavy(u) else "Luser" for u in per_user_comp
-    }
-    comp_macro, comp_micro = aggregate_comp(per_user_comp, user_segment)
+    logs = (test_users, test_items, test_ratings, predicted, test_cells)
+    scored = [
+        ScoredLog(users[u], catalog[i], truth, prediction, SEGMENTS[cell])
+        for u, i, truth, prediction, cell in zip(*(a.tolist() for a in logs))
+    ]
+    tested = np.flatnonzero(np.diff(test_bounds))  # the users with a test log
+    comp = np.array(
+        [comp_user(scored[test_bounds[u] : test_bounds[u + 1]]) for u in tested.tolist()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    comp_macro, comp_micro = aggregate_comp(comp[:, 0], comp[:, 1], heavy[tested])
     timings["compare"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    precision_table, ami_table, ami_excluded = aggregate_discover(outcomes_by_user)
+    slot_users = test_users[slots]
+    precision_table, ami_table, ami_excluded = aggregate_discover(
+        slot_users,
+        test_cells[slots],
+        test_ratings[slots],
+        np.array([segments.user_mean(users[u]) for u in slot_users.tolist()]),
+        np.array([segments.item_count(catalog[i]) for i in test_items[slots].tolist()]),
+        data.catalog_size,
+    )
     timings["discover"] = time.monotonic() - t0
 
     report = CoreReport(

@@ -2,18 +2,22 @@
 
 Everything here is deliberately naive: direct enumeration of pairs, full
 sorts, one model.predict call per (user, item). Nothing is shared with the
-library's own computation paths, except where a reference checks only one
-layer (``per_cell_aggregate_discover`` judges each user with the library's
-per-user measures and checks the aggregation alone). ``top_n`` is the
-per-row ranking that the library's block ranking replaced, kept as its
-reference. ``nonzero_block_top_n``, ``default_scores`` and
-``gathered_mf_scores`` are earlier bodies of library paths, kept as the
-bit-for-bit references of the bodies that replaced them.
+library's own computation paths. ``top_n`` is the per-row ranking that the
+library's block ranking replaced, kept as its reference.
+``nonzero_block_top_n``, ``default_scores`` and ``gathered_mf_scores`` are
+earlier bodies of library paths, kept as the bit-for-bit references of the
+bodies that replaced them. So are the record-based metrics
+(``RecommendationOutcome``, ``rmse``, ``precision_user``, ``ami_user``,
+``aggregate_rmse`` and ``aggregate_discover``), which judged one object per
+test log or top-N slot where the library now reduces arrays;
+``per_cell_aggregate_discover`` judges each user with those per-user
+measures one cell at a time.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +26,7 @@ from recbench import mf
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import SEGMENTS, Ratings, SegmentModel
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
-from recbench.metrics import GLOBAL, MetricTable, ami_user, precision_user
+from recbench.metrics import GLOBAL, MetricTable
 
 
 def naive_rmse(pairs):
@@ -89,8 +93,112 @@ def naive_macro(values):
     return sum(values) / len(values)
 
 
+@dataclass(frozen=True)
+class RecommendationOutcome:
+    """One top-N slot for one user, with everything needed to judge it."""
+
+    user_id: str
+    item_id: str
+    rank: int
+    evaluable: bool
+    true_rating: float | None
+    user_mean: float
+    item_count: int
+    catalog_size: int
+    segment: str
+
+
+def rmse(scored):
+    """Root mean squared error of ``metrics.ScoredLog`` records; None for none."""
+    if not scored:
+        return None
+    total = math.fsum((s.true_rating - s.predicted_rating) ** 2 for s in scored)
+    return math.sqrt(total / len(scored))
+
+
+def _sign(x: float) -> int:
+    return int(x > 0) - int(x < 0)
+
+
+def precision_user(outcomes):
+    """Fraction of evaluable outcomes whose rating is at least the user's mean."""
+    evaluable = [o for o in outcomes if o.evaluable]
+    if not evaluable:
+        return None
+    relevant = sum(1 for o in evaluable if o.true_rating >= o.user_mean)
+    return relevant / len(evaluable)
+
+
+def ami_user(outcomes):
+    """Average Measure of Impact over the user's evaluable outcomes.
+
+    Each evaluable outcome contributes catalog_size / count(i), signed by
+    whether the rating beats the user's mean (a rating exactly at the mean
+    contributes 0). Outcomes whose item never occurs in train (count 0) are
+    excluded; the caller reports them separately.
+    """
+    evaluable = [o for o in outcomes if o.evaluable and o.item_count > 0]
+    if not evaluable:
+        return None
+    total = math.fsum(
+        (1.0 / o.item_count) * _sign(o.true_rating - o.user_mean) * o.catalog_size
+        for o in evaluable
+    )
+    return total / len(evaluable)
+
+
+def aggregate_rmse(scored):
+    """The Decide table of a list of ``metrics.ScoredLog`` records."""
+    table = MetricTable("Decide", "RMSE")
+    table.cells[GLOBAL] = (rmse(scored), len(scored))
+    for segment in SEGMENTS:
+        cell = [s for s in scored if s.segment == segment]
+        table.cells[segment] = (rmse(cell), len(cell))
+    return table
+
+
+def aggregate_discover(outcomes_by_user):
+    """Precision and AMI tables, macro-averaged over users per segment cell,
+    and the number of AMI-excluded outcomes, from {user: [outcome]}.
+
+    One pass over the outcomes routes each evaluable one to Global and to
+    its own cell, in the user's order.
+    """
+    cells = (GLOBAL,) + SEGMENTS
+    precisions = {segment: [] for segment in cells}
+    amis = {segment: [] for segment in cells}
+    precision_support = dict.fromkeys(cells, 0)
+    ami_support = dict.fromkeys(cells, 0)
+    excluded = 0
+    for user_outcomes in outcomes_by_user.values():
+        evaluable = [o for o in user_outcomes if o.evaluable]
+        by_segment = {}
+        for o in evaluable:
+            by_segment.setdefault(o.segment, []).append(o)
+        for segment, outcomes in ((GLOBAL, evaluable), *by_segment.items()):
+            if not outcomes:
+                continue
+            precisions[segment].append(precision_user(outcomes))
+            precision_support[segment] += len(outcomes)
+            a = ami_user(outcomes)
+            if a is not None:
+                amis[segment].append(a)
+                ami_support[segment] += sum(1 for o in outcomes if o.item_count > 0)
+        excluded += sum(1 for o in evaluable if o.item_count == 0)
+
+    precision_table = MetricTable("Discover", "Precision")
+    ami_table = MetricTable("Discover", "AMI")
+    for segment in cells:
+        p, a = precisions[segment], amis[segment]
+        precision_table.cells[segment] = (
+            (math.fsum(p) / len(p), precision_support[segment]) if p else (None, 0)
+        )
+        ami_table.cells[segment] = (math.fsum(a) / len(a), ami_support[segment]) if a else (None, 0)
+    return precision_table, ami_table, excluded
+
+
 def per_cell_aggregate_discover(outcomes_by_user):
-    """``metrics.aggregate_discover`` one cell at a time: for each of Global
+    """``aggregate_discover`` one cell at a time: for each of Global
     and the four segments, every user's outcomes are filtered to the cell
     and judged by ``precision_user`` and ``ami_user``."""
     precision_table = MetricTable("Discover", "Precision")

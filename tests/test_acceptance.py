@@ -16,14 +16,7 @@ from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.cli import main as cli_main
 from recbench.dataset import build_segment_model, split, user_ratings_index
 from recbench.knn import KnnPredictor, build_similarity_matrix
-from recbench.metrics import (
-    GLOBAL,
-    RecommendationOutcome,
-    ScoredLog,
-    ami_user,
-    comp_user,
-    rmse,
-)
+from recbench.metrics import GLOBAL, ScoredLog, aggregate_discover, comp_user
 from recbench.mf import (
     ITEM_PINNED,
     USER_PINNED,
@@ -150,24 +143,21 @@ def test_ami_impact_ordering():
     popular_count = n_train // 2  # 0.5 * |train|
     rare_count = 1
 
-    def outcomes(count):
-        return [
-            RecommendationOutcome(
-                user_id=f"u{u}", item_id="x", rank=1, evaluable=True,
-                true_rating=5.0, user_mean=3.0, item_count=count,
-                catalog_size=catalog_size, segment="LuserUitem",
-            )
-            for u in range(10)
-        ]
+    def ami(count, users=10):
+        """AMI over users that each have one slot: rated 5.0 against a mean
+        of 3.0, on an item with train count ``count``."""
+        _, table, _ = aggregate_discover(
+            np.arange(users), np.full(users, 3), np.full(users, 5.0), np.full(users, 3.0),
+            np.full(users, count), catalog_size,
+        )
+        return table.value(GLOBAL)
 
-    per_user_popular = [ami_user([o]) for o in outcomes(popular_count)]
-    per_user_rare = [ami_user([o]) for o in outcomes(rare_count)]
-    ami_popular = float(np.mean(per_user_popular))
-    ami_rare = float(np.mean(per_user_rare))
+    ami_popular = ami(popular_count)
+    ami_rare = ami(rare_count)
 
     # Hand computation for one user: (1/|H_u|) * (1/count) * sign * |I|
-    assert per_user_popular[0] == (1 / 1) * (1 / 20) * 1 * 100 == 5.0
-    assert per_user_rare[0] == (1 / 1) * (1 / 1) * 1 * 100 == 100.0
+    assert ami(popular_count, 1) == (1 / 1) * (1 / 20) * 1 * 100 == 5.0
+    assert ami(rare_count, 1) == (1 / 1) * (1 / 1) * 1 * 100 == 100.0
 
     factor = ami_rare / ami_popular
     report_line("AMI impact ordering", factor >= 10, f"(factor {factor:.0f}x)")

@@ -2,7 +2,7 @@ import numpy as np
 
 from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.dataset import RatingLog, build_segment_model
-from recbench.metrics import ScoredLog, rmse
+from recbench.metrics import GLOBAL, ScoredLog, aggregate_rmse
 
 
 def make_stats(logs):
@@ -35,11 +35,10 @@ class TestDefaultPredictor:
         logs = [RatingLog(f"u{k}", f"i{j}", 4.0) for k in range(5) for j in range(4)]
         stats = make_stats(logs)
         model = DefaultPredictor(stats)
-        scored = [
-            ScoredLog(l.user_id, l.item_id, l.rating, model.predict(l.user_id, l.item_id), "LuserUitem")
-            for l in logs
-        ]
-        assert rmse(scored) == 0.0
+        truths = np.array([l.rating for l in logs])
+        predictions = np.array([model.predict(l.user_id, l.item_id) for l in logs])
+        table = aggregate_rmse(truths, predictions, np.full(len(logs), 3))
+        assert table.cells[GLOBAL] == (0.0, len(logs))
 
     def test_predict_many_matches_predict(self):
         logs = [RatingLog(f"u{k}", f"i{j}", float(1 + (k + j) % 5)) for k in range(6) for j in range(5) if (k * j) % 3]

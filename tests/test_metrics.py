@@ -2,22 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from recbench.dataset import SEGMENTS
 from recbench.metrics import (
     GLOBAL,
-    RecommendationOutcome,
     ScoredLog,
     aggregate_comp,
     aggregate_discover,
     aggregate_rmse,
-    ami_user,
     comp_user,
-    precision_user,
-    rmse,
 )
 
 
@@ -29,7 +25,7 @@ def scored(pairs, user="u", segment="LuserUitem"):
 
 def outcome(true_rating, user_mean, item_count, user="u", segment="LuserUitem",
             rank=1, catalog_size=100, item="i"):
-    return RecommendationOutcome(
+    return oracle.RecommendationOutcome(
         user_id=user,
         item_id=item,
         rank=rank,
@@ -42,15 +38,52 @@ def outcome(true_rating, user_mean, item_count, user="u", segment="LuserUitem",
     )
 
 
+def decide(logs):
+    """``aggregate_rmse`` of ScoredLog records, as run_core passes them."""
+    return aggregate_rmse(
+        np.array([s.true_rating for s in logs], dtype=float),
+        np.array([s.predicted_rating for s in logs], dtype=float),
+        np.array([SEGMENTS.index(s.segment) for s in logs], dtype=np.intp),
+    )
+
+
+def discover(outcomes_by_user):
+    """``aggregate_discover`` of {user: [outcome]}, as run_core passes them:
+    the evaluable outcomes, grouped by user, users coded in dict order.
+    Every outcome has the same catalog_size."""
+    slots = [
+        (code, o)
+        for code, outcomes in enumerate(outcomes_by_user.values())
+        for o in outcomes
+        if o.evaluable
+    ]
+    return aggregate_discover(
+        np.array([code for code, _ in slots], dtype=np.intp),
+        np.array([SEGMENTS.index(o.segment) for _, o in slots], dtype=np.intp),
+        np.array([o.true_rating for _, o in slots], dtype=float),
+        np.array([o.user_mean for _, o in slots], dtype=float),
+        np.array([o.item_count for _, o in slots], dtype=np.int64),
+        slots[0][1].catalog_size if slots else 1,
+    )
+
+
+def one_user(outcomes):
+    """One user's precision and AMI, the Global cells of a one-user input,
+    and the number of AMI-excluded slots."""
+    precision_table, ami_table, excluded = discover({"u": outcomes})
+    return precision_table.value(GLOBAL), ami_table.value(GLOBAL), excluded
+
+
 class TestRmse:
     def test_perfect(self):
-        assert rmse(scored([(3, 3), (5, 5)])) == 0.0
+        assert decide(scored([(3, 3), (5, 5)])).cells[GLOBAL] == (0.0, 2)
 
     def test_symmetric_errors(self):
-        assert rmse(scored([(3, 4), (3, 2)])) == 1.0
+        assert decide(scored([(3, 4), (3, 2)])).cells[GLOBAL] == (1.0, 2)
 
     def test_empty_absent(self):
-        assert rmse([]) is None
+        table = decide([])
+        assert all(table.cells[s] == (None, 0) for s in (GLOBAL,) + SEGMENTS)
 
 
 class TestCompUser:
@@ -82,17 +115,20 @@ class TestCompUser:
 class TestPrecisionUser:
     def test_spec_example(self):
         outcomes = [outcome(r, 3.5, 10) for r in (5, 4, 3, 2)]
-        assert precision_user(outcomes) == 0.5
+        assert one_user(outcomes)[0] == 0.5
 
     def test_all_relevant(self):
         outcomes = [outcome(r, 2.0, 10) for r in (5, 4, 3)]
-        assert precision_user(outcomes) == 1.0
+        assert one_user(outcomes)[0] == 1.0
 
     def test_rating_at_mean_is_relevant(self):
-        assert precision_user([outcome(3.0, 3.0, 10)]) == 1.0
+        assert one_user([outcome(3.0, 3.0, 10)])[0] == 1.0
 
     def test_no_evaluable_absent(self):
-        assert precision_user([outcome(None, 3.0, 10)]) is None
+        precision_table, ami_table, excluded = discover({"u": [outcome(None, 3.0, 10)]})
+        for table in (precision_table, ami_table):
+            assert all(table.cells[s] == (None, 0) for s in (GLOBAL,) + SEGMENTS)
+        assert excluded == 0
 
 
 class TestAmiUser:
@@ -100,23 +136,23 @@ class TestAmiUser:
         # |I|=100: (count 2, above mean) and (count 50, below mean)
         # -> 0.5 * ((1/2)*1*100 + (1/50)*(-1)*100) = 24.0
         outcomes = [outcome(5.0, 3.0, 2), outcome(1.0, 3.0, 50)]
-        assert ami_user(outcomes) == pytest.approx(24.0)
+        assert one_user(outcomes)[1] == pytest.approx(24.0)
 
     def test_rating_at_mean_zero_impact(self):
-        assert ami_user([outcome(3.0, 3.0, 10)]) == 0.0
+        assert one_user([outcome(3.0, 3.0, 10)])[1] == 0.0
 
     def test_count_zero_excluded(self):
         outcomes = [outcome(5.0, 3.0, 0), outcome(5.0, 3.0, 4)]
-        assert ami_user(outcomes) == pytest.approx(25.0)
+        assert one_user(outcomes)[1:] == (pytest.approx(25.0), 1)
 
     def test_all_count_zero_absent(self):
-        assert ami_user([outcome(5.0, 3.0, 0)]) is None
+        assert one_user([outcome(5.0, 3.0, 0)]) == (1.0, None, 1)
 
     def test_monotone_in_rarity(self):
         # A strictly rarer relevant item strictly increases AMI.
         base = [outcome(5.0, 3.0, 20), outcome(2.0, 3.0, 5)]
         rarer = [outcome(5.0, 3.0, 7), outcome(2.0, 3.0, 5)]
-        assert ami_user(rarer) > ami_user(base)
+        assert one_user(rarer)[1] > one_user(base)[1]
 
 
 class TestAggregate:
@@ -128,19 +164,17 @@ class TestAggregate:
                 outcome(5.0, 3.0, 2 + n, user=user, segment=segment),
                 outcome(2.0, 3.0, 8, user=user, segment=segment),
             ]
-        precision_table, ami_table, excluded = aggregate_discover(outcomes_by_user)
+        precision_table, ami_table, excluded = discover(outcomes_by_user)
         assert excluded == 0
         for n, segment in enumerate(SEGMENTS):
             user_outcomes = outcomes_by_user[f"u{n}"]
-            assert precision_table.value(segment) == precision_user(user_outcomes)
-            assert ami_table.value(segment) == pytest.approx(ami_user(user_outcomes))
+            assert precision_table.value(segment) == oracle.precision_user(user_outcomes)
+            assert ami_table.value(segment) == pytest.approx(oracle.ami_user(user_outcomes))
             assert precision_table.support(segment) == 2
 
     def test_macro_micro_differ(self):
         # Users with (1/1) and (0/3) compatible pairs: macro 0.5, micro 0.25.
-        per_user = {"a": (1, 1), "b": (0, 3)}
-        segments = {"a": "Huser", "b": "Huser"}
-        macro, micro = aggregate_comp(per_user, segments)
+        macro, micro = aggregate_comp(np.array([1, 0]), np.array([1, 3]), np.array([True, True]))
         assert macro.value(GLOBAL) == 0.5
         assert micro.value(GLOBAL) == 0.25
         assert micro.support(GLOBAL) == 4
@@ -152,11 +186,11 @@ class TestAggregate:
             seg = SEGMENTS[int(rng.integers(0, 4))]
             logs.append(ScoredLog(f"u{k % 7}", f"i{k}", float(rng.integers(1, 6)),
                                   float(rng.uniform(1, 5)), seg))
-        table = aggregate_rmse(logs)
+        table = decide(logs)
         assert sum(table.support(s) for s in SEGMENTS) == table.support(GLOBAL) == 100
 
     def test_empty_cells_absent_with_zero_support(self):
-        table = aggregate_rmse([ScoredLog("u", "i", 3.0, 3.0, "HuserPitem")])
+        table = decide([ScoredLog("u", "i", 3.0, 3.0, "HuserPitem")])
         assert table.value("LuserUitem") is None
         assert table.support("LuserUitem") == 0
 
@@ -179,7 +213,7 @@ class TestAggregate:
                     )
                 )
             outcomes_by_user[user] = outcomes
-        precision_table, ami_table, _ = aggregate_discover(outcomes_by_user)
+        precision_table, ami_table, _ = discover(outcomes_by_user)
         assert sum(precision_table.support(s) for s in SEGMENTS) == precision_table.support(GLOBAL)
         assert sum(ami_table.support(s) for s in SEGMENTS) == ami_table.support(GLOBAL)
 
@@ -193,7 +227,7 @@ class TestOracleEquivalence:
             n = int(rng.integers(2, 15))
             pairs = [(float(rng.integers(1, 6)), float(rng.uniform(1, 5))) for _ in range(n)]
             logs = scored(pairs)
-            assert abs(rmse(logs) - oracle.naive_rmse(pairs)) < 1e-12
+            assert abs(decide(logs).value(GLOBAL) - oracle.naive_rmse(pairs)) < 1e-12
             assert comp_user(logs) == oracle.naive_comp_pairs(pairs)
 
             outcomes = []
@@ -205,10 +239,9 @@ class TestOracleEquivalence:
                 outcomes.append(outcome(t, 3.0, c, catalog_size=50))
                 if evaluable:
                     naive_eval.append((t, 3.0, c))
-            p = precision_user(outcomes)
+            p, a, _ = one_user(outcomes)
             np_ = oracle.naive_precision([(t, m) for t, m, _ in naive_eval])
             assert (p is None and np_ is None) or abs(p - np_) < 1e-12
-            a = ami_user(outcomes)
             na = oracle.naive_ami(naive_eval, 50)
             assert (a is None and na is None) or abs(a - na) < 1e-12
 
@@ -264,4 +297,60 @@ class TestAggregateDiscoverAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(outcomes_by_user())
     def test_generated_outcomes(self, outcomes):
-        assert aggregate_discover(outcomes) == oracle.per_cell_aggregate_discover(outcomes)
+        assert discover(outcomes) == oracle.per_cell_aggregate_discover(outcomes)
+
+
+# (truth, prediction) pairs whose error e has e ** 2 != e * e with glibc's
+# pow; in one cell they give an RMSE whose last bit tells the two apart.
+SQUARE_MISMATCHES = [(5.0, 3.694345496954798), (1.0, 3.325088686927045)]
+
+
+@st.composite
+def evaluated_users(draw):
+    """Up to 6 users' test logs and evaluable top-N slots, as run_core
+    holds them: (user mean, [(truth, prediction, cell, item count)],
+    [test log of each slot, in rank order]). Predictions are arbitrary
+    floats, the pairs above, or the truth itself; a mean may be a rating
+    level, as a single-rating user's is, so truths tie with it; items may
+    have train count 0; a user may have one test log, or none; segments may
+    stay empty."""
+    users = []
+    for _ in range(draw(st.integers(0, 6))):
+        mean = draw(TRUTHS | st.sampled_from([2.5, 3.25]))
+        logs = draw(st.lists(
+            st.tuples(
+                TRUTHS,
+                st.floats(-1e6, 1e6) | st.sampled_from([p for _, p in SQUARE_MISMATCHES]) | st.none(),
+                st.integers(0, len(SEGMENTS) - 1),
+                st.integers(0, 4),
+            ),
+            max_size=8,
+        ))
+        logs = [(t, t if prediction is None else prediction, cell, count)
+                for t, prediction, cell, count in logs]
+        slots = draw(st.permutations(range(len(logs)))) if logs else []
+        users.append((mean, logs, slots[: draw(st.integers(0, len(slots)))]))
+    return users
+
+
+class TestArraysAgainstRecords:
+    """Decide and Discover from run_core's arrays against the record-based
+    bodies they replaced: every cell and ami_excluded equal to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(evaluated_users())
+    @example([(3.0, [(t, p, 3, 1) for t, p in SQUARE_MISMATCHES], [0, 1])])
+    @example([(4.0, [(4.0, 4.0, 0, 0)], [0]), (2.5, [], [])])
+    def test_generated_runs(self, users):
+        records, outcomes_by_user = [], {}
+        for code, (mean, logs, slots) in enumerate(users):
+            user = f"u{code}"
+            for truth, prediction, cell, _ in logs:
+                records.append(ScoredLog(user, "i", truth, prediction, SEGMENTS[cell]))
+            outcomes_by_user[user] = [
+                outcome(logs[log][0], mean, logs[log][3], user, SEGMENTS[logs[log][2]], rank,
+                        catalog_size=37, item=f"i{log}")
+                for rank, log in enumerate(slots, 1)
+            ]
+        assert decide(records) == oracle.aggregate_rmse(records)
+        assert discover(outcomes_by_user) == oracle.aggregate_discover(outcomes_by_user)

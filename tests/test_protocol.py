@@ -12,6 +12,7 @@ import oracle
 from recbench import protocol
 from recbench.baselines import DefaultPredictor, Predictor, RandomPredictor
 from recbench.dataset import (
+    SEGMENTS,
     RatingLog,
     Ratings,
     SplitDataset,
@@ -380,16 +381,18 @@ class TestRunCoreBlocks:
     @pytest.mark.parametrize("exclude_seen", [True, False])
     @pytest.mark.parametrize("users", [1, 3, None])
     def test_outcomes_are_the_evaluable_slots(self, monkeypatch, users, exclude_seen):
-        """Discover gets one outcome per top-N slot that holds a test item,
-        with its rank among all the user's slots, and no other."""
+        """Discover gets one slot per top-N slot that holds a test item, and
+        no other: grouped by user, in rank order, with its truth, cell, user
+        mean and item count. Distinct item counts name each slot's item."""
         data, segments = boundary_cases()[1]
+        segments = replace(segments, item_counts={i: k + 1 for k, i in enumerate(data.items)})
         model = RandomPredictor(seed=2)  # integer levels: many ties
         if users is not None:
             monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
-        judged = {}
+        judged = []
         aggregate = protocol.aggregate_discover
         monkeypatch.setattr(
-            protocol, "aggregate_discover", lambda outcomes: judged.update(outcomes) or aggregate(outcomes)
+            protocol, "aggregate_discover", lambda *args: judged.append(args) or aggregate(*args)
         )
         run_core(model, data, segments, ProtocolConfig(top_n=4, explore_k=5, exclude_seen=exclude_seen))
         train_index, test_index = user_ratings_index(data.train), user_ratings_index(data.test)
@@ -397,15 +400,26 @@ class TestRunCoreBlocks:
         for user in data.users:
             scores = {i: model.predict(user, i) for i in data.items}
             seen = set(train_index.get(user, ())) if exclude_seen else set()
-            for rank, item in enumerate(oracle.naive_top_n(scores, 4, seen), start=1):
+            for item in oracle.naive_top_n(scores, 4, seen):
                 if item in test_index.get(user, {}):
-                    expected.setdefault(user, []).append((item, rank, test_index[user][item]))
-        got = {
-            user: [(o.item_id, o.rank, o.true_rating) for o in outcomes]
-            for user, outcomes in judged.items()
-        }
+                    segment = oracle.naive_segment(
+                        segments.user_counts.get(user, 0),
+                        segments.user_threshold,
+                        segments.item_counts[item],
+                        segments.item_threshold,
+                    )
+                    expected.setdefault(user, []).append(
+                        (item, test_index[user][item], segment, segments.user_mean(user))
+                    )
+        [(slot_users, cells, truths, means, counts, catalog_size)] = judged
+        assert (np.diff(slot_users) >= 0).all()
+        got = {}
+        for u, cell, truth, mean, count in zip(
+            slot_users.tolist(), cells.tolist(), truths.tolist(), means.tolist(), counts.tolist()
+        ):
+            got.setdefault(data.users[u], []).append((data.items[count - 1], truth, SEGMENTS[cell], mean))
         assert expected and got == expected
-        assert all(o.evaluable for outcomes in judged.values() for o in outcomes)
+        assert catalog_size == len(data.items)
 
     def test_fixtures_hold_every_case(self):
         for data, _ in boundary_cases():

@@ -1,11 +1,13 @@
-"""The benchmark's traced run against the library.
+"""The benchmark harness against the library.
 
 ``perfbench/tracing.py`` wraps library functions where their callers look
 them up and reads attributes of their results. A refactor that renames or
-removes one of them breaks ``perfbench/run.py --trace 1`` only, so this test
-runs the traced evaluation of each benchmark model on its reduced input.
-It runs in a subprocess, because tracing patches the library's modules and
-classes for the rest of the process.
+removes one of them, or stops calling it, breaks ``perfbench/run.py
+--trace 1`` only, so this test runs the traced evaluation of each benchmark
+model on its reduced input. It runs in a subprocess, because tracing
+patches the library's modules and classes for the rest of the process.
+``perfbench/evaluate.py --check`` builds library records and calls the
+oracles in ``tests/oracle.py``, so it is run on the same inputs.
 """
 
 import json
@@ -39,7 +41,8 @@ model = ev.build_model(workload, data, segments, 1)
 config = ev.protocol_config()
 protocol.run_core(model, data, segments, config)
 protocol.run_explore(model, data, segments, config)
-print(json.dumps(layer_metrics(tracer.finish(time.monotonic()))))
+trace = tracer.finish(time.monotonic())
+print(json.dumps({"metrics": layer_metrics(trace), "spans": sorted({s["name"] for s in trace["spans"]})}))
 """
 
 
@@ -52,11 +55,50 @@ def test_traced_evaluation_sees_the_library(workload, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    metrics = json.loads(result.stdout.splitlines()[-1])
+    traced = json.loads(result.stdout.splitlines()[-1])
+    metrics = traced["metrics"]
     assert metrics["knn.predict_calls"] > 0
+    assert metrics["metrics.comp_pairs"] > 0
+    assert metrics["metrics.aggregate_s"] > 0
+    for name in ("comp_user", "aggregate_rmse", "aggregate_comp", "aggregate_discover"):
+        assert f"metrics.{name}" in traced["spans"]  # run_core still calls it
     if workload == "knn-catalog":
         assert metrics["knn.neighbors"] > 0
     else:
         # train_mf looks sgd_epoch up on the module, where the tracer wraps it
         assert metrics["mf.epochs"] == 5
         assert metrics["mf.updates_per_s"] > 0
+
+
+GENERATE = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from generators import generate
+from workloads import WORKLOADS
+
+generate(WORKLOADS[sys.argv[2]], 1, Path(sys.argv[3]), reduced=True)
+"""
+
+
+@pytest.mark.parametrize("workload", ["knn-catalog", "mf-heavy"])
+def test_evaluate_check_passes(workload, tmp_path):
+    path = tmp_path / "input.csv"
+    subprocess.run(
+        [sys.executable, "-c", GENERATE, str(PERFBENCH), workload, str(path)],
+        check=True,
+        timeout=300,
+    )
+    result = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "evaluate.py"), "--workload", workload, "--seed", "1",
+            "--input", str(path), "--out", str(tmp_path / "out"), "--check",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    checks = json.loads(result.stdout.splitlines()[-1])["checks"]
+    assert checks["attempted"] > 0 and checks["failures"] == []
