@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -44,29 +45,20 @@ class DefaultPredictor(Predictor):
         self.r_max = r_max
 
     def predict(self, user_id: str, item_id: str) -> float:
-        um = self.stats.user_means.get(user_id)
-        im = self.stats.item_means.get(item_id)
-        if um is not None and im is not None:
-            value = (um + im) / 2.0
-        elif um is not None:
-            value = um
-        elif im is not None:
-            value = im
-        else:
-            value = self.stats.global_mean
-        return float(min(max(value, self.r_min), self.r_max))
+        return float(self.predict_many(user_id, (item_id,))[0])
 
     def train_row(self, user_id: str) -> np.ndarray:
         """Unclipped scores of the train items, in the segment model's order,
         then of any item outside train: the last entry, which the -1 that
         ``item_rows`` gives such an item reads."""
-        means = self.stats.item_mean_array
+        means = self.stats.row_means
         row = np.empty(len(means) + 1)
-        um = self.stats.user_means.get(user_id)
-        if um is None:
+        u = self.stats.user_code(user_id)
+        if u < 0:
             row[:-1] = means
             row[-1] = self.stats.global_mean
         else:
+            um = self.stats.user_means[u]
             np.add(means, um, out=row[:-1])
             row[:-1] /= 2.0
             row[-1] = um
@@ -80,7 +72,7 @@ class DefaultPredictor(Predictor):
 
 
 class RandomPredictor(Predictor):
-    """Uniform draw over the integer rating levels, deterministic per (seed, u, i)."""
+    """Uniform draw over the integers in [r_min, r_max], deterministic per (seed, u, i)."""
 
     name = "random"
 
@@ -88,7 +80,9 @@ class RandomPredictor(Predictor):
         self.seed = seed
         self.r_min = r_min
         self.r_max = r_max
-        self.levels = np.arange(int(round(r_min)), int(round(r_max)) + 1, dtype=float)
+        self.levels = np.arange(math.ceil(r_min), math.floor(r_max) + 1, dtype=float)
+        if not len(self.levels):
+            raise ValueError(f"no integer rating level in [{r_min}, {r_max}]")
 
     def predict(self, user_id: str, item_id: str) -> float:
         key = f"{self.seed}|{user_id}|{item_id}".encode()

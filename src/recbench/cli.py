@@ -59,11 +59,19 @@ def _require(manifest: dict, key: str):
     return manifest[key]
 
 
-def _section(manifest: dict, key: str, required: bool = False) -> dict:
+def _section(manifest: dict, key: str, known: tuple[str, ...], required: bool = False) -> dict:
     value = _require(manifest, key) if required else manifest.setdefault(key, {})
     if not isinstance(value, dict):
         raise ManifestError(f"{key} must be a JSON object")
-    return value
+    return _known(value, known, key)
+
+
+def _known(section: dict, known: tuple[str, ...], name: str) -> dict:
+    """``section``, which must hold no key outside ``known``."""
+    unknown = sorted(section.keys() - set(known))
+    if unknown:
+        raise ManifestError(f"unknown {name} key {unknown[0]!r}")
+    return section
 
 
 def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
@@ -76,13 +84,16 @@ def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
-    dataset = _section(manifest, "dataset", required=True)
+    sections = ("dataset", "model", "split", "rating_scale", "protocol", "output_dir")
+    _known(manifest, sections, "manifest")
+    dataset = _section(manifest, "dataset", ("path", "format"), required=True)
     if not isinstance(_require(dataset, "path"), str):
         raise ManifestError("dataset.path must be a string")
     dataset.setdefault("format", "csv")
     if not Path(dataset["path"]).exists():
         raise ManifestError(f"dataset path does not exist: {dataset['path']}")
-    model = _section(manifest, "model", required=True)
+    model_keys = ("name", *MODEL_INT_KEYS, *MODEL_NUMBER_KEYS)
+    model = _section(manifest, "model", model_keys, required=True)
     name = _require(model, "name")
     if name not in MODEL_NAMES:
         raise ManifestError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
@@ -93,11 +104,9 @@ def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
         elif key in MODEL_INT_KEYS:
             if not is_int(model[key], -math.inf):
                 raise ManifestError(f"model.{key} must be an integer")
-        elif key not in MODEL_NUMBER_KEYS:
-            raise ManifestError(f"unknown model key {key!r}")
         elif not is_number(model[key]):
             raise ManifestError(f"model.{key} must be a number")
-    split_cfg = _section(manifest, "split")
+    split_cfg = _section(manifest, "split", ("ratio", "seed"))
     split_cfg.setdefault("ratio", 0.9)
     split_cfg.setdefault("seed", 42)
     if not (is_number(split_cfg["ratio"]) and 0.0 < split_cfg["ratio"] < 1.0):
@@ -107,10 +116,9 @@ def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
     scale = manifest.get("rating_scale", [1.0, 5.0])
     if not (isinstance(scale, list) and len(scale) == 2):
         raise ManifestError("rating_scale must be two numbers [r_min, r_max]")
-    protocol = _section(manifest, "protocol")
-    settings = {k: protocol[k] for k in ("top_n", "explore_k", "exclude_seen") if k in protocol}
+    protocol = _section(manifest, "protocol", ("top_n", "explore_k", "exclude_seen"))
     try:
-        config = ProtocolConfig(**settings, r_min=scale[0], r_max=scale[1])
+        config = ProtocolConfig(**protocol, r_min=scale[0], r_max=scale[1])
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
     return manifest, config
@@ -217,7 +225,11 @@ def _run(manifest: dict, config: ProtocolConfig, outdir: str) -> int:
         "stage_timings": stage_timings,
         "peak_rss_mb": _peak_rss_mb(),
         "dropped_duplicates": loaded.dropped_duplicates,
-        "cold_test_logs": data.cold_test_logs(),
+        # test logs whose user, or item, has no train rating
+        "cold_test_logs": {
+            "user": int((segments.user_counts[data.test.users] == 0).sum()),
+            "item": int((segments.item_counts[data.test.items] == 0).sum()),
+        },
     }
     if isinstance(model, MFPredictor):
         run_info["training_log"] = model.model.training_log

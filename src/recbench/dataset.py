@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,12 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 SEGMENTS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem")
+
+
+def code_of(table, key: str) -> int:
+    """The position of ``key`` in the sorted ``table``, -1 if it is not there."""
+    n = bisect_left(table, key)
+    return n if n < len(table) and table[n] == key else -1
 
 
 class DatasetError(Exception):
@@ -201,18 +208,6 @@ class SplitDataset:
     def catalog_size(self) -> int:
         return len(self.items)
 
-    def cold_test_logs(self) -> dict[str, int]:
-        """How many test logs have a user, or an item, without a train rating."""
-
-        def cold(train_codes, test_codes, table):
-            warm = np.bincount(train_codes, minlength=len(table)) > 0
-            return int(np.count_nonzero(~warm[test_codes]))
-
-        return {
-            "user": cold(self.train.users, self.test.users, self.users),
-            "item": cold(self.train.items, self.test.items, self.items),
-        }
-
 
 def split(logs, ratio: float, seed: int) -> SplitDataset:
     """Assign each log independently to train with probability ``ratio``.
@@ -236,88 +231,92 @@ def split(logs, ratio: float, seed: int) -> SplitDataset:
     return SplitDataset(part(in_train), part(~in_train), logs.user_ids, logs.item_ids)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SegmentModel:
-    """Mean-count thresholds and per-user/per-item train statistics.
+    """Train rating counts and means by code of the id tables ``users`` and
+    ``items`` (NaN means for ids without a train rating), the mean-count
+    thresholds and the global mean. Heavy users have strictly more train
+    ratings than the user mean count, popular items than the item mean count.
 
-    Heavy users have strictly more train ratings than the user mean count;
-    popular items likewise for the item mean count. Users or items absent
-    from the train set count 0 and are therefore Light / Unpopular.
+    ``item_ids`` (the items with a train rating, in table order: the one item
+    order that similarity matrices and factor models share), their means
+    ``row_means`` and ``code_row`` (each item code's row in that order, -1
+    outside train) are derived, so ``dataclasses.replace`` derives them again.
     """
 
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+    user_counts: np.ndarray
+    user_means: np.ndarray
+    item_counts: np.ndarray
+    item_means: np.ndarray
     user_threshold: float
     item_threshold: float
-    user_counts: dict[str, int]
-    item_counts: dict[str, int]
-    user_means: dict[str, float]
-    item_means: dict[str, float]
     global_mean: float
+    item_ids: tuple[str, ...] = field(init=False)
+    row_means: np.ndarray = field(init=False)
+    code_row: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # the one item order that similarity matrices and factor models share
-        self.item_ids = tuple(sorted(self.item_means))
-        self.item_mean_array = np.array([self.item_means[i] for i in self.item_ids])
-        self.item_index = {i: n for n, i in enumerate(self.item_ids)}
-        self._rows_memo = (None, None)
+        codes = np.flatnonzero(self.item_counts)
+        code_row = np.full(len(self.items), -1, dtype=np.intp)
+        code_row[codes] = np.arange(len(codes))
+        object.__setattr__(self, "item_ids", tuple(map(self.items.__getitem__, codes.tolist())))
+        object.__setattr__(self, "row_means", self.item_means[codes])
+        object.__setattr__(self, "code_row", code_row)
+
+    @property
+    def heavy(self) -> np.ndarray:
+        """Whether each user code is Heavy."""
+        return self.user_counts > self.user_threshold
+
+    @property
+    def popular(self) -> np.ndarray:
+        """Whether each item code is Popular."""
+        return self.item_counts > self.item_threshold
 
     def item_rows(self, item_ids) -> np.ndarray:
-        """Row of each id in the train item order, -1 for ids outside train.
+        """Row of each id in ``item_ids``; the catalog, ``items``, reads ``code_row``."""
+        if item_ids is self.items:
+            return self.code_row
+        return np.array([code_of(self.item_ids, i) for i in item_ids], dtype=np.intp)
 
-        The last tuple asked for is remembered by identity (and kept alive,
-        so a reused ``id`` cannot match), so a catalog is mapped once. Other
-        sequences can change in place and are mapped afresh on every call.
-        """
-        memo = isinstance(item_ids, tuple)
-        if memo and self._rows_memo[0] is item_ids:
-            return self._rows_memo[1]
-        rows = np.array([self.item_index.get(i, -1) for i in item_ids], dtype=np.intp)
-        if memo:
-            self._rows_memo = (item_ids, rows)
-        return rows
+    def user_code(self, user_id: str) -> int:
+        """The user's code if they have a train rating, else -1."""
+        u = code_of(self.users, user_id)
+        return u if u >= 0 and self.user_counts[u] else -1
 
     def user_mean(self, user_id: str) -> float:
         """Train-set mean rating of the user, global mean if unseen in train."""
-        return self.user_means.get(user_id, self.global_mean)
-
-    def item_count(self, item_id: str) -> int:
-        return self.item_counts.get(item_id, 0)
-
-    def is_heavy(self, user_id: str) -> bool:
-        return self.user_counts.get(user_id, 0) > self.user_threshold
-
-    def is_popular(self, item_id: str) -> bool:
-        return self.item_counts.get(item_id, 0) > self.item_threshold
-
-
-def _counts_and_means(codes: np.ndarray, ratings: np.ndarray, table) -> tuple[dict, dict]:
-    """{id: count} and {id: mean rating} of the ids with a log.
-
-    bincount adds each id's ratings in log order, as a running sum does.
-    """
-    counts = np.bincount(codes, minlength=len(table))
-    sums = np.bincount(codes, weights=ratings, minlength=len(table))
-    present = np.flatnonzero(counts)
-    ids = [table[c] for c in present.tolist()]
-    means = sums[present] / counts[present]
-    return dict(zip(ids, counts[present].tolist())), dict(zip(ids, means.tolist()))
+        u = self.user_code(user_id)
+        return self.user_means[u] if u >= 0 else self.global_mean
 
 
 def build_segment_model(train) -> SegmentModel:
-    """Compute thresholds, counts and means from the train set only."""
+    """Compute thresholds, counts and means from the train set only.
+
+    bincount adds each id's ratings in log order, as a running sum does.
+    """
     train = Ratings.of(train)
     if not len(train):
         raise DatasetError("cannot build a segment model from an empty train set")
-    user_counts, user_means = _counts_and_means(train.users, train.ratings, train.user_ids)
-    item_counts, item_means = _counts_and_means(train.items, train.ratings, train.item_ids)
+
+    def counts_and_means(codes, table):  # (counts, means) by code
+        counts = np.bincount(codes, minlength=len(table))
+        sums = np.bincount(codes, weights=train.ratings, minlength=len(table))
+        return counts, np.divide(sums, counts, out=np.full(len(table), np.nan), where=counts > 0)
+
+    users = counts_and_means(train.users, train.user_ids)
+    items = counts_and_means(train.items, train.item_ids)
     # cumsum adds left to right; np.sum would add pairwise, in other last bits
     total = float(np.cumsum(train.ratings)[-1])
     return SegmentModel(
-        user_threshold=len(train) / len(user_counts),
-        item_threshold=len(train) / len(item_counts),
-        user_counts=user_counts,
-        item_counts=item_counts,
-        user_means=user_means,
-        item_means=item_means,
+        train.user_ids,
+        train.item_ids,
+        *users,
+        *items,
+        user_threshold=len(train) / np.count_nonzero(users[0]),
+        item_threshold=len(train) / np.count_nonzero(items[0]),
         global_mean=total / len(train),
     )
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel
+from .dataset import Ratings, SegmentModel, code_of
 
 _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
@@ -51,8 +50,8 @@ class SimilarityMatrix:
 
     def neighbor_list(self, item_id: str) -> list[tuple[str, float]]:
         ids = self.item_ids
-        r = bisect_left(ids, item_id)
-        if r == len(ids) or ids[r] != item_id:
+        r = code_of(ids, item_id)
+        if r < 0:
             return []
         a, b = self.indptr[r], self.indptr[r + 1]
         return list(zip([ids[c] for c in self.indices[a:b].tolist()], self.weights[a:b].tolist()))
@@ -195,6 +194,18 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
     return SimilarityMatrix.top_k(k, item_ids, rows, cols, np.tile(sims, 2))
 
 
+def deviation_rows(users, rows, ratings, n_users: int, row_means: np.ndarray):
+    """(ptr, cols, devs): the ratings as a users x train items CSR of
+    deviations from the item means, ascending columns per user. A rating
+    of an item outside train (row -1) is left out."""
+    known = rows >= 0
+    users, rows, ratings = users[known], rows[known], ratings[known]
+    order = np.argsort(users.astype(np.int64) * len(row_means) + rows)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
+    cols = rows[order]
+    return ptr, cols, ratings[order] - row_means[cols]
+
+
 class KnnPredictor(Predictor):
     """Deviation-form prediction over the user's rated neighbors of the item.
 
@@ -239,40 +250,34 @@ class KnnPredictor(Predictor):
         self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
         self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
 
-        # users x train items CSR of the deviations rating - item mean,
-        # ascending columns per user; items outside train are left out
-        counts = np.fromiter(map(len, user_ratings.values()), np.intp, len(user_ratings))
-        cols = np.fromiter(
-            (stats.item_index.get(i, -1) for r in user_ratings.values() for i in r),
-            np.int32,
-            counts.sum(),
+        # the users x train items CSR of deviations; its rows are the codes of
+        # the segment model's users and of any other user given, sorted
+        self.user_ids = tuple(sorted(user_ratings.keys() | set(stats.users)))
+        rated = user_ratings.values()
+        counts = np.fromiter(map(len, rated), np.intp, len(rated))
+        owners = np.fromiter((code_of(self.user_ids, u) for u in user_ratings), np.intp, len(rated))
+        size = counts.sum()
+        rows = np.fromiter((code_of(stats.item_ids, i) for r in rated for i in r), np.int32, size)
+        ratings = np.fromiter((x for r in rated for x in r.values()), float, size)
+        self.user_ptr, self.user_cols, self.user_dev = deviation_rows(
+            owners.repeat(counts), rows, ratings, len(self.user_ids), stats.row_means
         )
-        ratings = np.fromiter(
-            (x for r in user_ratings.values() for x in r.values()), float, counts.sum()
-        )
-        owner = np.repeat(np.arange(len(counts)), counts)
-        known = cols >= 0
-        cols, ratings, owner = cols[known], ratings[known], owner[known]
-        order = np.argsort(owner * n + cols)  # (user, item) pairs are distinct
-        self.user_row = {user_id: row for row, user_id in enumerate(user_ratings)}
-        self.user_ptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(counts)))))
-        self.user_cols = cols[order]
-        self.user_dev = ratings[order] - stats.item_mean_array[self.user_cols]
 
     def predict(self, user_id: str, item_id: str) -> float:
         rated = self.user_ratings.get(user_id)
-        if rated:
-            num = 0.0
-            den = 0.0
-            base = self.stats.item_means.get(item_id, self.stats.global_mean)
-            for neighbor_id, weight in self.matrix.neighbor_list(item_id):
-                r_uj = rated.get(neighbor_id)
+        r = code_of(self.matrix.item_ids, item_id)
+        if rated and r >= 0:
+            matrix, means = self.matrix, self.stats.row_means
+            a, b = matrix.indptr[r], matrix.indptr[r + 1]
+            num = den = 0.0
+            for j, weight in zip(matrix.indices[a:b].tolist(), matrix.weights[a:b].tolist()):
+                r_uj = rated.get(matrix.item_ids[j])
                 if r_uj is None or weight <= 0.0:
                     continue
-                num += weight * (r_uj - self.stats.item_means[neighbor_id])
+                num += weight * (r_uj - means[j])
                 den += weight
             if den > 0.0:
-                return float(min(max(base + num / den, self.r_min), self.r_max))
+                return float(min(max(means[r] + num / den, self.r_min), self.r_max))
         return self.fallback.predict(user_id, item_id)
 
     def neighbor_sums(self, cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,15 +299,15 @@ class KnnPredictor(Predictor):
         # the default predictor's row, with the KNN score put over it
         # wherever a rated neighbor lists the item, then clipped
         row = self.fallback.train_row(user_id)
-        user = self.user_row.get(user_id)
-        if user is not None:
+        user = code_of(self.user_ids, user_id)
+        if user >= 0:
             a, b = self.user_ptr[user], self.user_ptr[user + 1]
             if a < b:
                 num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
                 has_neighbors = den > 0.0
                 # a 1 where no rated neighbor lists the item: never put in the row
                 scores = num / np.where(has_neighbors, den, 1.0)
-                scores += self.stats.item_mean_array
+                scores += self.stats.row_means
                 np.putmask(row[:-1], has_neighbors, scores)
         np.maximum(row, self.r_min, out=row)
         np.minimum(row, self.r_max, out=row)

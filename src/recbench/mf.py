@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel
+from .dataset import Ratings, SegmentModel, code_of
 from .knn import SIM_EPS, SimilarityMatrix
 
 USER_PINNED = 0
@@ -33,19 +33,18 @@ class FactorModel:
     regularization: float
     seed: int
     user_ids: list[str]
-    item_ids: list[str]
+    item_ids: list[str]  # sorted, as train_mf leaves them
     user_factors: np.ndarray  # (n_users, F), column USER_PINNED == 1
     item_factors: np.ndarray  # (n_items, F), column ITEM_PINNED == 1
     training_log: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         self.user_index = {u: n for n, u in enumerate(self.user_ids)}
-        self.item_index = {i: n for n, i in enumerate(self.item_ids)}
 
     def raw_predict(self, user_id: str, item_id: str) -> float | None:
         u = self.user_index.get(user_id)
-        i = self.item_index.get(item_id)
-        if u is None or i is None:
+        i = code_of(self.item_ids, item_id)
+        if u is None or i < 0:
             return None
         return float(self.user_factors[u] @ self.item_factors[i])
 

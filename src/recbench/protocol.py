@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import Predictor
 from .dataset import SEGMENTS, Ratings, SegmentModel, SplitDataset, user_ratings_index
-from .knn import KnnPredictor
+from .knn import KnnPredictor, deviation_rows
 from .metrics import (
     MetricTable,
     ScoredLog,
@@ -168,8 +168,9 @@ def run_core(
     """
     t_start = time.monotonic()
     users, catalog = data.users, data.items  # the catalog sorted, so ties go by id
-    heavy = np.array([segments.is_heavy(user_id) for user_id in users], dtype=bool)
-    popular = np.array([segments.is_popular(item_id) for item_id in catalog], dtype=bool)
+    if (segments.users, segments.items) != (users, catalog):
+        raise ValueError("the segment model was built on other id tables than the data")
+    heavy, popular = segments.heavy, segments.popular
     # each user's train and test item codes (= catalog positions), in log order
     seen_users, seen_items, _, seen_bounds = _by_user(data.train, len(users))
     test_users, test_items, test_ratings, test_bounds = _by_user(data.test, len(users))
@@ -229,8 +230,8 @@ def run_core(
         slot_users,
         test_cells[slots],
         test_ratings[slots],
-        np.array([segments.user_mean(users[u]) for u in slot_users.tolist()]),
-        np.array([segments.item_count(catalog[i]) for i in test_items[slots].tolist()]),
+        np.where(segments.user_counts > 0, segments.user_means, segments.global_mean)[slot_users],
+        segments.item_counts[test_items[slots]],
         data.catalog_size,
     )
     timings["discover"] = time.monotonic() - t0
@@ -248,26 +249,14 @@ def run_core(
 def _scores_train(model: KnnPredictor, data: SplitDataset) -> bool:
     """Whether the ratings ``predict_many`` reads, the model's users x items
     CSR of deviations, are those of ``data.train``, in whatever order the
-    model was given them. A train set that repeats a (user, item) pair,
-    which ``load_dataset`` never leaves, does not match."""
-    stats, train = model.stats, data.train
-    row_of = np.fromiter((model.user_row.get(u, -1) for u in data.users), np.intp, len(data.users))
-    cols = stats.item_rows(data.items)[train.items]
-    known = cols >= 0  # as in the model, items outside its train are left out
-    rows, cols = row_of[train.users[known]], cols[known]
-    if len(rows) != len(model.user_cols) or (rows < 0).any():
-        return False
-    n = len(stats.item_ids)
-    # the model's (row, column) keys ascend: rows in order, columns within each
-    model_rows = np.repeat(np.arange(len(model.user_ptr) - 1), np.diff(model.user_ptr))
-    model_keys = model_rows * n + model.user_cols
-    keys = rows * n + cols
-    at = np.minimum(np.searchsorted(model_keys, keys), len(keys) - 1)
-    return bool(
-        (model_keys[at] == keys).all()
-        and (np.bincount(at, minlength=len(keys)) == 1).all()
-        and (model.user_dev[at] == train.ratings[known] - stats.item_mean_array[cols]).all()
-    )
+    model was given them: the CSR that ``deviation_rows`` builds from
+    ``data.train``. A model that also lists users outside ``data.users``
+    has more rows, and a train set that repeats a (user, item) pair, which
+    ``load_dataset`` never leaves, more entries: neither matches."""
+    train, stats = data.train, model.stats
+    rows = stats.code_row[train.items]
+    csr = deviation_rows(train.users, rows, train.ratings, len(data.users), stats.row_means)
+    return all(map(np.array_equal, csr, (model.user_ptr, model.user_cols, model.user_dev)))
 
 
 def _reusable_core(model, matrix, data, segments, config) -> CoreReport | None:

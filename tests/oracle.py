@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench import mf
-from recbench.baselines import DefaultPredictor
 from recbench.dataset import SEGMENTS, Ratings, SegmentModel
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 from recbench.metrics import GLOBAL, MetricTable
@@ -421,23 +420,24 @@ def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0,
     items. Items without a rated neighbor, items outside train and users
     without ratings get the default predictor's score."""
     w = weight_matrix(matrix)
+    item_means = segment_dicts(stats).item_means
     column = {item_id: c for c, item_id in enumerate(matrix.item_ids)}
     deviation = np.zeros(len(column))
     rated = np.zeros(len(column))
     for item_id, rating in user_ratings.get(user_id, {}).items():
         c = column.get(item_id)
         if c is not None:
-            deviation[c] = rating - stats.item_means[item_id]
+            deviation[c] = rating - item_means[item_id]
             rated[c] = 1.0
     num, den = w @ deviation, w @ rated
-    default = DefaultPredictor(stats, r_min, r_max)
+    default = default_scores(stats, user_id, item_ids, r_min, r_max)
     scores = []
-    for item_id in item_ids:
+    for item_id, fallback in zip(item_ids, default.tolist()):
         c = column.get(item_id)
         if c is not None and den[c] > 0.0:
-            scores.append(min(max(stats.item_means[item_id] + num[c] / den[c], r_min), r_max))
+            scores.append(min(max(item_means[item_id] + num[c] / den[c], r_min), r_max))
         else:
-            scores.append(default.predict(user_id, item_id))
+            scores.append(fallback)
     return np.array(scores, dtype=float)
 
 
@@ -448,8 +448,8 @@ def default_scores(stats, user_id, item_ids, r_min=1.0, r_max=5.0):
     it bit for bit."""
     rows = stats.item_rows(item_ids)
     known = rows >= 0
-    means = stats.item_mean_array[rows]
-    um = stats.user_means.get(user_id)
+    means = stats.row_means[rows]
+    um = segment_dicts(stats).user_means.get(user_id)
     if um is None:
         scores = np.where(known, means, stats.global_mean)
     else:
@@ -486,6 +486,7 @@ def naive_core_report(model, data, segments, top_n, exclude_seen=True):
     Returns {metric: {segment: (value, support)}} matching the library's
     table layout.
     """
+    segments = segment_dicts(segments)
     train_by_user = {}
     for log in data.train:
         train_by_user.setdefault(log.user_id, set()).add(log.item_id)
@@ -605,6 +606,44 @@ def naive_split(logs, ratio, seed):
     return train, test, users, items
 
 
+@dataclass
+class NaiveSegments:
+    """A segment model in dict form, keyed by id: the counts and means of
+    the ids with a train rating."""
+
+    user_threshold: float
+    item_threshold: float
+    user_counts: dict[str, int]
+    item_counts: dict[str, int]
+    user_means: dict[str, float]
+    item_means: dict[str, float]
+    global_mean: float
+
+
+def segment_dicts(model: SegmentModel) -> NaiveSegments:
+    """A SegmentModel's arrays in dict form, one id at a time; integer and
+    float arrays give Python ints and floats."""
+
+    def by_id(table, counts, means):
+        present = [c for c in range(len(table)) if counts[c] > 0]
+        return (
+            {table[c]: counts[c].item() for c in present},
+            {table[c]: means[c].item() for c in present},
+        )
+
+    user_counts, user_means = by_id(model.users, model.user_counts, model.user_means)
+    item_counts, item_means = by_id(model.items, model.item_counts, model.item_means)
+    return NaiveSegments(
+        model.user_threshold,
+        model.item_threshold,
+        user_counts,
+        item_counts,
+        user_means,
+        item_means,
+        model.global_mean,
+    )
+
+
 def naive_segment_model(train):
     """Counts, means and thresholds with one running sum per id, in log order."""
     user_counts = {}
@@ -620,7 +659,7 @@ def naive_segment_model(train):
         total += log.rating
     user_means = {u: user_sums[u] / user_counts[u] for u in user_counts}
     item_means = {i: item_sums[i] / item_counts[i] for i in item_counts}
-    return SegmentModel(
+    return NaiveSegments(
         user_threshold=len(train) / len(user_counts),
         item_threshold=len(train) / len(item_counts),
         user_counts=user_counts,

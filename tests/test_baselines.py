@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.dataset import RatingLog, build_segment_model
@@ -72,6 +73,31 @@ class TestRandomPredictor:
         model = RandomPredictor(seed=3)
         values = {model.predict(f"u{k}", f"i{k}") for k in range(200)}
         assert values <= {1.0, 2.0, 3.0, 4.0, 5.0}
+
+    @pytest.mark.parametrize(
+        "r_min, r_max, levels",
+        [
+            (1.0, 5.0, [1, 2, 3, 4, 5]),
+            (1, 10, list(range(1, 11))),
+            (1.2, 5.0, [2, 3, 4, 5]),
+            (1.0, 4.6, [1, 2, 3, 4]),
+            (0.5, 1.5, [1]),
+            (-2.5, 0.0, [-2, -1, 0]),
+        ],
+    )
+    def test_levels_are_the_integers_of_the_scale(self, r_min, r_max, levels):
+        model = RandomPredictor(3, r_min, r_max)
+        assert model.levels.tolist() == levels
+        items = [f"i{k}" for k in range(300)]
+        values = np.concatenate([model.predict_many(f"u{u}", items) for u in range(4)])
+        assert set(values.tolist()) == set(levels)
+        assert r_min <= values.min() and values.max() <= r_max
+        assert all(r_min <= model.predict("u", i) <= r_max for i in items)
+
+    @pytest.mark.parametrize("r_min, r_max", [(0.3, 0.4), (1.2, 1.9), (-0.5, -0.1)])
+    def test_scale_without_an_integer_rejected(self, r_min, r_max):
+        with pytest.raises(ValueError, match="no integer rating level"):
+            RandomPredictor(0, r_min, r_max)
 
     def test_predict_many_matches_predict(self):
         model = RandomPredictor(seed=5)

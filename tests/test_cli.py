@@ -63,11 +63,12 @@ class TestRun:
     def test_metadata_explains_the_run(self, tmp_path, fixture_csv):
         header, *lines = fixture_csv.read_text().splitlines()
         # the split sends a log to test by its position alone: put the only
-        # rating of a cold user and of a cold item at the first two test positions
-        probe = split([RatingLog(str(n), "i", 1.0) for n in range(len(lines) + 2)], 0.8, 7)
-        first, second = sorted(int(log.user_id) for log in probe.test)[:2]
+        # rating of a cold user and of two cold items at the first three test positions
+        probe = split([RatingLog(str(n), "i", 1.0) for n in range(len(lines) + 3)], 0.8, 7)
+        first, second, third = sorted(int(log.user_id) for log in probe.test)[:3]
         lines.insert(first, "cold-user,i00000,3.0")
         lines.insert(second, "u00000,cold-item,4.0")
+        lines.insert(third, "u00001,other-cold-item,2.0")
         lines += lines[-2:]  # two duplicates, dropped before the split
         fixture_csv.write_text("\n".join([header, *lines]) + "\n")
         path = manifest_file(tmp_path, fixture_csv, {"name": "knn", "K": 6, "gamma": 20})
@@ -78,7 +79,7 @@ class TestRun:
         assert all(t >= 0.0 for t in meta["stage_timings"].values())
         assert meta["peak_rss_mb"] > 0.0
         assert meta["dropped_duplicates"] == 2
-        assert meta["cold_test_logs"] == {"user": 1, "item": 1}
+        assert meta["cold_test_logs"] == {"user": 1, "item": 2}
         assert {"timings", "explore_timings"} <= set(meta)
         assert {"score", "rank", "decide", "compare", "discover"} <= set(meta["timings"])
         report = (out / "report.json").read_text()
@@ -283,6 +284,38 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"manifest error: model.{key} must be an integer")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("protocol", "top_N"),
+            ("split", "sead"),
+            ("dataset", "fromat"),
+            ("model", "bogus"),
+            (None, "protocl"),
+        ],
+    )
+    def test_unknown_key(self, tmp_path, fixture_csv, capsys, section, key):
+        manifest = json.loads(manifest_file(tmp_path, fixture_csv, {"name": "knn"}).read_text())
+        (manifest if section is None else manifest[section])[key] = 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        what = "manifest" if section is None else section
+        assert err == f"manifest error: unknown {what} key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_random_on_a_scale_without_an_integer(self, tmp_path, capsys):
+        data = tmp_path / "ratings.csv"
+        data.write_text("".join(f"u{n % 7},i{n % 5},0.35\n" for n in range(35)))
+        path = manifest_file(tmp_path, data, {"name": "random"}, rating_scale=[0.3, 0.4])
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err == "training error: no integer rating level in [0.3, 0.4]\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

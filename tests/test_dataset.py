@@ -1,10 +1,11 @@
 import csv
 import tempfile
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -156,54 +157,92 @@ class TestSplit:
             split([RatingLog("u", "i", 3.0)], 1.0, 0)
 
 
+def train_part(logs, in_train):
+    """The logs in train where ``in_train`` is set, with the id tables of all of them."""
+    logs = Ratings.of(logs)
+    mask = np.asarray(in_train, dtype=bool)
+    return Ratings(
+        logs.user_ids, logs.item_ids, logs.users[mask], logs.items[mask], logs.ratings[mask]
+    )
+
+
 class TestSegmentModel:
     def test_all_counts_equal_means_everyone_light(self):
         train = [RatingLog(f"u{u}", f"i{k}", 3.0) for u in range(4) for k in range(7)]
         model = build_segment_model(train)
         assert model.user_threshold == 7
-        assert not any(model.is_heavy(f"u{u}") for u in range(4))
+        assert model.user_counts.tolist() == [7] * 4
+        assert model.heavy.tolist() == [False] * 4
 
     def test_two_user_threshold(self):
         train = [RatingLog("a", f"i{k}", 3.0) for k in range(10)]
         train += [RatingLog("b", f"j{k}", 3.0) for k in range(20)]
         model = build_segment_model(train)
+        assert model.users == ("a", "b")
         assert model.user_threshold == 15
-        assert not model.is_heavy("a")
-        assert model.is_heavy("b")
+        assert model.heavy.tolist() == [False, True]
 
     def test_segment_labels(self):
         train = [RatingLog("a", f"i{k}", 3.0) for k in range(10)]
         train += [RatingLog("b", f"j{k}", 3.0) for k in range(20)]
         model = build_segment_model(train)
-        model.user_counts["x"] = 20
-        model.item_counts["y"] = 100
-        model.user_threshold = 15
-        model.item_threshold = 50
-        assert model.is_heavy("x") and model.is_popular("y")
+        counts = np.arange(len(model.items)) * 10
+        model = replace(
+            model,
+            user_counts=np.array([20, 15]),
+            item_counts=counts,
+            user_threshold=15,
+            item_threshold=50,
+        )
+        assert model.heavy.tolist() == [True, False]
+        assert model.popular.tolist() == (counts > 50).tolist()
+        assert model.popular.any() and not model.popular.all()
+
+    def test_frozen(self):
+        model = build_segment_model([RatingLog("a", "i", 4.0)])
+        with pytest.raises(FrozenInstanceError):
+            model.user_threshold = 0.5
 
     def test_unknown_ids_are_light_unpopular(self):
-        model = build_segment_model([RatingLog("a", "i", 4.0)])
-        assert not model.is_heavy("nobody") and not model.is_popular("nothing")
+        logs = [RatingLog("a", "i", 4.0), RatingLog("nobody", "nothing", 5.0)]
+        model = build_segment_model(train_part(logs, [True, False]))
+        assert (model.users, model.items) == (("a", "nobody"), ("i", "nothing"))
+        assert model.user_counts.tolist() == [1, 0] and model.item_counts.tolist() == [1, 0]
+        assert model.heavy.tolist() == [False, False]
+        assert model.popular.tolist() == [False, False]
+        assert model.user_means[0] == 4.0 and np.isnan(model.user_means[1])
+        assert model.item_ids == ("i",) and model.code_row.tolist() == [0, -1]
+        assert [model.user_code(u) for u in ("a", "nobody", "stranger")] == [0, -1, -1]
+        assert model.item_rows(model.items) is model.code_row
+        assert model.item_rows(["nothing", "i", "stranger"]).tolist() == [-1, 0, -1]
 
     def test_boundary_is_light(self):
-        model = build_segment_model([RatingLog("a", "i", 4.0)])
-        model.user_counts["b"] = 15
-        model.user_threshold = 15.0
-        assert not model.is_heavy("b")
+        model = build_segment_model([RatingLog("a", "i", 4.0), RatingLog("b", "i", 4.0)])
+        model = replace(model, user_counts=np.array([15, 16]), user_threshold=15.0)
+        assert model.heavy.tolist() == [False, True]
+
+    def test_replace_derives_the_train_items_again(self):
+        logs = [RatingLog("a", "i", 4.0), RatingLog("a", "j", 2.0), RatingLog("b", "k", 3.0)]
+        model = build_segment_model(logs)
+        assert model.item_ids == ("i", "j", "k")
+        cut = replace(model, item_counts=np.array([1, 0, 1]))
+        assert cut.item_ids == ("i", "k")
+        assert cut.row_means.tolist() == [4.0, 3.0]
+        assert cut.code_row.tolist() == [0, -1, 1]
 
     def test_counts_sum_to_train_size(self):
         logs = gen_uniform(25, 18, 0.4, seed=9)
         data = split(logs, 0.8, seed=2)
         model = build_segment_model(data.train)
-        assert sum(model.item_counts.values()) == len(data.train)
-        assert sum(model.user_counts.values()) == len(data.train)
+        assert model.item_counts.sum() == len(data.train)
+        assert model.user_counts.sum() == len(data.train)
 
     def test_order_independent(self):
         logs = gen_uniform(15, 10, 0.5, seed=4)
         a = build_segment_model(logs)
         b = build_segment_model(list(reversed(logs)))
         assert a.user_threshold == b.user_threshold
-        assert a.user_means == b.user_means
+        assert np.array_equal(a.user_means, b.user_means)
         assert a.global_mean == b.global_mean
 
     def test_unseen_user_mean_falls_back_to_global(self):
@@ -213,6 +252,71 @@ class TestSegmentModel:
     def test_empty_train(self):
         with pytest.raises(DatasetError):
             build_segment_model([])
+
+
+@st.composite
+def train_parts(draw):
+    """Up to 8 users x 8 items, each (user, item) rated once, in train or
+    not: users and items without a train rating, single-rating users, tied
+    counts and empty segments all occur."""
+    users = st.sampled_from([f"u{n}" for n in range(draw(st.integers(1, 8)))])
+    items = st.sampled_from([f"i{n}" for n in range(draw(st.integers(1, 8)))])
+    cells = draw(
+        st.dictionaries(st.tuples(users, items), st.tuples(RATINGS, st.booleans()), min_size=1)
+    )
+    logs = [RatingLog(u, i, r) for (u, i), (r, _) in cells.items()]
+    in_train = [t for _, t in cells.values()]
+    assume(any(in_train))
+    return train_part(logs, in_train)
+
+
+# single-rating users only, so no Heavy user, and a user and an item
+# without a train rating
+EVERY_CASE = train_part(
+    [
+        RatingLog("u0", "i0", 5.0), RatingLog("u1", "i0", 1.1), RatingLog("u2", "i1", 2.2),
+        RatingLog("u3", "i2", 3.3), RatingLog("u0", "i1", 4.0),
+    ],
+    [True, True, True, False, False],
+)
+
+
+class TestSegmentModelAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(train_parts())
+    @example(EVERY_CASE)
+    @example(train_part([RatingLog("u0", "i0", 2.0), RatingLog("u1", "i0", 3.0)], [True, True]))
+    def test_arrays_equal_the_dicts(self, train):
+        model = build_segment_model(train)
+        want = oracle.naive_segment_model(list(train))
+        assert (model.users, model.items) == (train.user_ids, train.item_ids)
+        for table, counts, means, threshold, flags, want_counts, want_means, want_threshold in (
+            (model.users, model.user_counts, model.user_means, model.user_threshold, model.heavy,
+             want.user_counts, want.user_means, want.user_threshold),
+            (model.items, model.item_counts, model.item_means, model.item_threshold, model.popular,
+             want.item_counts, want.item_means, want.item_threshold),
+        ):
+            assert threshold == want_threshold
+            assert counts.tolist() == [want_counts.get(i, 0) for i in table]
+            assert [m for m, n in zip(means.tolist(), counts) if n] == [
+                want_means[i] for i in table if i in want_means
+            ]
+            assert np.isnan(means[counts == 0]).all()
+            assert flags.tolist() == [want_counts.get(i, 0) > want_threshold for i in table]
+        assert model.global_mean == want.global_mean
+        assert model.item_ids == tuple(sorted(want.item_means))
+        assert model.row_means.tolist() == [want.item_means[i] for i in model.item_ids]
+        assert model.code_row.tolist() == [
+            model.item_ids.index(i) if i in want.item_means else -1 for i in model.items
+        ]
+        for user in (*model.users, "stranger"):
+            assert model.user_mean(user) == want.user_means.get(user, want.global_mean)
+
+    def test_every_case_is_met(self):
+        model = build_segment_model(EVERY_CASE)
+        assert model.user_counts.tolist() == [1, 1, 1, 0]
+        assert model.item_counts.tolist() == [2, 1, 0]
+        assert not model.heavy.any() and model.popular.tolist() == [True, False, False]
 
 
 def test_ratings_columns_and_views():
@@ -260,19 +364,11 @@ def check_against_oracle(fmt, raw, ratio, seed):
     assert list(data.train) == train
     assert list(data.test) == test
     if train:
-        got, want = build_segment_model(data.train), oracle.naive_segment_model(train)
-        for field in (
-            "user_threshold",
-            "item_threshold",
-            "user_counts",
-            "item_counts",
-            "user_means",
-            "item_means",
-            "global_mean",
-            "item_ids",
-        ):
-            assert getattr(got, field) == getattr(want, field), field
-        assert np.array_equal(got.item_mean_array, want.item_mean_array)
+        got = build_segment_model(data.train)
+        want = oracle.naive_segment_model(train)
+        assert oracle.segment_dicts(got) == want
+        assert got.item_ids == tuple(sorted(want.item_means))
+        assert got.row_means.tolist() == [want.item_means[i] for i in got.item_ids]
     return logs, dropped, train, test
 
 

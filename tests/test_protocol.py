@@ -41,12 +41,13 @@ class PerfectOracle(Predictor):
 
     def __init__(self, data, segments):
         self.test = {(l.user_id, l.item_id): l.rating for l in data.test}
-        self.segments = segments
+        self.item_means = oracle.segment_dicts(segments).item_means
+        self.global_mean = segments.global_mean
 
     def predict(self, user_id, item_id):
         value = self.test.get((user_id, item_id))
         if value is None:
-            value = self.segments.item_means.get(item_id, self.segments.global_mean)
+            value = self.item_means.get(item_id, self.global_mean)
         return value
 
 
@@ -385,7 +386,7 @@ class TestRunCoreBlocks:
         no other: grouped by user, in rank order, with its truth, cell, user
         mean and item count. Distinct item counts name each slot's item."""
         data, segments = boundary_cases()[1]
-        segments = replace(segments, item_counts={i: k + 1 for k, i in enumerate(data.items)})
+        segments = replace(segments, item_counts=np.arange(1, len(data.items) + 1))
         model = RandomPredictor(seed=2)  # integer levels: many ties
         if users is not None:
             monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
@@ -403,9 +404,9 @@ class TestRunCoreBlocks:
             for item in oracle.naive_top_n(scores, 4, seen):
                 if item in test_index.get(user, {}):
                     segment = oracle.naive_segment(
-                        segments.user_counts.get(user, 0),
+                        segments.user_counts[data.users.index(user)],
                         segments.user_threshold,
-                        segments.item_counts[item],
+                        segments.item_counts[data.items.index(item)],
                         segments.item_threshold,
                     )
                     expected.setdefault(user, []).append(
@@ -429,8 +430,28 @@ class TestRunCoreBlocks:
         data, segments = every_case()
         assert set(data.test.users.tolist()) - set(data.train.users.tolist())
         assert set(data.test.items.tolist()) - set(data.train.items.tolist())
-        assert 1 in segments.user_counts.values()
-        assert not any(segments.is_popular(i) for i in data.items)
+        assert 1 in segments.user_counts.tolist()
+        assert not segments.popular.any()
+
+
+class TestSegmentTables:
+    def test_other_id_tables_rejected(self):
+        data, segments = every_case()
+        # the tables of the train logs alone lack the cold user and item
+        other = build_segment_model(list(data.train))
+        assert other.users != data.users and other.items != data.items
+        with pytest.raises(ValueError, match="other id tables"):
+            run_core(DefaultPredictor(other), data, other, ProtocolConfig(top_n=2, explore_k=2))
+
+    def test_equal_tables_accepted(self):
+        data, segments = make_data(seed=3)
+        config = ProtocolConfig(top_n=3, explore_k=3)
+        model = DefaultPredictor(segments)
+        copied = replace(segments, users=tuple(list(segments.users)))
+        assert copied.users is not data.users
+        want = run_core(model, data, segments, config)
+        got = run_core(model, data, copied, config)
+        assert [t.cells for t in got.tables] == [t.cells for t in want.tables]
 
 
 class TestExplore:
@@ -695,6 +716,42 @@ class TestExploreReusesNativeKnnCore:
         user, item = rng.choice(gaps)
         ratings[user][item] = 3.0
         model = knn_model(data, segments, config.explore_k, ratings)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
+    def test_knn_lacks_one_train_pair(self, case, config, rng):
+        data, segments = case
+        ratings = user_ratings_index(data.train)
+        user = rng.choice(sorted(ratings))
+        del ratings[user][rng.choice(sorted(ratings[user]))]
+        model = knn_model(data, segments, config.explore_k, ratings)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.booleans())
+    def test_knn_given_a_user_outside_the_data(self, case, config, rated):
+        data, segments = case
+        ratings = user_ratings_index(data.train)
+        ratings["stranger"] = {segments.item_ids[0]: 3.0} if rated else {}
+        model = knn_model(data, segments, config.explore_k, ratings)
+        run_core(model, data, segments, config)
+        assert_rescored(model, data, segments, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
+    def test_train_repeats_a_pair(self, case, config, rng):
+        """A KNN given the ratings of a train set that repeats a (user,
+        item) pair holds it once, so it does not score that train set."""
+        data, _ = case
+        train = [(log.user_id, log.item_id, log.rating) for log in data.train]
+        test = [(log.user_id, log.item_id, log.rating) for log in data.test]
+        data = split_of([*train, rng.choice(train)], test)
+        segments = build_segment_model(data.train)
+        assert len(data.train) == len(train) + 1
+        model = knn_model(data, segments, config.explore_k)
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 

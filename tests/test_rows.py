@@ -41,8 +41,8 @@ def row_cases(draw):
     if draw(st.booleans()):  # integer means: arrays of int64
         stats = dataclasses.replace(
             stats,
-            user_means={u: round(m) for u, m in stats.user_means.items()},
-            item_means={i: round(m) for i, m in stats.item_means.items()},
+            user_means=np.round(stats.user_means).astype(np.int64),
+            item_means=np.round(stats.item_means).astype(np.int64),
             global_mean=round(stats.global_mean),
         )
     train = stats.item_ids
@@ -56,7 +56,7 @@ def row_cases(draw):
         [],
         (),
     )
-    users = sorted(stats.user_means) + ["cold"]
+    users = [*stats.users, "cold"]  # each of stats.users has a train rating
     r_min, r_max = draw(st.sampled_from(BOUNDS))
     return rng, logs, stats, users, sequences, r_min, r_max
 
