@@ -169,10 +169,13 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"manifest error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
         return EXIT_MANIFEST
-    code = _run(manifest, config, outdir)
-    if code != EXIT_OK:
-        for path in created:  # a failed run writes nothing, so these are empty
-            path.rmdir()
+    code = None
+    try:
+        code = _run(manifest, config, outdir)
+    finally:  # also when the run raises
+        if code != EXIT_OK:
+            for path in created:  # a failed run writes nothing, so these are empty
+                path.rmdir()
     return code
 
 
@@ -194,10 +197,12 @@ def _run(manifest: dict, config: ProtocolConfig, outdir: str) -> int:
             manifest["dataset"]["path"], manifest["dataset"]["format"], r_min, r_max
         )
         stage_timings["load"] = time.monotonic() - t0
-        if loaded.dropped_duplicates:
-            print(f"dropped {loaded.dropped_duplicates} duplicate logs", file=sys.stderr)
+        dropped = loaded.dropped_duplicates
+        if dropped:
+            print(f"dropped {dropped} duplicate logs", file=sys.stderr)
         t0 = time.monotonic()
         data = split(loaded.logs, manifest["split"]["ratio"], manifest["split"]["seed"])
+        del loaded  # the parts are copies: the whole goes before the fit
         stage_timings["split"] = time.monotonic() - t0
         t0 = time.monotonic()
         segments = build_segment_model(data.train)
@@ -224,7 +229,7 @@ def _run(manifest: dict, config: ProtocolConfig, outdir: str) -> int:
     run_info = {
         "stage_timings": stage_timings,
         "peak_rss_mb": _peak_rss_mb(),
-        "dropped_duplicates": loaded.dropped_duplicates,
+        "dropped_duplicates": dropped,
         # test logs whose user, or item, has no train rating
         "cold_test_logs": {
             "user": int((segments.user_counts[data.test.users] == 0).sum()),

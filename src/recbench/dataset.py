@@ -14,12 +14,23 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 SEGMENTS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem")
+# Logs whose columns user_ratings_index holds as Python lists at once.
+INDEX_CHUNK = 2**16
 
 
 def code_of(table, key: str) -> int:
     """The position of ``key`` in the sorted ``table``, -1 if it is not there."""
     n = bisect_left(table, key)
     return n if n < len(table) and table[n] == key else -1
+
+
+def dense_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codes (into a table of ``size`` ids) that occur, ascending, and
+    each code's position among them, as int32: ``np.unique`` with
+    ``return_inverse``, by counting instead of sorting."""
+    present = np.bincount(codes, minlength=size) > 0
+    rank = np.cumsum(present, dtype=np.int32) - 1
+    return np.flatnonzero(present), rank[codes]
 
 
 class DatasetError(Exception):
@@ -112,6 +123,19 @@ def _dedupe(logs: Ratings) -> LoadResult:
     return LoadResult(deduped, len(key) - len(first))
 
 
+def _not_utf8(path: Path) -> DatasetError:
+    """The error for a file that is not UTF-8, naming its first bad line:
+    a newline byte is never part of a multi-byte character, so each line
+    decodes alone."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DatasetError(f"{path}:{lineno}: byte {line[exc.start]:#04x} is not UTF-8")
+    return DatasetError(f"{path}: not UTF-8")
+
+
 def _parse_csv(path: Path, r_min: float, r_max: float):
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -119,25 +143,32 @@ def _parse_csv(path: Path, r_min: float, r_max: float):
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) not in (3, 4):
-                raise DatasetError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(row)}")
-            try:
-                rating = float(row[2])
-            except ValueError:
-                if lineno == 1:  # header row
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                raise DatasetError(f"{path}:{lineno}: bad rating {row[2]!r}") from None
-            if not r_min <= rating <= r_max:
-                raise DatasetError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
-            if len(row) == 4 and row[3].strip():
+                if len(row) not in (3, 4):
+                    raise DatasetError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(row)}")
                 try:
-                    int(row[3])
+                    rating = float(row[2])
                 except ValueError:
-                    raise DatasetError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
-            yield row[0].strip(), row[1].strip(), rating
+                    if lineno == 1:  # header row
+                        continue
+                    raise DatasetError(f"{path}:{lineno}: bad rating {row[2]!r}") from None
+                if not r_min <= rating <= r_max:
+                    raise DatasetError(
+                        f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]"
+                    )
+                if len(row) == 4 and row[3].strip():
+                    try:
+                        int(row[3])
+                    except ValueError:
+                        raise DatasetError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
+                yield row[0].strip(), row[1].strip(), rating
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except csv.Error as exc:  # say, a field over csv.field_size_limit()
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_netflix_file(path: Path, r_min: float, r_max: float):
@@ -147,25 +178,30 @@ def _parse_netflix_file(path: Path, r_min: float, r_max: float):
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
         item_id: str | None = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.endswith(":"):
-                item_id = line[:-1]
-                continue
-            if item_id is None:
-                raise DatasetError(f"{path}:{lineno}: customer line before item header")
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DatasetError(f"{path}:{lineno}: expected customer_id,rating[,date]")
-            try:
-                rating = float(parts[1])
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: bad rating {parts[1]!r}") from None
-            if not r_min <= rating <= r_max:
-                raise DatasetError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
-            yield parts[0].strip(), item_id, rating
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.endswith(":"):
+                    item_id = line[:-1]
+                    continue
+                if item_id is None:
+                    raise DatasetError(f"{path}:{lineno}: customer line before item header")
+                parts = line.split(",")
+                if len(parts) < 2:
+                    raise DatasetError(f"{path}:{lineno}: expected customer_id,rating[,date]")
+                try:
+                    rating = float(parts[1])
+                except ValueError:
+                    raise DatasetError(f"{path}:{lineno}: bad rating {parts[1]!r}") from None
+                if not r_min <= rating <= r_max:
+                    raise DatasetError(
+                        f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]"
+                    )
+                yield parts[0].strip(), item_id, rating
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
 
 def load_dataset(
@@ -322,10 +358,13 @@ def build_segment_model(train) -> SegmentModel:
 
 
 def user_ratings_index(logs) -> dict[str, dict[str, float]]:
-    """Index logs as user -> {item: rating}."""
+    """Index logs as user -> {item: rating}, reading INDEX_CHUNK logs at a time."""
     logs = Ratings.of(logs)
     user_ids, item_ids = logs.user_ids, logs.item_ids
     index: dict[str, dict[str, float]] = {}
-    for u, i, r in zip(logs.users.tolist(), logs.items.tolist(), logs.ratings.tolist()):
-        index.setdefault(user_ids[u], {})[item_ids[i]] = r
+    for start in range(0, len(logs), INDEX_CHUNK):
+        part = slice(start, start + INDEX_CHUNK)
+        columns = (logs.users[part], logs.items[part], logs.ratings[part])
+        for u, i, r in zip(*(column.tolist() for column in columns)):
+            index.setdefault(user_ids[u], {})[item_ids[i]] = r
     return index

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of
+from .dataset import Ratings, SegmentModel, code_of, dense_codes
 
 _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
 # the positivity filter must agree between the naive and vectorized routes.
 SIM_EPS = 1e-9
-# Co-rating pairs that build_similarity_matrix expands for one block of item
-# rows, bounded by the rating counts of the block's raters summed over its
-# items; an item over that bound gets a block of its own.
+# Co-rating sums that build_similarity_matrix holds for one block of item
+# rows (rows x items, at least one row), and pairs it expands at once.
 BUILD_BLOCK_ENTRIES = 2**16
 
 
@@ -43,8 +43,7 @@ class SimilarityMatrix:
         """Each row's first ``k`` of the given entries by (-weight, column)."""
         order = np.lexsort((cols, -weights, rows))
         counts = np.bincount(rows, minlength=len(item_ids))
-        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-        kept = order[rank < k]
+        kept = order[_runs(np.cumsum(counts) - counts, np.minimum(counts, k))]
         indptr = np.concatenate(([0], np.cumsum(np.minimum(counts, k))))
         return cls(k, tuple(item_ids), indptr, cols[kept], weights[kept])
 
@@ -127,57 +126,89 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
     Co-rating statistics are summed over expanded pairs: each (item i,
     rater u) entry is paired with u's items j > i, so only co-rated pairs
     i < j are ever materialized. Items are taken one block of rows at a
-    time, at most BUILD_BLOCK_ENTRIES expanded pairs each, so the whole
-    items x items product is never held either. Each pair's sums add its
-    terms in ascending rater order, the order of a row-wise sparse product
-    (Gustavson 1978), so the similarities are those of that product, bit
-    for bit.
+    time, whose sums over every column are held dense, at most
+    BUILD_BLOCK_ENTRIES of them (at least one row); a block's entries are
+    expanded at most BUILD_BLOCK_ENTRIES pairs at a time (an entry with
+    more gets a chunk of its own). So neither the items x items product
+    nor a popular item's expanded pairs are held at once. Each pair's sums
+    add its terms in ascending rater order, the order of a row-wise sparse
+    product (Gustavson 1978), so the similarities are those of that
+    product, bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     train = Ratings.of(train)
-    # the train users and items, renumbered in the sorted order of the tables
-    _, users = np.unique(train.users, return_inverse=True)
-    codes, items = np.unique(train.items, return_inverse=True)
+    codes, first, second, sims = _similar_pairs(train, gamma)
+    rows, cols = np.concatenate((first, second)), np.concatenate((second, first))
+    del first, second
+    weights = np.tile(sims, 2)
+    del sims
     item_ids = [train.item_ids[c] for c in codes.tolist()]
-    n = len(item_ids)
+    return SimilarityMatrix.top_k(k, item_ids, rows, cols, weights)
+
+
+def _similar_pairs(train: Ratings, gamma: int):
+    """(codes, i, j, similarity): the codes of the items with a train
+    rating, ascending, and the pairs i < j of their rows whose similarity
+    is above SIM_EPS. The full-length arrays go as soon as the blocks no
+    longer read them."""
+    # the train users and items, renumbered in the sorted order of the tables
+    _, users = dense_codes(train.users, len(train.user_ids))
+    codes, items = dense_codes(train.items, len(train.item_ids))
+    n = len(codes)
     ratings = train.ratings
     # user-major copy, by (user, item): each rater's items ascend
-    key = users * n + items  # (user, item) pairs are distinct
+    key = users.astype(np.int64) * n + items  # (user, item) pairs are distinct
     by_user = np.argsort(key)
-    user_key, user_items, user_ratings = key[by_user], items[by_user], ratings[by_user]
-    degree = np.bincount(users)
-    user_end = np.cumsum(degree)
+    del key
+    user_items, user_ratings = items[by_user], ratings[by_user]
+    # each rating's position in the user-major copy
+    dtype = np.int32 if len(by_user) < 2**31 else np.int64
+    position = np.empty(len(by_user), dtype)
+    position[by_user] = np.arange(len(by_user), dtype=dtype)
+    del by_user
+    user_end = np.cumsum(np.bincount(users))
     # item-major entries, by (item, user): each item's raters ascend
     by_item = np.lexsort((users, items))
     entry_items, entry_users, entry_ratings = items[by_item], users[by_item], ratings[by_item]
-    item_ptr = np.concatenate(([0], np.cumsum(np.bincount(items, minlength=n))))
+    del users, items
+    item_ptr = np.concatenate(([0], np.cumsum(np.bincount(entry_items, minlength=n))))
     # an entry's pairs: its rater's items after its item, [after, user_end)
-    after = np.searchsorted(user_key, key[by_item], side="right")
-    # bound on an item's expanded pairs: the rating counts of its raters
-    reach = np.bincount(items, weights=degree[users], minlength=n)
+    after = position[by_item]
+    after += 1
+    del position, by_item
 
     # (i, j, similarity) of the kept pairs, one triple of arrays per block
-    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for start, stop in _row_blocks(reach, BUILD_BLOCK_ENTRIES):
+    found = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+    block_rows = max(1, BUILD_BLOCK_ENTRIES // max(n, 1))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        # the block's sums by cell (i - start) * n + j
+        count = np.zeros((stop - start) * n, np.intp)
+        sum_x, sum_y, sum_xy, sum_x2, sum_y2 = np.zeros((5, len(count)))
+        # the block's entries: their cells' row offsets, ratings and pairs
         a, b = item_ptr[start], item_ptr[stop]
-        lengths = user_end[entry_users[a:b]] - after[a:b]
-        pos = _runs(after[a:b], lengths)
-        i, x = np.repeat(entry_items[a:b], lengths), np.repeat(entry_ratings[a:b], lengths)
-        j, y = user_items[pos], user_ratings[pos]
-        # the pairs come in (i, rater, j) order: each pair's terms by ascending rater
-        pair, inverse = np.unique(i * n + j, return_inverse=True)
-        counts = np.bincount(inverse)
-        kept = counts >= 2
-
-        def sums(terms):
-            return np.bincount(inverse, weights=terms)[kept]
-
-        sum_x, sum_y, sum_xy = sums(x), sums(y), sums(x * y)
-        sum_x2, sum_y2 = sums(x * x), sums(y * y)
-        pair, count = pair[kept], counts[kept].astype(float)
+        offsets = (entry_items[a:b] - start) * np.intp(n)
+        block_x, block_after = entry_ratings[a:b], after[a:b]
+        lengths = user_end[entry_users[a:b]] - block_after
+        for c, d in _row_blocks(lengths, BUILD_BLOCK_ENTRIES):
+            pos = _runs(block_after[c:d], lengths[c:d])
+            cell = np.repeat(offsets[c:d], lengths[c:d]) + user_items[pos]
+            x, y = np.repeat(block_x[c:d], lengths[c:d]), user_ratings[pos]
+            # the pairs come in (i, rater, j) order, and add.at adds in input
+            # order onto the sums so far: each pair's terms by ascending rater
+            count += np.bincount(cell, minlength=len(count))
+            np.add.at(sum_x, cell, x)
+            np.add.at(sum_y, cell, y)
+            np.add.at(sum_xy, cell, x * y)
+            np.add.at(sum_x2, cell, x * x)
+            np.add.at(sum_y2, cell, y * y)
+        kept = np.flatnonzero(count >= 2)
+        count = count[kept].astype(float)
+        sum_x, sum_y, sum_xy = sum_x[kept], sum_y[kept], sum_xy[kept]
+        sum_x2, sum_y2 = sum_x2[kept], sum_y2[kept]
 
         cov = sum_xy - sum_x * sum_y / count
         var_x = sum_x2 - sum_x**2 / count
@@ -187,11 +218,10 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
         sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
         sim = np.clip(sim, -1.0, 1.0) * np.minimum(count, gamma) / gamma
         positive = sim > SIM_EPS
-        found.append((pair[positive] // n, pair[positive] % n, sim[positive]))
+        first, second = np.divmod(kept[positive], n)
+        found.append(((first + start).astype(np.int32), second.astype(np.int32), sim[positive]))
 
-    first, second, sims = (np.concatenate(part) for part in zip(*found))
-    rows, cols = np.concatenate((first, second)), np.concatenate((second, first))
-    return SimilarityMatrix.top_k(k, item_ids, rows, cols, np.tile(sims, 2))
+    return (codes, *(np.concatenate(part) for part in zip(*found)))
 
 
 def deviation_rows(users, rows, ratings, n_users: int, row_means: np.ndarray):
@@ -199,11 +229,19 @@ def deviation_rows(users, rows, ratings, n_users: int, row_means: np.ndarray):
     deviations from the item means, ascending columns per user. A rating
     of an item outside train (row -1) is left out."""
     known = rows >= 0
-    users, rows, ratings = users[known], rows[known], ratings[known]
-    order = np.argsort(users.astype(np.int64) * len(row_means) + rows)
+    if not known.all():
+        users, rows, ratings = users[known], rows[known], ratings[known]
+    del known
+    key = users.astype(np.int64)
+    key *= len(row_means)
+    key += rows
+    order = np.argsort(key)
+    del key
     ptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
     cols = rows[order]
-    return ptr, cols, ratings[order] - row_means[cols]
+    devs = ratings[order]
+    devs -= row_means[cols]
+    return ptr, cols, devs
 
 
 class KnnPredictor(Predictor):
@@ -211,6 +249,10 @@ class KnnPredictor(Predictor):
 
     Falls back to the default predictor when no rated neighbor exists. The
     matrix must list the segment model's items, in its order.
+
+    The ratings are kept only as the users x train items CSR of deviations
+    that ``deviation_rows`` builds, not as the ``user_ratings`` given, so
+    the caller's dict can go once the predictor is built.
 
     A catalog row only reads the matrix columns of the items the user
     rated: for each rated item j, ascending, the items i that list j, with
@@ -235,7 +277,6 @@ class KnnPredictor(Predictor):
             raise ValueError("similarity matrix items differ from the segment model's train items")
         self.matrix = matrix
         self.stats = stats
-        self.user_ratings = user_ratings
         self.r_min = r_min
         self.r_max = r_max
         self.gamma = gamma
@@ -249,32 +290,43 @@ class KnnPredictor(Predictor):
         self.col_len = np.bincount(matrix.indices, minlength=n)
         self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
         self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
+        del by_col, rows
 
         # the users x train items CSR of deviations; its rows are the codes of
         # the segment model's users and of any other user given, sorted
         self.user_ids = tuple(sorted(user_ratings.keys() | set(stats.users)))
         rated = user_ratings.values()
         counts = np.fromiter(map(len, rated), np.intp, len(rated))
-        owners = np.fromiter((code_of(self.user_ids, u) for u in user_ratings), np.intp, len(rated))
-        size = counts.sum()
-        rows = np.fromiter((code_of(stats.item_ids, i) for r in rated for i in r), np.int32, size)
-        ratings = np.fromiter((x for r in rated for x in r.values()), float, size)
+        owners = np.fromiter(
+            (code_of(self.user_ids, u) for u in user_ratings), np.int32, len(rated)
+        )
+        size = int(counts.sum())
+        # each item id's row through one dict; -1 outside train
+        row_of = dict(zip(stats.item_ids, range(n)))
+        rows = np.fromiter(map(row_of.get, chain.from_iterable(rated), repeat(-1)), np.int32, size)
+        ratings = np.fromiter(chain.from_iterable(r.values() for r in rated), float, size)
         self.user_ptr, self.user_cols, self.user_dev = deviation_rows(
             owners.repeat(counts), rows, ratings, len(self.user_ids), stats.row_means
         )
 
     def predict(self, user_id: str, item_id: str) -> float:
-        rated = self.user_ratings.get(user_id)
+        user = code_of(self.user_ids, user_id)
         r = code_of(self.matrix.item_ids, item_id)
-        if rated and r >= 0:
+        # the user's CSR row: rated columns ascending, and their deviations
+        c, d = (self.user_ptr[user], self.user_ptr[user + 1]) if user >= 0 else (0, 0)
+        if r >= 0 and c < d:
             matrix, means = self.matrix, self.stats.row_means
+            cols, devs = self.user_cols[c:d], self.user_dev[c:d]
+            # the neighbors of the item that the user rated, in the row's order
             a, b = matrix.indptr[r], matrix.indptr[r + 1]
+            neighbors = matrix.indices[a:b]
+            at = np.searchsorted(cols, neighbors)
+            rated = np.take(cols, at, mode="clip") == neighbors
             num = den = 0.0
-            for j, weight in zip(matrix.indices[a:b].tolist(), matrix.weights[a:b].tolist()):
-                r_uj = rated.get(matrix.item_ids[j])
-                if r_uj is None or weight <= 0.0:
+            for weight, dev in zip(matrix.weights[a:b][rated].tolist(), devs[at[rated]].tolist()):
+                if weight <= 0.0:
                     continue
-                num += weight * (r_uj - means[j])
+                num += weight * dev
                 den += weight
             if den > 0.0:
                 return float(min(max(means[r] + num / den, self.r_min), self.r_max))

@@ -12,14 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of
+from .dataset import Ratings, SegmentModel, code_of, dense_codes
 from .knn import SIM_EPS, SimilarityMatrix
 
 USER_PINNED = 0
 ITEM_PINNED = 1
 
 # Bytes of correlations mf_item_similarity holds at once.
-EXTRACT_BLOCK_BYTES = 8 * 2**20
+EXTRACT_BLOCK_BYTES = 2**20
+# Updates whose codes sgd_levels holds as Python ints at once.
+LEVEL_CHUNK = 2**16
 
 
 class TrainingError(Exception):
@@ -64,12 +66,16 @@ def sgd_levels(users: np.ndarray, items: np.ndarray) -> np.ndarray:
     """
     user_level = [0] * (int(users.max(initial=-1)) + 1)
     item_level = [0] * (int(items.max(initial=-1)) + 1)
-    levels = []
-    for u, i in zip(users.tolist(), items.tolist()):
-        level = max(user_level[u], item_level[i]) + 1
-        user_level[u] = item_level[i] = level
-        levels.append(level)
-    return np.array(levels, dtype=np.intp)
+    levels = np.empty(len(users), dtype=np.int32)  # a level is at most the update count
+    for start in range(0, len(users), LEVEL_CHUNK):
+        chunk = []
+        stop = start + LEVEL_CHUNK
+        for u, i in zip(users[start:stop].tolist(), items[start:stop].tolist()):
+            level = max(user_level[u], item_level[i]) + 1
+            user_level[u] = item_level[i] = level
+            chunk.append(level)
+        levels[start:stop] = chunk
+    return levels
 
 
 def sgd_epoch(
@@ -93,12 +99,15 @@ def sgd_epoch(
     (``einsum`` would move last bits). Returns the number of levels.
     """
     order = np.asarray(order, dtype=np.intp)
-    users, items = uu[order], ii[order]
-    levels = sgd_levels(users, items)
-    by_level = np.argsort(levels, kind="stable")
-    users, items, ratings = users[by_level], items[by_level], rr[order[by_level]]
+    levels = sgd_levels(uu[order], ii[order])
     # level 0 is empty, so the running counts start at 0: level k spans bounds[k-1]:bounds[k]
     bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
+    # the updates level by level, each level in the given order; intp rows,
+    # which fancy indexing takes without a cast at each level
+    order = order[np.argsort(levels, kind="stable")]
+    del levels
+    users, items, ratings = uu[order].astype(np.intp), ii[order].astype(np.intp), rr[order]
+    del order
     for start, stop in zip(bounds[:-1], bounds[1:]):
         u, i = users[start:stop], items[start:stop]
         pu, qi = p[u], q[i]
@@ -147,8 +156,8 @@ def train_mf(
         raise TrainingError("max_epochs must be >= 1")
 
     # the train users and items, renumbered in the sorted order of the tables
-    user_codes, uu = np.unique(train.users, return_inverse=True)
-    item_codes, ii = np.unique(train.items, return_inverse=True)
+    user_codes, uu = dense_codes(train.users, len(train.user_ids))
+    item_codes, ii = dense_codes(train.items, len(train.item_ids))
     rr = train.ratings
     user_ids = [train.user_ids[c] for c in user_codes.tolist()]
     item_ids = [train.item_ids[c] for c in item_codes.tolist()]
@@ -270,7 +279,7 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     buffer = np.empty((block_rows, n))
     # no item lists itself, so a row keeps at most min(k, n - 1)
     indptr = np.zeros(n + 1, dtype=np.intp)
-    indices = np.empty(n * min(k, max(n - 1, 0)), dtype=np.intp)
+    indices = np.empty(n * min(k, max(n - 1, 0)), dtype=np.int32)
     weights = np.empty(len(indices))
     nnz = 0
     for start in range(0, n, block_rows):

@@ -4,12 +4,13 @@ Everything here is deliberately naive: direct enumeration of pairs, full
 sorts, one model.predict call per (user, item). Nothing is shared with the
 library's own computation paths. ``top_n`` is the per-row ranking that the
 library's block ranking replaced, kept as its reference.
-``nonzero_block_top_n``, ``default_scores`` and ``gathered_mf_scores`` are
-earlier bodies of library paths, kept as the bit-for-bit references of the
-bodies that replaced them. So are the record-based metrics
-(``RecommendationOutcome``, ``rmse``, ``precision_user``, ``ami_user``,
-``aggregate_rmse`` and ``aggregate_discover``), which judged one object per
-test log or top-N slot where the library now reduces arrays;
+``nonzero_block_top_n``, ``default_scores``, ``gathered_mf_scores`` and
+``dict_knn_predict`` are earlier bodies of library paths, kept as the
+bit-for-bit references of the bodies that replaced them. So are the
+record-based metrics (``RecommendationOutcome``, ``rmse``,
+``precision_user``, ``ami_user``, ``aggregate_rmse`` and
+``aggregate_discover``), which judged one object per test log or top-N
+slot where the library now reduces arrays;
 ``per_cell_aggregate_discover`` judges each user with those per-user
 measures one cell at a time.
 """
@@ -439,6 +440,30 @@ def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0,
         else:
             scores.append(fallback)
     return np.array(scores, dtype=float)
+
+
+def dict_knn_predict(matrix, stats, user_ratings, user_id, item_id, r_min=1.0, r_max=5.0):
+    """``KnnPredictor.predict`` as it was when the predictor kept the
+    ``user_ratings`` dict: the item's neighbors in the row's order, each
+    the user rated adding w * (r_uj - mean_j), read from the dict. Without
+    a positive sum of weights, the default predictor's score. The scalar
+    ``predict`` must equal it bit for bit."""
+    rated = user_ratings.get(user_id)
+    column = {item: c for c, item in enumerate(matrix.item_ids)}
+    r = column.get(item_id)
+    if rated and r is not None:
+        means = stats.row_means
+        a, b = matrix.indptr[r], matrix.indptr[r + 1]
+        num = den = 0.0
+        for j, weight in zip(matrix.indices[a:b].tolist(), matrix.weights[a:b].tolist()):
+            r_uj = rated.get(matrix.item_ids[j])
+            if r_uj is None or weight <= 0.0:
+                continue
+            num += weight * (r_uj - means[j])
+            den += weight
+        if den > 0.0:
+            return float(min(max(means[r] + num / den, r_min), r_max))
+    return float(default_scores(stats, user_id, [item_id], r_min, r_max)[0])
 
 
 def default_scores(stats, user_id, item_ids, r_min=1.0, r_max=5.0):

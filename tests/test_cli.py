@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import recbench
+from recbench import cli
 from recbench.cli import (
     EXIT_DATASET,
     EXIT_EVALUATION,
@@ -219,6 +220,42 @@ class TestErrors:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_DATASET
+
+    @pytest.mark.parametrize(
+        "fmt, content, message",
+        [
+            ("csv", b"u1,i1,4\nu2,i\xff,3\n", "bad.txt:2: byte 0xff is not UTF-8"),
+            ("netflix", b"1:\n5,3\n2:\n7\xff,2\n", "bad.txt:4: byte 0xff is not UTF-8"),
+            (
+                "csv",
+                b"u1,i1,4\nu2," + b"x" * 140_000 + b",3\n",
+                "bad.txt:2: field larger than field limit",
+            ),
+        ],
+        ids=["csv-not-utf8", "netflix-not-utf8", "csv-long-field"],
+    )
+    def test_unreadable_bytes(self, tmp_path, capsys, fmt, content, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        manifest = {"dataset": {"path": str(bad), "format": fmt}, "model": {"name": "default"}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out / "sub")]) == EXIT_DATASET
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_output_dirs_removed_when_the_run_raises(self, tmp_path, fixture_csv, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("broken run")
+
+        monkeypatch.setattr(cli, "_run", broken)
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        with pytest.raises(RuntimeError, match="broken run"):
+            main(["run", str(path), "-o", str(tmp_path / "out" / "sub")])
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,8 +1,10 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -384,6 +386,62 @@ class TestKnnPredict:
                 assert np.array_equal(many, by_matvec)
                 single = [model.predict(user, i) for i in item_ids]
                 assert np.allclose(many, single, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 9), st.integers(1, 8))
+    def test_scalar_predict_matches_the_dict_reference(self, seed, n_items, n_users, k):
+        """The scalar path reads the deviation CSR; the reference reads the
+        dict. Cold users and items, single-rating users, ratings of items
+        outside train and users the segment model does not know."""
+        rng = np.random.default_rng(seed)
+        items = [f"i{i:02d}" for i in range(n_items)]
+        logs = [
+            RatingLog(f"u{u}", item, rng.integers(10, 51) / 10)
+            for u in range(n_users)
+            for item in items
+            if rng.random() < 0.5
+        ]
+        logs += [RatingLog("single", items[0], 4.0), RatingLog("test-only", "i-test", 3.0)]
+        data = split([logs[n] for n in rng.permutation(len(logs))], 0.8, seed)
+        assume(len(data.train))
+        stats = build_segment_model(data.train)
+        train = stats.item_ids
+        # tied and non-positive weights of mixed magnitudes, each row in no
+        # particular order, so the order of a sum shows in its last bits
+        levels = [0.0, -0.2, *(10.0 ** rng.uniform(-3, 1, 3))]
+        lists = {}
+        for i in train:
+            others = [j for j in train if j != i and rng.random() < 0.6]
+            picked = rng.permutation(len(others))[:k]
+            lists[i] = [(others[t], float(rng.choice(levels))) for t in picked]
+        matrix = oracle.similarity_matrix(k, lists, train)
+        # every log, so some rated items are outside train, and a user
+        # the segment model does not know
+        ratings = user_ratings_index(logs)
+        ratings["outsider"] = {item: float(rng.integers(1, 6)) for item in train[:3]}
+        model = KnnPredictor(matrix, stats, ratings)
+        for user in sorted(ratings) + ["cold"]:
+            for item in (*stats.items, "i-unknown"):
+                got = model.predict(user, item)
+                want = oracle.dict_knn_predict(matrix, stats, ratings, user, item)
+                assert got == want, (user, item)
+            by_matvec = oracle.matvec_knn_scores(matrix, stats, ratings, user, stats.items)
+            assert np.array_equal(model.predict_many(user, stats.items), by_matvec)
+
+    def test_keeps_no_reference_to_the_ratings(self):
+        class Index(dict):  # a dict that a weak reference can watch
+            pass
+
+        logs = gen_uniform(30, 15, 0.5, seed=4)
+        matrix = build_similarity_matrix(logs, k=5, gamma=5)
+        ratings = Index((u, Index(r)) for u, r in user_ratings_index(logs).items())
+        watched = [weakref.ref(ratings), *map(weakref.ref, ratings.values())]
+        model = KnnPredictor(matrix, build_segment_model(logs), ratings)
+        del ratings
+        gc.collect()
+        assert all(ref() is None for ref in watched)
+        assert not hasattr(model, "user_ratings")
+        assert 1.0 <= model.predict("u00000", "i00001") <= 5.0
 
     def test_similarity_capability_truncates(self):
         logs = gen_uniform(30, 15, 0.5, seed=4)

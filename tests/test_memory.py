@@ -1,0 +1,114 @@
+"""Peak memory per log of each model-construction stage, at two sizes.
+
+``tracemalloc`` counts the bytes a stage allocates, not the process's RSS,
+so the figures do not move with the machine or the allocator. Each stage's
+peak per log must not grow from the smaller fixture to the larger (a stage
+whose working set grows faster than its input fails), and must stay under
+a bound set from the measured value. The fixed budgets (the KNN build's
+block, the index and SGD level chunks, the MF extraction block) are cut
+to a size far below the fixtures', so that what the peaks show is the
+part that grows with the logs.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from recbench import dataset, knn, mf
+from recbench.dataset import build_segment_model, dense_codes, load_dataset, split
+from recbench.knn import KnnPredictor, build_similarity_matrix
+from recbench.mf import FactorModel, mf_item_similarity, sgd_epoch
+
+ITEMS = 300
+# (users, draws): 16,894 and 33,685 distinct logs
+SIZES = ((1000, 25_000), (2000, 50_000))
+# bytes per log at the larger size, about a fifth above the measured load
+# 93.1, build 54.8, index 58.4, init 64.2, epoch 33.6 and extraction 16.8
+# (before the construction stages were cut to these working sets: 93.1,
+# 204.3, 114.5, 94.7, 97.9 and 20.8)
+BOUNDS = {"load": 110, "build": 66, "index": 70, "init": 77, "epoch": 40, "extract": 20}
+# a peak per log may grow this much from the smaller size to the larger
+# (dict and array growth steps)
+SLACK = 1.05
+
+
+def netflix_shape(path, n_users, draws, seed=0):
+    """Lognormal user activity and 1/rank^0.9 item popularity, integer
+    ratings from a rank-3 signal plus noise, as a CSV; repeated pairs kept,
+    as a real log has them."""
+    rng = np.random.default_rng(seed)
+    user_weights = rng.lognormal(0, 1.3, n_users)
+    item_weights = 1.0 / np.arange(1, ITEMS + 1) ** 0.9
+    users = rng.choice(n_users, draws, p=user_weights / user_weights.sum())
+    items = rng.choice(ITEMS, draws, p=item_weights / item_weights.sum())
+    user_factors, item_factors = rng.normal(0, 1, (n_users, 3)), rng.normal(0, 1, (ITEMS, 3))
+    signal = np.einsum("ij,ij->i", user_factors[users], item_factors[items])
+    ratings = np.clip(np.rint(3 + 0.6 * signal + rng.normal(0, 0.8, draws)), 1, 5).astype(int)
+    columns = (users.tolist(), items.tolist(), ratings.tolist())
+    path.write_text("".join(f"u{u},i{i},{r}\n" for u, i, r in zip(*columns)), encoding="utf-8")
+
+
+def peak_of(stage) -> int:
+    tracemalloc.start()
+    try:
+        stage()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def peaks_per_log(path) -> dict[str, float]:
+    """Each stage's tracemalloc peak, per log it reads: the loaded logs for
+    the load, the train logs for the rest."""
+    logs = load_dataset(path).logs
+    peaks = {"load": peak_of(lambda: load_dataset(path)) / len(logs)}
+    train = split(logs, 0.9, 1).train
+    n = len(train)
+    stats = build_segment_model(train)
+    matrix = build_similarity_matrix(train, 100, 50)
+    peaks["build"] = peak_of(lambda: build_similarity_matrix(train, 100, 50)) / n
+    peaks["index"] = peak_of(lambda: dataset.user_ratings_index(train)) / n
+    index = dataset.user_ratings_index(train)  # outside the traced region
+    peaks["init"] = peak_of(lambda: KnnPredictor(matrix, stats, index)) / n
+    del index
+
+    rng = np.random.default_rng(1)
+    _, uu = dense_codes(train.users, len(train.user_ids))  # as train_mf codes them
+    _, ii = dense_codes(train.items, len(train.item_ids))
+    p = rng.uniform(-0.01, 0.01, (int(uu.max()) + 1, 16))
+    q = rng.uniform(-0.01, 0.01, (int(ii.max()) + 1, 16))
+    order = rng.permutation(n)
+    peaks["epoch"] = peak_of(lambda: sgd_epoch(p, q, uu, ii, train.ratings, order, 0.03, 0.008)) / n
+
+    factors = rng.normal(0, 1, (len(stats.item_ids), 16))
+    model = FactorModel(16, 0.03, 0.008, 0, ["u"], list(stats.item_ids), np.ones((1, 16)), factors)
+    peaks["extract"] = peak_of(lambda: mf_item_similarity(model, 100)) / n
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    work = tmp_path_factory.mktemp("memory")
+    sizes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**10)
+        patch.setattr(dataset, "INDEX_CHUNK", 2**10)
+        patch.setattr(mf, "LEVEL_CHUNK", 2**10)
+        patch.setattr(mf, "EXTRACT_BLOCK_BYTES", 2**14)
+        for n_users, draws in SIZES:
+            path = work / f"logs-{n_users}.csv"
+            netflix_shape(path, n_users, draws)
+            sizes.append(peaks_per_log(path))
+    return sizes
+
+
+@pytest.mark.parametrize("stage", sorted(BOUNDS))
+def test_peak_per_log_does_not_grow(measured, stage):
+    small, large = measured
+    assert large[stage] <= SLACK * small[stage], (small[stage], large[stage])
+
+
+@pytest.mark.parametrize("stage", sorted(BOUNDS))
+def test_peak_per_log_within_bound(measured, stage):
+    assert measured[-1][stage] <= BOUNDS[stage], measured[-1][stage]

@@ -222,6 +222,20 @@ class TestLevelSchedule:
             ]
             assert levels[b] == 1 + max(earlier, default=0)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_levels_carry_across_chunks(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        p, q, uu, ii, rr = sgd_fixture("mixed", 40, 4, rng)
+        order = epoch_order("repeated", 40, rng)
+        whole = sgd_levels(uu[order], ii[order])
+        monkeypatch.setattr(mf, "LEVEL_CHUNK", chunk)
+        levels = sgd_levels(uu[order], ii[order])
+        assert levels.dtype == np.int32 and np.array_equal(levels, whole)
+        p_ref, q_ref = p.copy(), q.copy()
+        sgd_epoch(p, q, uu, ii, rr, order, 0.05, 0.008)
+        oracle.naive_sgd_epoch(p_ref, q_ref, uu, ii, rr, order, 0.05, 0.008)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
+
     def test_one_user_chain_has_a_level_per_rating(self):
         rng = np.random.default_rng(0)
         p, q, uu, ii, rr = sgd_fixture("one user rates everything", 12, 4, rng)
