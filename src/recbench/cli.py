@@ -86,6 +86,8 @@ def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
         raise ManifestError("manifest must be a JSON object")
     sections = ("dataset", "model", "split", "rating_scale", "protocol", "output_dir")
     _known(manifest, sections, "manifest")
+    if not isinstance(manifest.get("output_dir", ""), str):
+        raise ManifestError("output_dir must be a string")
     dataset = _section(manifest, "dataset", ("path", "format"), required=True)
     if not isinstance(_require(dataset, "path"), str):
         raise ManifestError("dataset.path must be a string")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -16,6 +17,16 @@ import numpy.random  # noqa: F401
 SEGMENTS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem")
 # Logs whose columns user_ratings_index holds as Python lists at once.
 INDEX_CHUNK = 2**16
+# Bytes of whole lines that load_dataset parses from a CSV at once (then up
+# to the end of the line they end in); a plain chunk's temporaries are a
+# few times this.
+CSV_CHUNK = 2**16
+# The bytes of a plain CSV chunk: printable ASCII but space and '"', and line ends.
+_PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\r\n"
+# The uint64 whose first k bytes in memory are 0xff and the rest 0, by k
+_FIRST_BYTES = np.frombuffer(b"".join(b"\xff" * k + bytes(8 - k) for k in range(9)), np.uint64)
+# 10**k, exact, for the at most 15 fraction digits of a plain rating
+_POW10 = np.array([10**k for k in range(16)], dtype=float)
 
 
 def code_of(table, key: str) -> int:
@@ -79,27 +90,85 @@ class Ratings:
             yield RatingLog(user_ids[u], item_ids[i], r)
 
 
-def _sorted_codes(codes: dict[str, int], raw: array) -> tuple[tuple[str, ...], np.ndarray]:
-    """The ids sorted, and the first-seen codes in ``raw`` renumbered into them."""
-    table = sorted(codes)
-    rank = np.empty(len(table), np.int32)
-    rank[np.fromiter(map(codes.__getitem__, table), np.intp, len(table))] = np.arange(len(table))
-    return tuple(table), rank[np.frombuffer(raw, np.intc)]
+class _Columns:
+    """Logs appended as columns, each id coded in the order it is first seen.
+
+    The CSV bulk path adds its logs in chunks of id keys, after the logs of
+    line 1 and before those of any later line the row path reads. Until the
+    columns are read, such a log's code is the position of its key among the
+    distinct keys of all the chunks; ``to_ratings`` codes their ids with one
+    ``_distinct_rows`` over those keys.
+    """
+
+    def __init__(self):
+        self.user_codes: dict[str, int] = {}
+        self.item_codes: dict[str, int] = {}
+        self.users, self.items, self.ratings = array("i"), array("i"), array("d")
+        self.keyed = slice(0, 0)  # the logs of the chunks
+        self.keys: tuple[list, list] = ([], [])  # each chunk's distinct keys, per id column
+        self.n_keys = [0, 0]
+
+    def add(self, logs) -> None:
+        """(user id, item id, rating) triples."""
+        user_codes, item_codes = self.user_codes, self.item_codes
+        users, items, ratings = self.users, self.items, self.ratings
+        for user_id, item_id, rating in logs:
+            users.append(user_codes.setdefault(user_id, len(user_codes)))
+            items.append(item_codes.setdefault(item_id, len(item_codes)))
+            ratings.append(rating)
+
+    def add_keyed(self, users, items, ratings) -> None:
+        """A chunk of logs: for each id column, its distinct keys and each
+        log's position among them (``_distinct_rows``), and the ratings."""
+        start = self.keyed.start if self.keys[0] else len(self.ratings)
+        for i, (column, (keys, positions)) in enumerate(((self.users, users), (self.items, items))):
+            positions += self.n_keys[i]
+            column.frombytes(positions.tobytes())
+            self.keys[i].append(keys)
+            self.n_keys[i] += len(keys)
+        self.ratings.frombytes(ratings.tobytes())
+        self.keyed = slice(start, len(self.ratings))
+
+    def to_ratings(self) -> Ratings:
+        """The logs as a Ratings, each id table sorted and the codes renumbered into it."""
+        columns = []
+        for codes, column, keys in zip(
+            (self.user_codes, self.item_codes), (self.users, self.items), self.keys
+        ):
+            raw = np.frombuffer(column, np.intc)
+            if keys:
+                raw[self.keyed] = _code_keys(codes, keys)[raw[self.keyed]]
+            table = sorted(codes)
+            rank = np.empty(len(table), np.int32)
+            order = np.fromiter(map(codes.__getitem__, table), np.intp, len(table))
+            rank[order] = np.arange(len(table))
+            columns += [tuple(table), rank[raw]]
+        user_ids, users, item_ids, items = columns
+        return Ratings(user_ids, item_ids, users, items, np.array(self.ratings, dtype=float))
+
+
+def _code_keys(codes: dict[str, int], keys: list) -> np.ndarray:
+    """The code in ``codes`` (a new id gets the next one) of each key of the
+    chunks of distinct keys ``keys``, in order; the list is emptied."""
+    width = max(chunk.shape[1] for chunk in keys)
+    distinct = np.zeros((sum(map(len, keys)), width), np.uint64)
+    start = 0
+    for chunk in keys:
+        distinct[start : start + len(chunk), : chunk.shape[1]] = chunk
+        start += len(chunk)
+    keys.clear()
+    distinct, where = _distinct_rows(distinct)
+    ids = distinct.view(f"S{8 * width}")[:, 0].tolist()  # trailing NUL bytes dropped
+    del distinct
+    coded = np.fromiter((codes.setdefault(i.decode("ascii"), len(codes)) for i in ids), np.intc)
+    return coded[where]
 
 
 def _columns(logs) -> Ratings:
-    """(user id, item id, rating) triples as a Ratings. Each id is coded in
-    the order it is first seen, then renumbered in sorted order."""
-    user_codes: dict[str, int] = {}
-    item_codes: dict[str, int] = {}
-    users, items, ratings = array("i"), array("i"), array("d")
-    for user_id, item_id, rating in logs:
-        users.append(user_codes.setdefault(user_id, len(user_codes)))
-        items.append(item_codes.setdefault(item_id, len(item_codes)))
-        ratings.append(rating)
-    user_ids, users = _sorted_codes(user_codes, users)
-    item_ids, items = _sorted_codes(item_codes, items)
-    return Ratings(user_ids, item_ids, users, items, np.array(ratings, dtype=float))
+    """(user id, item id, rating) triples as a Ratings."""
+    columns = _Columns()
+    columns.add(logs)
+    return columns.to_ratings()
 
 
 @dataclass
@@ -112,15 +181,29 @@ def _dedupe(logs: Ratings) -> LoadResult:
     """Keep each (user, item) pair once: at its first position, with its last rating."""
     key = logs.users.astype(np.int64) * len(logs.item_ids) + logs.items
     order = np.argsort(key, kind="stable")  # a pair's positions stay ascending
-    starts = np.diff(key[order], prepend=-1) != 0
-    # a pair's run ends where the next one starts, the last run at the end
-    first, last = order[starts], order[np.roll(starts, -1)]
-    keep = np.argsort(first)
-    first, last = first[keep], last[keep]
+    key = key[order]
+    repeats = np.equal(key[1:], key[:-1])
+    del key
+    if not repeats.any():
+        return LoadResult(logs, 0)
+    # in key order, a pair's run starts after a change of key and ends before the next
+    changes = ~repeats
+    first = order[np.concatenate(([True], changes))]
+    last = order[np.concatenate((changes, [True]))]
+    del order, repeats, changes
+    # each pair's last position onto its first, gathered in position order
+    source = np.full(len(logs), -1, np.intp)
+    source[first] = last
+    del first, last
+    keep = np.flatnonzero(source >= 0)
     deduped = Ratings(
-        logs.user_ids, logs.item_ids, logs.users[first], logs.items[first], logs.ratings[last]
+        logs.user_ids,
+        logs.item_ids,
+        logs.users[keep],
+        logs.items[keep],
+        logs.ratings[source[keep]],
     )
-    return LoadResult(deduped, len(key) - len(first))
+    return LoadResult(deduped, len(logs) - len(keep))
 
 
 def _not_utf8(path: Path) -> DatasetError:
@@ -136,39 +219,222 @@ def _not_utf8(path: Path) -> DatasetError:
     return DatasetError(f"{path}: not UTF-8")
 
 
-def _parse_csv(path: Path, r_min: float, r_max: float):
+def _parse_rows(path: Path, fh, offset: int, start: int, r_min: float, r_max: float):
+    """The row path: the CSV rows of the binary ``fh`` from byte ``offset``,
+    the first of them line ``start`` of ``path``, through ``csv.reader``."""
+    fh.seek(offset)
+    # a byte order mark is stripped at the start of the file only
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig" if offset == 0 else "utf-8", newline="")
+    reader = csv.reader(text)
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        for lineno, row in enumerate(reader, start=start):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) not in (3, 4):
+                raise DatasetError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(row)}")
+            try:
+                rating = float(row[2])
+            except ValueError:
+                if lineno == 1:  # header row
+                    continue
+                raise DatasetError(f"{path}:{lineno}: bad rating {row[2]!r}") from None
+            if not r_min <= rating <= r_max:
+                raise DatasetError(f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]")
+            if len(row) == 4 and row[3].strip():
+                try:
+                    int(row[3])
+                except ValueError:
+                    raise DatasetError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
+            yield row[0].strip(), row[1].strip(), rating
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:  # say, a field over csv.field_size_limit()
+        raise DatasetError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
+
+
+def _chunks(fh):
+    """The rest of the binary ``fh`` in chunks of whole lines: CSV_CHUNK
+    bytes, then up to the end of the line they end in."""
+    while chunk := fh.read(CSV_CHUNK):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        yield chunk
+
+
+def _field_words(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int):
+    """Each field ``buf[start:start + length]`` zero-padded to ``width``
+    8-byte words, as a uint64 row, from ``words``, the 8 bytes at each
+    offset of the buffer."""
+    rows = np.empty((len(starts), width), np.uint64)
+    for j in range(width):
+        np.bitwise_and(
+            words[starts + 8 * j], _FIRST_BYTES[np.clip(lengths - 8 * j, 0, 8)], out=rows[:, j]
+        )
+    return rows
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d uint64 array, and each row's position
+    among them, as int32. An id's key is its bytes zero-padded to whole
+    8-byte words: a plain id has no NUL byte, so its key names it at any
+    width."""
+    first, positions = _ranks(keys[:, 0])
+    for column in keys.T[1:]:
+        _, rank = _ranks(column)
+        first, positions = _ranks(positions.astype(np.int64) * len(keys) + rank)
+    return keys[first], positions
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A position of each distinct value, in ascending order of value, and
+    each value's rank among the distinct ones (int32): ``np.unique``'s index
+    and inverse, without its copies."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(len(values), bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    ranks = np.empty(len(values), np.int32)
+    ranks[order] = np.cumsum(new, dtype=np.int32) - 1
+    return order[new], ranks
+
+
+def _ratings(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int):
+    """Each field ``buf[start:start + length]`` (at most ``width`` bytes) as
+    ``float`` reads it, if every one matches [+-]?D+(.D*)? with at most 15
+    digits; None otherwise. The value is M / 10**k of two exact doubles,
+    which one IEEE division rounds as ``float`` does."""
+    first = buf[starts]
+    signed = ((first == ord("+")) | (first == ord("-"))) & (lengths > 0)
+    m = np.zeros(len(starts))  # the digits as one integer
+    n_digits, n_dots, k = (np.zeros(len(starts), np.intp) for _ in range(3))
+    led = np.zeros(len(starts), bool)  # a digit right after any sign
+    for j in range(width):
+        inside = lengths > j
+        byte = buf[starts + j]
+        digit = byte - np.uint8(ord("0"))
+        is_digit = (digit < 10) & inside
+        if j < 2:
+            led |= is_digit & (signed == j)
+        n_digits += is_digit
+        m = np.where(is_digit, m * 10 + digit, m)
+        n_dots += (byte == ord(".")) & inside
+        k += is_digit & (n_dots > 0)
+    if not (
+        led.all()
+        and (n_digits + n_dots + signed == lengths).all()
+        and n_dots.max() <= 1
+        and n_digits.max() <= 15
+    ):
+        return None
+    values = m / _POW10[k]
+    np.negative(values, out=values, where=first == ord("-"))
+    return values
+
+
+def _timestamps_ok(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> bool:
+    """Whether every field ``buf[start:start + length]`` (at most ``width``
+    bytes) is empty or matches [+-]?D+."""
+    first = buf[starts]
+    signed = ((first == ord("+")) | (first == ord("-"))) & (lengths > 0)
+    n_digits = np.zeros(len(starts), np.intp)
+    led = lengths == 0  # or a digit right after any sign
+    for j in range(width):
+        is_digit = (buf[starts + j] - np.uint8(ord("0")) < 10) & (lengths > j)
+        if j < 2:
+            led |= is_digit & (signed == j)
+        n_digits += is_digit
+    return bool(led.all() and (n_digits + signed == lengths).all())
+
+
+def _plain_chunk(chunk: bytes, r_min: float, r_max: float):
+    """The logs of a chunk of whole lines if every line is plain, as
+    ``_Columns.add_keyed`` takes them; None if one is not. The row path
+    reads the same logs from plain lines: one row per line, no id for
+    ``strip`` to change, and each number as ``float``/``int`` reads it.
+
+    Plain: every byte printable ASCII but space and '"', and '\\r' only
+    right before '\\n'; 3 or 4 fields of at most ``csv.field_size_limit()``
+    bytes; a rating [+-]?D+(.D*)? of at most 15 digits inside the scale; a
+    timestamp empty or [+-]?D+ of at most 18 bytes, which any ``int`` digit
+    limit admits."""
+    if not chunk.endswith(b"\n"):  # the file's last line
+        chunk += b"\n"
+    if chunk.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    before_end = np.searchsorted(commas, ends)
+    n_commas = np.diff(before_end, prepend=0)
+    if n_commas.min() < 2 or n_commas.max() > 3:
+        return None
+    stops = ends
+    if b"\r" in chunk:
+        cr = buf[ends - 1] == ord("\r")
+        if np.count_nonzero(cr) != chunk.count(b"\r"):
+            return None
+        stops = ends - cr
+    first_comma = before_end - n_commas
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    user_stops, item_stops = commas[first_comma], commas[first_comma + 1]
+    four = np.flatnonzero(n_commas == 3)
+    rating_stops = stops.copy()
+    rating_stops[four] = commas[first_comma[four] + 2]
+    stamp_starts = rating_stops[four] + 1
+    fields = (
+        (starts, user_stops - starts),
+        (user_stops + 1, item_stops - user_stops - 1),
+        (item_stops + 1, rating_stops - item_stops - 1),
+        (stamp_starts, stops[four] - stamp_starts),
+    )
+    widths = [int(np.max(lengths, initial=0)) for _, lengths in fields]
+    if max(widths) > csv.field_size_limit() or widths[2] > 17 or widths[3] > 18:
+        return None
+    # ids as keys of 8-byte words, each column's at most twice the chunk
+    n_words = [-(-max(width, 1) // 8) for width in widths[:2]]
+    if max(n_words) * 8 * len(ends) > 2 * len(buf):
+        return None
+    padded = np.zeros(len(buf) + 8 * max(n_words) + 18, np.uint8)
+    padded[: len(buf)] = buf
+    ratings = _ratings(padded, *fields[2], widths[2])
+    if ratings is None or not ((ratings >= r_min) & (ratings <= r_max)).all():
+        return None
+    if not _timestamps_ok(padded, *fields[3], widths[3]):
+        return None
+    words = np.ndarray((len(padded) - 7,), np.uint64, padded, strides=(1,))
+    users, items = (_field_words(words, *field, width) for field, width in zip(fields, n_words))
+    return _distinct_rows(users), _distinct_rows(items), ratings
+
+
+def _load_csv(path: Path, r_min: float, r_max: float) -> _Columns:
+    """The logs of a CSV: line 1 (a header or not) and everything from the
+    first chunk with a line that is not plain through the row path, the
+    plain chunks before it in bulk."""
+    columns = _Columns()
+    try:
+        fh = open(path, "rb")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) not in (3, 4):
-                    raise DatasetError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(row)}")
-                try:
-                    rating = float(row[2])
-                except ValueError:
-                    if lineno == 1:  # header row
-                        continue
-                    raise DatasetError(f"{path}:{lineno}: bad rating {row[2]!r}") from None
-                if not r_min <= rating <= r_max:
-                    raise DatasetError(
-                        f"{path}:{lineno}: rating {rating} outside [{r_min}, {r_max}]"
-                    )
-                if len(row) == 4 and row[3].strip():
-                    try:
-                        int(row[3])
-                    except ValueError:
-                        raise DatasetError(f"{path}:{lineno}: bad timestamp {row[3]!r}") from None
-                yield row[0].strip(), row[1].strip(), rating
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        except csv.Error as exc:  # say, a field over csv.field_size_limit()
-            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+        head = fh.readline()
+        if b'"' in head or b"\r" in head.removesuffix(b"\n").removesuffix(b"\r"):
+            # a quoted field or a lone CR: line 1 may not end at its newline
+            columns.add(_parse_rows(path, fh, 0, 1, r_min, r_max))
+            return columns
+        columns.add(_parse_rows(path, io.BytesIO(head), 0, 1, r_min, r_max))
+        offset, lineno = len(head), 2
+        for chunk in _chunks(fh):
+            logs = _plain_chunk(chunk, r_min, r_max)
+            if logs is None:
+                columns.add(_parse_rows(path, fh, offset, lineno, r_min, r_max))
+                break
+            columns.add_keyed(*logs)
+            offset += len(chunk)
+            lineno += len(logs[-1])  # one log per plain line
+    return columns
 
 
 def _parse_netflix_file(path: Path, r_min: float, r_max: float):
@@ -218,13 +484,16 @@ def load_dataset(
     """
     path = Path(source)
     if fmt == "csv":
-        logs = _parse_csv(path, r_min, r_max)
+        columns = _load_csv(path, r_min, r_max)
     elif fmt == "netflix":
         files = sorted(sub for sub in path.iterdir() if sub.is_file()) if path.is_dir() else [path]
-        logs = (log for sub in files for log in _parse_netflix_file(sub, r_min, r_max))
+        columns = _Columns()
+        columns.add(log for sub in files for log in _parse_netflix_file(sub, r_min, r_max))
     else:
         raise DatasetError(f"unknown dataset format {fmt!r}")
-    return _dedupe(_columns(logs))
+    logs = columns.to_ratings()
+    del columns
+    return _dedupe(logs)
 
 
 @dataclass

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recbench
 from recbench import cli
@@ -550,3 +555,109 @@ class TestGenFixture:
         assert exc.value.code == EXIT_MANIFEST
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+
+# CSV lines: well-formed, quoted, with NUL, blank, of 2 or 5 fields, a header
+# anywhere, huge, tiny and non-finite floats, and random bytes
+CSV_LINES = st.one_of(
+    st.builds("u{},i{},{}".format, st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)).map(
+        str.encode
+    ),
+    st.sampled_from(
+        [
+            '"u1",i1,3',
+            '"u,1",i2,4',
+            '"unclosed,i1,3',
+            "u1\x00,i1,3",
+            "",
+            "u1,i1",
+            "u1,i1,3,4,5",
+            "user_id,item_id,rating",
+            "u1,i1,1e308",
+            "u1,i1,1e-320",
+            "u1,i1,inf",
+            "u1,i1,nan",
+            "u1,i1,-0",
+            "u1,i1,3,99999999999999999999999",
+        ]
+    ).map(str.encode),
+    st.binary(max_size=12),
+)
+# Netflix files: an item block, empty, binary or stray text
+NETFLIX_FILES = st.one_of(
+    st.builds(
+        "{}:\n{},{},2005-01-01\n".format, st.integers(1, 4), st.integers(1, 9), st.integers(1, 5)
+    ),
+    st.sampled_from(["", "README: not ratings\n", "7,3\n", "1:\nx,y\n"]),
+).map(str.encode) | st.binary(max_size=12)
+# each key of a manifest, and values of the wrong type (or range) for some key
+MANIFEST_KEYS = [
+    ("dataset",),
+    ("dataset", "path"),
+    ("dataset", "format"),
+    ("model",),
+    ("model", "name"),
+    *(("model", key) for key in cli.MODEL_INT_KEYS + cli.MODEL_NUMBER_KEYS),
+    ("split",),
+    ("split", "ratio"),
+    ("split", "seed"),
+    ("rating_scale",),
+    ("protocol",),
+    ("protocol", "top_n"),
+    ("protocol", "explore_k"),
+    ("protocol", "exclude_seen"),
+    ("output_dir",),
+]
+WRONG_VALUES = [None, True, "5", [1, 5], {}, 2.5, -1, 0, 1e300]
+
+
+@st.composite
+def run_inputs(draw):
+    """(dataset format, the dataset's files by name, a manifest)."""
+    if draw(st.booleans()):
+        fmt = "csv"
+        lines = draw(st.lists(CSV_LINES, max_size=30))
+        ends = st.sampled_from([b"\n", b"\r\n"])
+        ends = draw(st.lists(ends, min_size=len(lines), max_size=len(lines)))
+        files = {"data": b"".join(line + end for line, end in zip(lines, ends))}
+    else:
+        fmt = "netflix"
+        contents = draw(st.lists(NETFLIX_FILES, max_size=5))
+        files = {f"data/mv_{n}.txt": content for n, content in enumerate(contents)}
+        files["data/stray.bin"] = draw(st.binary(max_size=8))
+    manifest = {
+        "dataset": {"path": "data", "format": fmt},
+        "model": {"name": draw(st.sampled_from(["default", "random", "knn"])), "K": 3},
+        "split": {"ratio": 0.7, "seed": 1},
+        "rating_scale": draw(st.sampled_from([[1, 5], [-1e308, 1e308], [0.5, 5.5]])),
+        "protocol": {"top_n": 3, "explore_k": 4, "exclude_seen": True},
+        "output_dir": "out/sub",
+    }
+    if draw(st.booleans()):
+        *parents, key = draw(st.sampled_from(MANIFEST_KEYS))
+        section = manifest
+        for name in parents:
+            section = section[name]
+        section[key] = draw(st.sampled_from(WRONG_VALUES))
+    return files, manifest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_inputs())
+def test_generated_inputs_end_in_a_documented_exit(inputs):
+    """Bad input ends with a documented exit code, never a traceback, and a
+    failed run leaves no directory it made."""
+    files, manifest = inputs
+    with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
+        for name, content in files.items():
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            Path(name).write_bytes(content)
+        Path("manifest.json").write_text(json.dumps(manifest))
+        before = sorted(Path().rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "manifest.json"])
+        assert code in (EXIT_OK, EXIT_MANIFEST, EXIT_DATASET, EXIT_TRAINING, EXIT_EVALUATION)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            assert sorted(Path().rglob("*")) == before, err.getvalue()

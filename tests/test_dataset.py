@@ -79,6 +79,118 @@ class TestLoadCsv:
         assert list(logs)[0] == RatingLog("u1", "i1", 4.0)
 
 
+# lines the bulk path parses: 3 or 4 fields of printable ASCII; ids of 0 to
+# 17 bytes (one, two and three 8-byte key words); ratings [+-]?D+(.D*)? of
+# up to 15 digits, -0 among them; timestamps empty or [+-]?D+
+PLAIN_IDS = st.sampled_from(
+    ["", "u1", "u2", "U10", "9", "i~!#", "b\\s", "12345678", "123456789", "a" * 17]
+)
+PLAIN_RATINGS = st.sampled_from(
+    ["3", "3.0", "3.", "+4.5", "-0", "-0.75", "007.250", "10", "1.23456789012345", "0.1"]
+)
+PLAIN_STAMPS = st.sampled_from([None, "", "1234", "+5", "-7", "000000000000000009"])
+# lines that are not plain: the row path reads them, raising where it must
+# (16-digit ratings whose digits, as M / 10**k, round away from float())
+NOT_PLAIN = st.sampled_from(
+    [
+        '"u,1",i1,3',
+        'u1,"i1",4',
+        '"u\n1",i1,4',
+        "u1,i1,3\ru2,i2,4",
+        "u1\r,i1,3",
+        "u1,i\r1,3,5",
+        "u 1,i1,3",
+        "\tu1,i1,3",
+        "é,i1,3",
+        "u1,i1,9.999999999999999",
+        "u1,i1,9.876543210987651",
+        "u1,i1,1e0",
+        "u1,i1,.5",
+        "u1,i1,3,",
+        "",
+        "u1,i1",
+        "u1,i1,3,4,5",
+        "u1,i1,abc",
+        "u1,i1,11",
+        "u1,i1,3,12x",
+        "u1,i1,3,1234567890123456789",
+        "u1\x00,i1,3",
+    ]
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: plain lines with lines that are not plain anywhere, a
+    header on line 1 or not, and LF or CRLF ends."""
+    plain = st.builds(
+        lambda u, i, r, t: ",".join([u, i, r] + ([] if t is None else [t])),
+        PLAIN_IDS,
+        PLAIN_IDS,
+        PLAIN_RATINGS,
+        PLAIN_STAMPS,
+    )
+    lines = draw(st.lists(st.one_of(plain, plain, plain, NOT_PLAIN), max_size=40))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["user_id,item_id,rating", "user,item,rating,ts"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(ends[-1])  # no newline at the end
+    return text.encode("utf-8")
+
+
+def row_path(path, r_min, r_max):
+    """The whole file through the csv.reader row path alone."""
+    columns = dataset._Columns()
+    with open(path, "rb") as fh:
+        columns.add(dataset._parse_rows(path, fh, 0, 1, r_min, r_max))
+    return dataset._dedupe(columns.to_ratings())
+
+
+def outcome(load):
+    """A load's Ratings columns and dropped count, or its error message."""
+    try:
+        result = load()
+    except DatasetError as exc:
+        return str(exc)
+    logs = result.logs
+    columns = (logs.users, logs.items, logs.ratings)
+    return (
+        logs.user_ids,
+        logs.item_ids,
+        [(column.dtype.str, column.tobytes()) for column in columns],
+        result.dropped_duplicates,
+    )
+
+
+class TestBulkCsv:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_files(), st.sampled_from([1, 5, 24, 2**16]), st.sampled_from([None, 8]))
+    def test_equals_the_row_path(self, content, chunk, field_limit):
+        default_limit = csv.field_size_limit()
+        try:
+            if field_limit:
+                csv.field_size_limit(field_limit)
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "r.csv"
+                path.write_bytes(content)
+                want = outcome(lambda: row_path(path, -1.0, 10.0))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dataset, "CSV_CHUNK", chunk)  # hand off mid-file
+                    got = outcome(lambda: load_dataset(path, r_min=-1.0, r_max=10.0))
+        finally:
+            csv.field_size_limit(default_limit)
+        assert got == want
+
+    def test_sign_of_zero_and_exact_decimals(self, tmp_path):
+        lines = ["u1,i1,-0", "u1,i2,+0.0", "u1,i3,0.1", "u2,i1,123456789.012345", "u2,i2,2.675"]
+        path = write(tmp_path, "r.csv", "".join(line + "\r\n" for line in ["h,h,h"] + lines))
+        ratings = load_dataset(path, r_min=-1.0, r_max=1e9).logs.ratings
+        assert ratings.tobytes() == np.array([float(l.split(",")[2]) for l in lines]).tobytes()
+        assert np.signbit(ratings).tolist() == [True, False, False, False, False]
+
+
 class TestLoadNetflix:
     def test_single_item_file(self, tmp_path):
         path = write(tmp_path, "mv_0000001.txt", "1:\n1488844,3,2005-09-06\n822109,5,2005-05-13\n")
