@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +17,9 @@ GLOBAL = "Global"
 USER_SEGMENTS = ("Huser", "Luser")
 
 
-@dataclass(frozen=True)
-class ScoredLog:
+class ScoredLog(NamedTuple):
+    """One test log and its prediction, as ``comp_user`` reads it."""
+
     user_id: str
     item_id: str
     true_rating: float
@@ -57,6 +59,7 @@ def comp_user(scored: list[ScoredLog]) -> tuple[int, int]:
     # rank 1 is the lowest prediction, i.e. the largest negated one
     rank = {q: r for r, q in enumerate(sorted({q for _, q in order}, reverse=True), 1)}
     tree = [0] * (len(rank) + 1)  # Fenwick tree of the ranks seen so far
+    size = len(tree)
     compatible = counted = 0
     group_start, group_truth = 0, None
     for pos, (truth, q) in enumerate(order):
@@ -68,7 +71,7 @@ def comp_user(scored: list[ScoredLog]) -> tuple[int, int]:
         while below:
             compatible += tree[below]
             below &= below - 1
-        while r < len(tree):
+        while r < size:
             tree[r] += 1
             r += r & -r
     return compatible, counted

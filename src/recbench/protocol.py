@@ -14,6 +14,7 @@ import math
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -77,7 +78,9 @@ class CoreReport:
 
     ``reused_core`` marks an Explore report that is the model's core report,
     taken as it was instead of re-scored. ``matrix_counts`` holds an Explore
-    report's ``SimilarityMatrix.counts``.
+    report's ``SimilarityMatrix.counts``. ``segment_sizes`` holds the
+    segment thresholds, the heavy user and popular item counts and the test
+    logs per segment cell, for metadata.json.
     """
 
     tables: list[MetricTable]
@@ -85,6 +88,7 @@ class CoreReport:
     timings: dict[str, float] = field(default_factory=dict)
     reused_core: bool = False
     matrix_counts: dict[str, int] | None = None
+    segment_sizes: dict | None = None
 
     def table(self, metric: str) -> MetricTable:
         for t in self.tables:
@@ -118,7 +122,10 @@ _core_runs: weakref.WeakKeyDictionary[KnnPredictor, _CoreRun] = weakref.WeakKeyD
 
 
 def block_top_n(
-    scores: np.ndarray, n: int, seen: tuple[np.ndarray, np.ndarray]
+    scores: np.ndarray,
+    n: int,
+    seen: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, position) of the ``n`` highest scores of each row of a block,
     rows ascending, each row's best first and its ties by ascending position.
@@ -126,11 +133,13 @@ def block_top_n(
     The (row, position) pairs in ``seen`` and -inf scores are never picked,
     so a row yields fewer than ``n`` when the rest run out; NaN scores rank
     after every other. Only each row's candidates at or above its n-th
-    highest score are sorted.
+    highest score are sorted. The block's negation is written to ``out``
+    (``scores`` itself, to rank in place), else to a new array.
     """
-    neg = np.negative(scores)
+    neg = np.negative(scores, out=out)
     neg[seen] = np.inf
-    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None] if n < neg.shape[1] else np.inf
+    # each row's n-th lowest, copied out so that the partitioned block goes at once
+    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None].copy() if n < neg.shape[1] else np.inf
     # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
     at = np.flatnonzero(~(neg > kth))
     keys = neg.ravel()[at]
@@ -162,9 +171,11 @@ def run_core(
 
     Each user is scored once over the catalog, into a block of users of at
     most SCORE_BLOCK_BYTES. Decide and Compare read the users' test items
-    out of the block, and Discover ranks it. Discover judges only the top-N
-    slots that hold a test item, the evaluable ones, which are kept as the
-    test logs they hold.
+    out of the block, and Discover then ranks it in place, so the block and
+    the ranking's partitioned copy are the only block-sized arrays. Discover
+    judges only the top-N slots that hold a test item, the evaluable ones,
+    which are kept as the test logs they hold. A NaN test prediction, or a
+    table cell that is not a finite number, raises EvaluationError.
     """
     t_start = time.monotonic()
     users, catalog = data.users, data.items  # the catalog sorted, so ties go by id
@@ -178,9 +189,8 @@ def run_core(
     test_cells = ~heavy[test_users] + 2 * ~popular[test_items]
     predicted = np.empty(len(test_items))
     slots = []  # the test log of each evaluable slot, by user and in rank order
-    block = np.empty((max(1, SCORE_BLOCK_BYTES // (8 * max(len(catalog), 1))), len(catalog)))
-    # a block's test logs by (row, position), -1 elsewhere: restored after each block
-    test_at = np.full(block.shape, -1, dtype=np.intp)
+    m = len(catalog)
+    block = np.empty((max(1, SCORE_BLOCK_BYTES // (8 * max(m, 1))), m))
     score_s = 0.0
     for u0 in range(0, len(users), len(block)):
         u1 = min(u0 + len(block), len(users))
@@ -195,15 +205,28 @@ def run_core(
                 ) from exc
         score_s += time.monotonic() - t0
         tests = slice(test_bounds[u0], test_bounds[u1])
-        test_slots = (test_users[tests] - u0, test_items[tests])
-        predicted[tests] = scores[test_slots]
+        test_rows = test_users[tests] - u0
+        predicted[tests] = scores[test_rows, test_items[tests]]
         seen = slice(seen_bounds[u0], seen_bounds[u1] if config.exclude_seen else seen_bounds[u0])
-        rows, cols = block_top_n(scores, config.top_n, (seen_users[seen] - u0, seen_items[seen]))
-        test_at[test_slots] = np.arange(tests.start, tests.stop)
-        found = test_at[rows, cols]
-        test_at[test_slots] = -1
-        slots.append(found[found >= 0])
+        seen = (seen_users[seen] - u0, seen_items[seen])
+        rows, cols = block_top_n(scores, config.top_n, seen, out=scores)
+        # the block's test logs by sorted key row * m + position; of equal
+        # keys the last in log order is found, as a dict of the logs keeps it
+        keys = test_rows * m + test_items[tests]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        ranked = rows * m + cols
+        # a slot below every key gets -1, which reads the largest key: no match
+        at = np.searchsorted(keys, ranked, side="right") - 1
+        if len(keys):
+            slots.append(tests.start + order[at[keys[at] == ranked]])
+    block = scores = None  # the block goes before Compare builds its records
     slots = np.concatenate(slots) if slots else np.empty(0, np.intp)
+    nan = np.flatnonzero(np.isnan(predicted))
+    if len(nan):
+        raise EvaluationError(
+            f"model {model.name!r} predicted NaN for user {users[test_users[nan[0]]]!r}"
+        )
     timings = {"score": score_s, "rank": time.monotonic() - t_start - score_s}
 
     t0 = time.monotonic()
@@ -211,11 +234,15 @@ def run_core(
     timings["decide"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    logs = (test_users, test_items, test_ratings, predicted, test_cells)
-    scored = [
-        ScoredLog(users[u], catalog[i], truth, prediction, SEGMENTS[cell])
-        for u, i, truth, prediction, cell in zip(*(a.tolist() for a in logs))
-    ]
+    fields = (
+        map(users.__getitem__, test_users.tolist()),
+        map(catalog.__getitem__, test_items.tolist()),
+        test_ratings.tolist(),
+        predicted.tolist(),
+        map(SEGMENTS.__getitem__, test_cells.tolist()),
+    )
+    # ScoredLog._make without a Python call per log
+    scored = list(map(partial(tuple.__new__, ScoredLog), zip(*fields)))
     tested = np.flatnonzero(np.diff(test_bounds))  # the users with a test log
     comp = np.array(
         [comp_user(scored[test_bounds[u] : test_bounds[u + 1]]) for u in tested.tolist()],
@@ -236,10 +263,25 @@ def run_core(
     )
     timings["discover"] = time.monotonic() - t0
 
+    tables = [rmse_table, comp_macro, comp_micro, precision_table, ami_table]
+    for table in tables:
+        for segment, (value, _) in table.cells.items():
+            if value is not None and not math.isfinite(value):
+                raise EvaluationError(
+                    f"model {model.name!r}: {table.function} {table.metric} cell {segment}"
+                    f" is {value}, not a finite number"
+                )
     report = CoreReport(
-        tables=[rmse_table, comp_macro, comp_micro, precision_table, ami_table],
+        tables=tables,
         ami_excluded=ami_excluded,
         timings=timings,
+        segment_sizes={
+            "user_threshold": float(segments.user_threshold),
+            "item_threshold": float(segments.item_threshold),
+            "heavy_users": int(np.count_nonzero(heavy)),
+            "popular_items": int(np.count_nonzero(popular)),
+            "test_logs": dict(zip(SEGMENTS, np.bincount(test_cells, minlength=4).tolist())),
+        },
     )
     if type(model) is KnnPredictor:  # a subclass may score otherwise than its emulation
         _core_runs[model] = _CoreRun(report, data, segments, config)

@@ -55,6 +55,8 @@ def report_payload(report: EvaluationReport) -> dict:
 
 def metadata_payload(report: EvaluationReport, run_info: dict | None = None) -> dict:
     meta = {"timings": report.core.timings}
+    if report.core.segment_sizes is not None:
+        meta["segments"] = report.core.segment_sizes
     if report.explore:
         meta["explore_timings"] = report.explore.timings
         meta["explore_reused_core"] = report.explore.reused_core
@@ -117,18 +119,21 @@ def write_report(report: EvaluationReport, outdir: str | Path, run_info: dict | 
     """Write report.json, metadata.json, per-section CSVs and summary.txt.
 
     ``run_info`` (stage times, peak RSS, input counts) goes into
-    metadata.json only, beside the report's timings.
+    metadata.json only, beside the report's timings and segment sizes.
+    Both JSON files are strict JSON: a NaN or infinity raises ValueError
+    before any file is written.
     """
+    documents = {
+        name: json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for name, payload in (
+            ("report.json", report_payload(report)),
+            ("metadata.json", metadata_payload(report, run_info)),
+        )
+    }
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = report_payload(report)
-    (outdir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (outdir / "metadata.json").write_text(
-        json.dumps(metadata_payload(report, run_info), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    for name, text in documents.items():
+        (outdir / name).write_text(text, encoding="utf-8")
     _write_table_csv(outdir / "core.csv", report.core.tables)
     if report.explore is not None:
         _write_table_csv(outdir / "explore.csv", report.explore.tables)

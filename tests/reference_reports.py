@@ -6,7 +6,8 @@ through ``recbench run`` with the manifest defaults, on two fixtures:
 ``gen_uniform(400, 300, 0.3, seed=1)``. A change that moves no reported
 number prints the same JSON as its parent. MF's digests may differ from one
 machine to another (its dot products run through BLAS kernels chosen per
-CPU), so compare two checkouts on one machine.
+CPU), so compare two checkouts on one machine. ``test_reference_reports.py``
+pins the other twelve.
 
 Usage, from the root of a checkout (not collected by pytest):
 ``python tests/reference_reports.py``
@@ -34,13 +35,13 @@ FIXTURES = {
 MODELS = ("default", "random", "knn", "mf")
 
 
-def digests(work: Path) -> dict[str, str]:
+def digests(work: Path, models=MODELS) -> dict[str, str]:
     """``"<fixture> <model> exclude_seen=<bool>"`` -> report.json sha256."""
     result = {}
     for fixture, generate in FIXTURES.items():
         data = work / f"{fixture}.csv"
         write_csv(generate(), data)
-        for model in MODELS:
+        for model in models:
             for exclude_seen in (True, False):
                 name = f"{fixture} {model} exclude_seen={str(exclude_seen).lower()}"
                 manifest = work / "manifest.json"

@@ -7,12 +7,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recbench
 from recbench import cli
+from recbench.baselines import DefaultPredictor
 from recbench.cli import (
     EXIT_DATASET,
     EXIT_EVALUATION,
@@ -43,6 +45,10 @@ def manifest_file(tmp_path, fixture_csv, model, name="manifest.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(manifest))
     return path
+
+
+# ratings at the float limit, whose RMSE overflows
+FLOAT_LIMIT_CSV = "".join(f"u{n % 7},i{n % 5},{(-1) ** n * 1e308}\n" for n in range(35))
 
 
 class TestRun:
@@ -416,6 +422,41 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model", ["default", "knn"])
+    def test_ratings_at_the_float_limit_are_an_evaluation_error(self, tmp_path, capsys, model):
+        # exit 5, not "Infinity" in report.json
+        data = tmp_path / "ratings.csv"
+        data.write_text(FLOAT_LIMIT_CSV)
+        path = manifest_file(tmp_path, data, {"name": model}, rating_scale=[-1e308, 1e308])
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_EVALUATION
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error:") and "Traceback" not in err
+        assert "Decide RMSE cell Global is inf, not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_prediction_is_an_evaluation_error(self, tmp_path, fixture_csv, capsys, monkeypatch):
+        class NanForOne(DefaultPredictor):
+            def predict_many(self, user_id, item_ids):
+                scores = super().predict_many(user_id, item_ids)
+                return scores * np.nan if user_id == self.nan_user else scores
+
+        models = []
+
+        def build_model(name, manifest, data, segments, r_min, r_max):
+            model = NanForOne(segments, r_min, r_max)
+            model.nan_user = data.users[int(data.test.users[0])]
+            models.append(model)
+            return model
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        capsys.readouterr()
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_EVALUATION
+        err = capsys.readouterr().err
+        assert err == f"evaluation error: model 'default' predicted NaN for user {models[0].nan_user!r}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_override(self, tmp_path, fixture_csv, seed):
         path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
@@ -642,11 +683,24 @@ def run_inputs(draw):
     return files, manifest
 
 
+FLOAT_LIMIT_RUN = (
+    {"data": FLOAT_LIMIT_CSV.encode()},
+    {
+        "dataset": {"path": "data", "format": "csv"},
+        "model": {"name": "default"},
+        "split": {"ratio": 0.7, "seed": 1},
+        "rating_scale": [-1e308, 1e308],
+        "output_dir": "out/sub",
+    },
+)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(run_inputs())
+@example(FLOAT_LIMIT_RUN)
 def test_generated_inputs_end_in_a_documented_exit(inputs):
     """Bad input ends with a documented exit code, never a traceback, and a
-    failed run leaves no directory it made."""
+    failed run leaves no directory it made; a report written is strict JSON."""
     files, manifest = inputs
     with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
         for name, content in files.items():
@@ -661,3 +715,9 @@ def test_generated_inputs_end_in_a_documented_exit(inputs):
         assert "Traceback" not in err.getvalue()
         if code != EXIT_OK:
             assert sorted(Path().rglob("*")) == before, err.getvalue()
+        for report in Path().rglob("report.json"):  # strict JSON: no NaN or Infinity
+            json.loads(report.read_text(), parse_constant=refuse_constant)
+
+
+def refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")

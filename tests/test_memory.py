@@ -8,6 +8,7 @@ a bound set from the measured value. The fixed budgets (the KNN build's
 block, the index and SGD level chunks, the MF extraction block) are cut
 to a size far below the fixtures', so that what the peaks show is the
 part that grows with the logs; the CSV chunk is 4 KiB, a few hundred lines.
+The last test bounds ``run_core``'s peak in score blocks.
 """
 
 import tracemalloc
@@ -15,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recbench import dataset, knn, mf
-from recbench.dataset import build_segment_model, dense_codes, load_dataset, split
+from recbench import dataset, knn, mf, protocol
+from recbench.baselines import Predictor
+from recbench.dataset import RatingLog, build_segment_model, dense_codes, load_dataset, split
 from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.mf import FactorModel, mf_item_similarity, sgd_epoch
 
@@ -114,3 +116,39 @@ def test_peak_per_log_does_not_grow(measured, stage):
 @pytest.mark.parametrize("stage", sorted(BOUNDS))
 def test_peak_per_log_within_bound(measured, stage):
     assert measured[-1][stage] <= BOUNDS[stage], measured[-1][stage]
+
+
+CORE_ITEMS = 4000
+# run_core's peak in score blocks of 2 rows x 4,000 items: 3.5 measured
+# (the block, np.partition's copy, numpy's 64 KiB ufunc buffer and the
+# fixture's per-log arrays); 6.5 when it also held a block-shaped test
+# index and a negated copy of the block, and kept the partitioned copy
+# through the candidate scan
+CORE_BLOCKS = 4.0
+
+
+class TableScores(Predictor):
+    """Distinct scores from a table made up front, so that scoring
+    allocates nothing and the ranking has no ties to carry."""
+
+    name = "table"
+
+    def __init__(self, users, items):
+        rows = np.random.default_rng(0).uniform(1, 5, (len(users), len(items)))
+        self.rows = dict(zip(users, rows))
+
+    def predict_many(self, user_id, item_ids):
+        return self.rows[user_id]
+
+
+@pytest.mark.parametrize("exclude_seen", [True, False])
+def test_run_core_holds_a_block_and_one_partitioned_copy(monkeypatch, exclude_seen):
+    logs = [RatingLog(f"u{k % 40:02d}", f"i{k:04d}", float(1 + k % 5)) for k in range(CORE_ITEMS)]
+    data = split(logs, 0.9, 1)
+    segments = build_segment_model(data.train)
+    model = TableScores(data.users, data.items)
+    config = protocol.ProtocolConfig(exclude_seen=exclude_seen)
+    monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", 2**16)
+    assert len(data.items) == CORE_ITEMS
+    peak = peak_of(lambda: protocol.run_core(model, data, segments, config))
+    assert peak / 64_000 <= CORE_BLOCKS, peak / 64_000  # a block is 2 rows of 4,000 scores

@@ -112,6 +112,28 @@ class TestCompUser:
             assert comp_user(scored(pairs)) == comp_user(scored(transformed))
 
 
+class TestScoredLog:
+    """A tuple of five fields, built positionally as the benchmark harness
+    and the tests build it."""
+
+    def test_positional_fields(self):
+        log = ScoredLog("u", "i", 4.0, 3.5, "HuserPitem")
+        assert ScoredLog._fields == ("user_id", "item_id", "true_rating", "predicted_rating", "segment")
+        assert (log.user_id, log.item_id, log.true_rating, log.predicted_rating, log.segment) == tuple(log)
+
+    def test_immutable(self):
+        log = ScoredLog("u", "i", 4.0, 3.5, "HuserPitem")
+        with pytest.raises(AttributeError):
+            log.predicted_rating = 1.0
+
+    def test_comp_user_on_positional_records_equals_the_oracle(self):
+        rng = np.random.default_rng(5)
+        truths = rng.integers(1, 6, 40).astype(float).tolist()
+        predictions = np.round(rng.uniform(1, 5, 40), 1).tolist()
+        logs = [ScoredLog("u", f"i{k}", t, p, "") for k, (t, p) in enumerate(zip(truths, predictions))]
+        assert comp_user(logs) == oracle.naive_comp_pairs(list(zip(truths, predictions)))
+
+
 class TestPrecisionUser:
     def test_spec_example(self):
         outcomes = [outcome(r, 3.5, 10) for r in (5, 4, 3, 2)]

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
@@ -31,6 +32,7 @@ from recbench.protocol import (
     run_core,
     run_explore,
 )
+from recbench.reporting import write_report
 from recbench.synthetic import gen_clustered, gen_uniform
 
 
@@ -179,6 +181,15 @@ class TestBlockTopN:
         want = oracle.nonzero_block_top_n(scores, n, seen_cells(seen))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(block_cases())
+    def test_ranking_in_place_gives_the_rows_of_the_default_call(self, case):
+        scores, n, seen = case
+        want = block_top_n(scores, n, seen_cells(seen))
+        block = scores.copy()
+        got = block_top_n(block, n, seen_cells(seen), out=block)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
 
 class TestProtocolConfig:
     @pytest.mark.parametrize(
@@ -274,6 +285,56 @@ class TestRunCore:
 
         with pytest.raises(EvaluationError, match=repr(data.users[0])):
             run_core(ShortRow(), data, segments, ProtocolConfig(top_n=3, explore_k=3))
+
+    def test_nan_test_prediction_names_the_first_user(self):
+        data, segments = make_data(seed=5)
+        tested = sorted(set(data.test.users.tolist()))
+        first, later = data.users[tested[0]], data.users[tested[-1]]
+
+        class NanFor(DefaultPredictor):
+            name = "nan"
+
+            def predict_many(self, user_id, item_ids):
+                scores = super().predict_many(user_id, item_ids)
+                return np.full_like(scores, np.nan) if user_id in (first, later) else scores
+
+        with pytest.raises(EvaluationError, match=f"'nan' predicted NaN for user {first!r}$"):
+            run_core(NanFor(segments), data, segments, ProtocolConfig(top_n=3, explore_k=3))
+
+    def test_cell_that_is_not_finite_names_metric_and_cell(self):
+        data, segments = make_data(seed=5)
+
+        class Lowest(Predictor):
+            name = "lowest"
+
+            def predict_many(self, user_id, item_ids):
+                return np.full(len(item_ids), -1e308)
+
+        config = ProtocolConfig(top_n=3, explore_k=3, r_min=-1e308, r_max=1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+            EvaluationError, match="'lowest': Decide RMSE cell Global is inf, not a finite number"
+        ):
+            run_core(Lowest(), data, segments, config)
+
+    def test_segment_sizes_of_a_hand_fixture(self, tmp_path):
+        """Thresholds 6/3 users and 6/3 items; u0 (3 train ratings) is the
+        one heavy user; no item has more than 2; the test logs are
+        (u3 cold, i0), (u0, i3 cold) and (u1, i2)."""
+        data, segments = every_case()
+        config = ProtocolConfig(top_n=2, explore_k=2)
+        report = evaluate(DefaultPredictor(segments), data, segments, config)
+        sizes = {
+            "user_threshold": 2.0,
+            "item_threshold": 2.0,
+            "heavy_users": 1,
+            "popular_items": 0,
+            "test_logs": {"HuserPitem": 0, "LuserPitem": 0, "HuserUitem": 1, "LuserUitem": 2},
+        }
+        assert report.core.segment_sizes == sizes
+        write_report(report, tmp_path)
+        assert json.loads((tmp_path / "metadata.json").read_text())["segments"] == sizes
+        written = (tmp_path / "report.json").read_text()
+        assert "threshold" not in written and "heavy_users" not in written
 
     def test_each_user_scored_once_over_catalog(self, monkeypatch):
         data, segments = make_data(seed=13)
@@ -847,3 +908,52 @@ class TestDeterminismAndLeakage:
             for item in top:
                 if item in test_index.get(user, {}):
                     assert (user, item) in test_pairs
+
+
+def by_position(data):
+    """A model scoring each item by its catalog position: the last ranks first."""
+    return FixedScores({item: float(k) for k, item in enumerate(data.items)})
+
+
+# u0 ranks i2 first, the test item of u1 at that position; u2 has no test log
+ACROSS_ROWS = split_of(
+    [("u0", "i0", 4.0), ("u1", "i0", 3.0), ("u2", "i1", 4.0)],
+    [("u0", "i1", 2.0), ("u1", "i2", 5.0)],
+)
+
+
+class TestRunCoreAgainstOracle:
+    """run_core's cells are the oracle's for blocks of one row and of
+    several, with rows that hold no test log, with seen items excluded or
+    not, and where a ranked slot of one row is at the position of another
+    row's test item, which must not make the slot evaluable."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        split_cases(),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from(["default", "random", "by_position"]),
+    )
+    @example((ACROSS_ROWS, build_segment_model(ACROSS_ROWS.train)), 3, 1, True, "by_position")
+    @example((ACROSS_ROWS, build_segment_model(ACROSS_ROWS.train)), 1, 1, False, "by_position")
+    def test_matches_naive_core_report(self, case, rows, top_n, exclude_seen, name):
+        data, segments = case
+        model = {
+            "default": lambda: DefaultPredictor(segments),
+            "random": lambda: RandomPredictor(seed=3),
+            "by_position": lambda: by_position(data),
+        }[name]()
+        config = ProtocolConfig(top_n=top_n, explore_k=1, exclude_seen=exclude_seen)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "SCORE_BLOCK_BYTES", rows * 8 * len(data.items))
+            report = run_core(model, data, segments, config)
+        reference = oracle.naive_core_report(model, data, segments, top_n, exclude_seen)
+        assert_cells_match(report, reference)
+
+    def test_slot_at_another_rows_test_position_is_not_evaluable(self):
+        data = ACROSS_ROWS
+        segments = build_segment_model(data.train)
+        report = run_core(by_position(data), data, segments, ProtocolConfig(top_n=1, explore_k=1))
+        assert report.table("Precision").cells[GLOBAL] == (1.0, 1)  # u1's i2 alone
