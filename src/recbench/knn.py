@@ -108,6 +108,41 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (starts - offsets).repeat(lengths) + np.arange(lengths.sum())
 
 
+def block_top_n(
+    scores: np.ndarray,
+    n: int,
+    seen: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) of the ``n`` highest scores of each row of a block,
+    rows ascending, each row's best first and its ties by ascending position.
+
+    The (row, position) pairs in ``seen`` and -inf scores are never picked,
+    so a row yields fewer than ``n`` when the rest run out; NaN scores rank
+    after every other. Only each row's candidates at or above its n-th
+    highest score are sorted. The block's negation is written to ``out``
+    (``scores`` itself, to rank in place), else to a new array.
+    """
+    neg = np.negative(scores, out=out)
+    neg[seen] = np.inf
+    # each row's n-th lowest, copied out so that the partitioned block goes at once
+    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None].copy() if n < neg.shape[1] else np.inf
+    # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
+    at = np.flatnonzero(~(neg > kth))
+    counts = np.bincount(at // neg.shape[1], minlength=len(neg))
+    # each row's candidates packed by ascending position into one row, padded
+    # with NaN, which a stable sort puts after every key, a NaN score's too
+    packed = np.full((len(neg), counts.max(initial=0)), np.nan)
+    packed[np.arange(packed.shape[1]) < counts[:, None]] = neg.ravel()[at]
+    order = np.argsort(packed, axis=1, kind="stable")[:, :n]
+    del packed
+    # each row's first n, as indices into the candidates row after row: a row
+    # has at least n candidates, or all m, so no pad is among them
+    at = at[(order + (np.cumsum(counts) - counts)[:, None]).ravel()]
+    # a +inf key (seen, or a -inf score) may take a slot but is never picked
+    return np.divmod(at[neg.ravel()[at] != np.inf], neg.shape[1])
+
+
 def _row_blocks(weights: np.ndarray, budget: int):
     """Consecutive row ranges [start, stop) whose weights sum to at most
     ``budget``; a row heavier than that gets a range of its own."""

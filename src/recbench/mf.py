@@ -13,7 +13,7 @@ import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
 from .dataset import Ratings, SegmentModel, code_of, dense_codes
-from .knn import SIM_EPS, SimilarityMatrix
+from .knn import SIM_EPS, SimilarityMatrix, block_top_n
 
 USER_PINNED = 0
 ITEM_PINNED = 1
@@ -222,47 +222,15 @@ def train_mf(
     )
 
 
-def _rows_top_k(corr: np.ndarray, floors: np.ndarray, k: int):
-    """Each row's first ``k`` correlations above SIM_EPS by (-correlation,
-    column), given each row's k-th largest in ``floors``. Returns each row's
-    count, then the columns and correlations, row after row."""
-    # one comparison: the floor, raised to the first float above SIM_EPS
-    floors = np.maximum(floors, np.nextafter(SIM_EPS, np.inf))
-    # row-major positions: each row's candidates by ascending column
-    at = np.flatnonzero(corr >= floors[:, None])
-    sims = corr.ravel()[at]
-    rows, cols = np.divmod(at, corr.shape[1])
-    del at
-    # cut the ties at the floor first, so a row packs at most k entries
-    # however many tie: fewer than k lie above the floor (at least the
-    # row's k-th largest), and the ties fill the rest by ascending column
-    counts = np.bincount(rows, minlength=len(corr))
-    ties = np.flatnonzero(sims == floors[rows])
-    tie_rows = rows[ties]
-    tie_rank = np.arange(len(ties)) - np.searchsorted(tie_rows, tie_rows)
-    room = k - counts + np.bincount(tie_rows, minlength=len(corr))
-    keep = np.ones(len(rows), dtype=bool)
-    keep[ties[tie_rank >= room[tie_rows]]] = False
-    rows, cols, sims = rows[keep], cols[keep], sims[keep]
-    # each row's kept entries, by column, packed into one row of
-    # -correlations: a stable argsort along it breaks ties by column
-    counts = np.bincount(rows, minlength=len(corr))
-    starts = np.cumsum(counts) - counts
-    packed = np.full((len(corr), counts.max(initial=0)), np.inf)
-    packed[rows, np.arange(len(rows)) - starts[rows]] = -sims
-    order = np.argsort(packed, axis=1, kind="stable") + starts[:, None]
-    picked = order[np.arange(packed.shape[1]) < counts[:, None]]
-    return counts, cols[picked], sims[picked]
-
-
 def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     """Pearson correlation between item factor vectors, top-K positive neighbors.
 
     Correlations are computed for one block of rows at a time, at most
-    EXTRACT_BLOCK_BYTES of them, and each row is cut to its top K before
-    the next block, so neither items x items nor every row's candidates
-    are ever held. The model's item ids must be sorted, as train_mf leaves
-    them.
+    EXTRACT_BLOCK_BYTES of them, and ``block_top_n`` cuts each row to its
+    top K, the diagonal never picked, before the next block; of those the
+    correlations above SIM_EPS are kept. So neither items x items nor every
+    row's candidates are ever held. The model's item ids must be sorted, as
+    train_mf leaves them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -274,7 +242,6 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     unit[safe] = centered[safe] / norms[safe, None]
 
     n = len(model.item_ids)
-    kth = max(n - k, 0)
     block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
     buffer = np.empty((block_rows, n))
     # no item lists itself, so a row keeps at most min(k, n - 1)
@@ -287,9 +254,12 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
         corr = np.matmul(block, unit.T, out=buffer[: len(block)])
         np.clip(corr, -1.0, 1.0, out=corr)
         local = np.arange(len(block))
-        corr[local, start + local] = 0.0
-        floors = np.array([np.partition(sims, kth)[kth] for sims in corr])
-        counts, cols, sims = _rows_top_k(corr, floors, k)
+        rows, cols = block_top_n(corr, k, (local, start + local), out=corr)
+        # the block now holds the negated correlations
+        sims = np.negative(corr[rows, cols])
+        positive = sims > SIM_EPS
+        rows, cols, sims = rows[positive], cols[positive], sims[positive]
+        counts = np.bincount(rows, minlength=len(block))
         indptr[start + 1 : start + len(block) + 1] = nnz + np.cumsum(counts)
         indices[nnz : nnz + len(cols)] = cols
         weights[nnz : nnz + len(cols)] = sims
@@ -320,10 +290,17 @@ class MFPredictor(Predictor):
         self.r_min = r_min
         self.r_max = r_max
         self.fallback = DefaultPredictor(stats, r_min, r_max)
-        # item factors aligned to the last catalog scored, and the positions
+        # the catalog's item factors, zero outside train, and its positions
         # outside train: BLAS results depend on the layout, so gathering from
         # a product with all factors moves last bits
-        self._block: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.catalog = self._aligned(stats.code_row)
+
+    def _aligned(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The item factors of the given rows, zero at a -1, and the positions of the -1s."""
+        outside = rows < 0
+        factors = np.zeros((len(rows), self.model.n_factors))
+        factors[~outside] = self.model.item_factors[rows[~outside]]
+        return factors, np.flatnonzero(outside)
 
     def predict(self, user_id: str, item_id: str) -> float:
         raw = self.model.raw_predict(user_id, item_id)
@@ -335,13 +312,10 @@ class MFPredictor(Predictor):
         u = self.model.user_index.get(user_id)
         if u is None:
             return self.fallback.predict_many(user_id, item_ids)
-        rows = self.stats.item_rows(item_ids)
-        if self._block is None or self._block[0] is not rows:
-            outside = rows < 0
-            factors = np.zeros((len(rows), self.model.n_factors))
-            factors[~outside] = self.model.item_factors[rows[~outside]]
-            self._block = (rows, factors, np.flatnonzero(outside))
-        _, factors, outside = self._block
+        if item_ids is self.stats.items:
+            factors, outside = self.catalog
+        else:
+            factors, outside = self._aligned(self.stats.item_rows(item_ids))
         scores = factors @ self.model.user_factors[u]
         # the default predictor's score of an item outside train, before clipping
         scores[outside] = self.stats.user_mean(user_id)

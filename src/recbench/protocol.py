@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import Predictor
 from .dataset import SEGMENTS, Ratings, SegmentModel, SplitDataset, user_ratings_index
-from .knn import KnnPredictor, deviation_rows
+from .knn import KnnPredictor, block_top_n, deviation_rows
 from .metrics import (
     MetricTable,
     ScoredLog,
@@ -119,37 +119,6 @@ class _CoreRun:
 # The last core report of each live KnnPredictor. Weak keys: an entry goes
 # with its model, and with it the data the entry holds.
 _core_runs: weakref.WeakKeyDictionary[KnnPredictor, _CoreRun] = weakref.WeakKeyDictionary()
-
-
-def block_top_n(
-    scores: np.ndarray,
-    n: int,
-    seen: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row, position) of the ``n`` highest scores of each row of a block,
-    rows ascending, each row's best first and its ties by ascending position.
-
-    The (row, position) pairs in ``seen`` and -inf scores are never picked,
-    so a row yields fewer than ``n`` when the rest run out; NaN scores rank
-    after every other. Only each row's candidates at or above its n-th
-    highest score are sorted. The block's negation is written to ``out``
-    (``scores`` itself, to rank in place), else to a new array.
-    """
-    neg = np.negative(scores, out=out)
-    neg[seen] = np.inf
-    # each row's n-th lowest, copied out so that the partitioned block goes at once
-    kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None].copy() if n < neg.shape[1] else np.inf
-    # not `neg <= kth`: NaN scores stay candidates, and sort last as in a full sort
-    at = np.flatnonzero(~(neg > kth))
-    keys = neg.ravel()[at]
-    rows, cols = np.divmod(at, neg.shape[1])
-    # candidates ascend by (row, position), so the stable sort breaks ties by position
-    order = np.lexsort((keys, rows))
-    rows, cols, keys = rows[order], cols[order], keys[order]
-    first = np.arange(len(rows)) - np.searchsorted(rows, rows) < n
-    keep = first & (keys != np.inf)
-    return rows[keep], cols[keep]
 
 
 def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:

@@ -78,12 +78,6 @@ def gen_clustered(
     ]
 
 
-def item_group_of(n_items: int, n_groups: int) -> dict[str, int]:
-    """Item id -> group index, matching gen_clustered's assignment."""
-    group_of = (np.arange(n_items) * n_groups) // n_items
-    return {_item_id(i): int(group_of[i]) for i in range(n_items)}
-
-
 def write_csv(logs: list[RatingLog], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -12,7 +12,8 @@ record-based metrics (``RecommendationOutcome``, ``rmse``,
 ``aggregate_discover``), which judged one object per test log or top-N
 slot where the library now reduces arrays;
 ``per_cell_aggregate_discover`` judges each user with those per-user
-measures one cell at a time.
+measures one cell at a time. ``item_group_of`` gives the groups of
+``synthetic.gen_clustered``'s items, which only tests read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from recbench import mf
 from recbench.dataset import SEGMENTS, Ratings, SegmentModel
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 from recbench.metrics import GLOBAL, MetricTable
+from recbench.synthetic import _item_id
 
 
 def naive_rmse(pairs):
@@ -243,7 +245,7 @@ def naive_top_n(scores_by_item, n, seen=()):
 
 def top_n(scores, n, seen=()):
     """Positions of the ``n`` highest scores of one row, ties by ascending
-    position: the per-row reference for ``protocol.block_top_n``.
+    position: the per-row reference for ``knn.block_top_n``.
 
     Positions in ``seen`` are never picked, nor -inf scores, so fewer than
     ``n`` come back when the rest run out. Only the candidates at or above
@@ -263,9 +265,10 @@ def top_n(scores, n, seen=()):
 
 
 def nonzero_block_top_n(scores, n, seen):
-    """``protocol.block_top_n`` as it was before it scanned the candidates
-    flat: a 2-D ``np.nonzero`` of the candidate mask and a gather of the
-    keys by (row, column). The flat scan must return the same pairs."""
+    """``knn.block_top_n`` as it was before it packed each row's candidates:
+    a 2-D ``np.nonzero`` of the candidate mask, a gather of the keys by
+    (row, column) and one ``lexsort`` by (row, key). The packed per-row
+    sort must return the same pairs."""
     neg = np.negative(scores)
     neg[seen] = np.inf
     kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None] if n < neg.shape[1] else np.inf
@@ -693,3 +696,9 @@ def naive_segment_model(train):
         item_means=item_means,
         global_mean=total / len(train),
     )
+
+
+def item_group_of(n_items, n_groups):
+    """Item id -> group index, as ``synthetic.gen_clustered`` assigns them:
+    group g holds items [g * n_items / n_groups, (g+1) * n_items / n_groups)."""
+    return {_item_id(i): i * n_groups // n_items for i in range(n_items)}

@@ -26,7 +26,7 @@ from recbench.mf import (
     train_mf,
 )
 from recbench.protocol import ProtocolConfig, evaluate, run_core, run_explore
-from recbench.synthetic import gen_clustered, gen_planted_rank1, gen_uniform, item_group_of, write_csv
+from recbench.synthetic import gen_clustered, gen_planted_rank1, gen_uniform, write_csv
 from test_protocol import PerfectOracle
 
 
@@ -255,7 +255,7 @@ def test_knn_structure_recovery():
     data = split(logs, 0.8, seed=32)
     segments = build_segment_model(data.train)
     matrix = build_similarity_matrix(data.train, k=15, gamma=20)
-    group = item_group_of(40, 2)
+    group = oracle.item_group_of(40, 2)
     for item, lst in matrix.neighbors.items():
         assert lst, f"item {item} has no neighbors"
         assert all(group[n] == group[item] for n, _ in lst), item

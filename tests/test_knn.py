@@ -13,7 +13,7 @@ from recbench.dataset import RatingLog, build_segment_model, split, user_ratings
 from recbench import knn
 from recbench.knn import KnnPredictor, build_similarity_matrix, weighted_pearson
 from recbench.mf import mf_item_similarity, train_mf
-from recbench.synthetic import gen_clustered, gen_uniform, item_group_of
+from recbench.synthetic import gen_clustered, gen_uniform
 
 
 class TestWeightedPearson:
@@ -118,7 +118,7 @@ class TestBuildSimilarityMatrix:
 
     def test_two_cluster_lists_stay_in_group(self):
         logs = gen_clustered(100, 20, 2, density=0.8, seed=3)
-        group = item_group_of(20, 2)
+        group = oracle.item_group_of(20, 2)
         matrix = build_similarity_matrix(logs, k=9, gamma=20)
         for item, lst in matrix.neighbors.items():
             assert lst, item

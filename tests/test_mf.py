@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracle
 from recbench import mf
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import RatingLog, build_segment_model
+from recbench.dataset import RatingLog, build_segment_model, split
 from recbench.mf import (
     ITEM_PINNED,
     USER_PINNED,
@@ -79,6 +79,29 @@ class TestPrediction:
             many = pred.predict_many(user, catalog)
             single = [pred.predict(user, i) for i in catalog]
             assert np.allclose(many, single, atol=1e-12)
+
+    def test_predict_many_keeps_no_state(self):
+        """Catalog, test-list and catalog calls leave the predictor as it
+        was, and each equals a fresh predictor's call bit for bit."""
+        data = split(gen_uniform(40, 60, 0.06, seed=3), 0.6, seed=4)
+        stats = build_segment_model(data.train)
+        model = train_mf(data.train, n_factors=4, seed=5, budget_seconds=2, max_epochs=2)
+        catalog = stats.items
+        assert len(stats.item_ids) < len(catalog)  # items outside train
+        pred = MFPredictor(model, stats)
+        before = dict(vars(pred))
+        assert {"u00000", "u00007"} <= model.user_index.keys()
+        for user in ["u00000", "u00007", "ghost"]:
+            tested = [l.item_id for l in data.test if l.user_id == user] + ["unknown"]
+            calls = [(catalog, pred.predict_many(user, catalog))]
+            calls.append((tested, pred.predict_many(user, tested)))
+            calls.append((catalog, pred.predict_many(user, catalog)))
+            for items, got in calls:
+                assert np.array_equal(got, MFPredictor(model, stats).predict_many(user, items))
+        assert vars(pred).keys() == before.keys()
+        assert all(vars(pred)[name] is value for name, value in before.items())
+        fresh = MFPredictor(model, stats).catalog
+        assert all(np.array_equal(a, b) for a, b in zip(pred.catalog, fresh, strict=True))
 
 
 class TestSgdUpdates:
@@ -472,6 +495,33 @@ class TestBlockedExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * mf.EXTRACT_BLOCK_BYTES + 2 * n_items * k * 16
+
+    # Extraction's peak in correlation blocks (43 rows x 3,000 items) when
+    # ties make every row's candidates thousands long, about a tenth above
+    # the measured 8.5 (all one vector) and 7.1 (one vector and its
+    # mirror), 3.5 of which is the n x K output; 12.6 and 9.0 when each
+    # row was partitioned on its own and its candidates kept as (row,
+    # column, correlation) triples.
+    @pytest.mark.parametrize(
+        "direction, bound",
+        [(np.ones(3000), 9.4), (np.resize([1.0, -1.0], 3000), 7.8)],
+        ids=["all-tied", "two-direction"],
+    )
+    def test_memory_under_ties(self, direction, bound):
+        """All item vectors one vector or its mirror, so every correlation
+        is +-1 and each row's K-th largest ties with half the items or all."""
+        n_items, k = 3000, 100
+        q = direction[:, None] * np.random.default_rng(9).normal(0, 1, 16)
+        model = small_model(np.ones((1, 16)), q)
+        block = mf.EXTRACT_BLOCK_BYTES // (8 * n_items) * 8 * n_items
+        tracemalloc.start()
+        try:
+            matrix = mf_item_similarity(model, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.counts()["neighbors"] == n_items * k
+        assert peak / block <= bound, peak / block
 
     def test_memory_bounded_by_block(self):
         n_items = 3000

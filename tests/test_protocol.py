@@ -21,13 +21,12 @@ from recbench.dataset import (
     split,
     user_ratings_index,
 )
-from recbench.knn import KnnPredictor, build_similarity_matrix
+from recbench.knn import KnnPredictor, block_top_n, build_similarity_matrix
 from recbench.metrics import GLOBAL
 from recbench.mf import MFPredictor, train_mf
 from recbench.protocol import (
     EvaluationError,
     ProtocolConfig,
-    block_top_n,
     evaluate,
     run_core,
     run_explore,
@@ -149,6 +148,11 @@ def seen_cells(seen):
     return rows, cols
 
 
+# Row 0's four candidates hold two NaN scores, one of them ranked; row 1
+# has three candidates, so its packed row ends in a NaN pad.
+UNEQUAL_COUNTS = (np.array([[np.nan, 2.0, np.nan, 5.0], [1.0, 4.0, 4.0, 0.0]]), 3, [{3}, set()])
+
+
 class TestBlockTopN:
     """Each row of the block ranking is the per-row reference's, and, with
     -inf scores counted as seen and no NaN, the naive full sort's."""
@@ -157,6 +161,7 @@ class TestBlockTopN:
     @given(block_cases())
     @example((np.array([[3.0, 3.0, 1.0], [3.0, 3.0, 1.0]]), 5, [{0, 1, 2}, set()]))
     @example((np.array([[np.nan, -np.inf], [np.nan, 2.0]]), 1, [set(), {1}]))
+    @example(UNEQUAL_COUNTS)
     def test_rows_match_per_row_reference(self, case):
         scores, n, seen = case
         original = scores.copy()
@@ -175,6 +180,7 @@ class TestBlockTopN:
     @given(block_cases())
     @example((np.array([[np.nan, np.inf, -np.inf, 2.0]] * 2), 4, [set(), {3}]))  # n = m
     @example((np.array([[1.0, np.nan], [np.nan, np.nan]]), 3, [{0}, set()]))  # n > m
+    @example(UNEQUAL_COUNTS)
     def test_equals_the_two_dimensional_scan(self, case):
         scores, n, seen = case
         got = block_top_n(scores, n, seen_cells(seen))

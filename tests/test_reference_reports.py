@@ -1,10 +1,17 @@
 """The report.json of each reference run, byte for byte.
 
 The digests are those ``python tests/reference_reports.py`` prints for the
-default, random and KNN models. A change that moves no reported number
-leaves them as they are. MF is left out: its dot products run through BLAS
-kernels chosen per CPU, so its digests may differ between machines.
+default, random and KNN models, and those ``perfbench/evaluate.py`` prints
+for the knn-catalog benchmark input at seeds 1-4. A change that moves no
+reported number leaves them as they are. MF is left out, here and in the
+benchmark's mf-heavy input: its dot products run through BLAS kernels
+chosen per CPU, so its digests may differ between machines.
 """
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,27 @@ PINNED = {
     "uniform knn exclude_seen=false": "b79812e79af933b6f478c331e110b7cf9960bcb08420c376e5dead5b31b0ddb7",
 }
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# report_sha256 of perfbench/evaluate.py on the full knn-catalog input, by seed
+KNN_CATALOG = {
+    1: "653a236a82daecfe3924fe203dd545c34fc39d38489bd69814a55c5f7c96d177",
+    2: "18e136ae56b191e33c5f9f6e994aa48ba1e835c53c966b5436651b9ede1f6d2f",
+    3: "0a152b83a29bff3fe80b0bfee862856bf0724a34d07acfa9b27f8122e6baf6bf",
+    4: "3b16ebd33558f439a6961046b64185307a531b331e0c7522f7b389a16ea267d8",
+}
+
+GENERATE = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from generators import generate
+from workloads import WORKLOADS
+
+generate(WORKLOADS["knn-catalog"], int(sys.argv[2]), Path(sys.argv[3]))
+"""
+
 
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory):
@@ -38,3 +66,24 @@ def test_every_run_is_pinned(measured):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_is_byte_identical(measured, name):
     assert measured[name] == PINNED[name]
+
+
+@pytest.mark.parametrize("seed", sorted(KNN_CATALOG))
+def test_knn_catalog_benchmark_report_is_byte_identical(seed, tmp_path):
+    path = tmp_path / "input.csv"
+    subprocess.run(
+        [sys.executable, "-c", GENERATE, str(PERFBENCH), str(seed), str(path)],
+        check=True,
+        timeout=300,
+    )
+    result = subprocess.run(
+        [
+            sys.executable, str(PERFBENCH / "evaluate.py"), "--workload", "knn-catalog",
+            "--seed", str(seed), "--input", str(path), "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["report_sha256"] == KNN_CATALOG[seed]
