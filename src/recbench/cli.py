@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import synthetic
 from .baselines import DefaultPredictor, RandomPredictor
-from .dataset import DatasetError, build_segment_model, load_dataset, split, user_ratings_index
+from .dataset import DatasetError, build_segment_model, load_dataset, split
 from .knn import KnnPredictor, build_similarity_matrix
 from .mf import MFPredictor, TrainingError, train_mf
 from .protocol import EvaluationError, ProtocolConfig, evaluate, is_int, is_number
@@ -136,9 +136,7 @@ def build_model(name: str, manifest: dict, data, segments, r_min: float, r_max: 
         k = int(model_cfg.get("K", 100))
         gamma = int(model_cfg.get("gamma", 50))
         matrix = build_similarity_matrix(data.train, k, gamma)
-        return KnnPredictor(
-            matrix, segments, user_ratings_index(data.train), r_min, r_max, gamma=gamma
-        )
+        return KnnPredictor(matrix, segments, data.train, r_min, r_max, gamma=gamma)
     if name == "mf":
         model = train_mf(
             data.train,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -259,35 +258,18 @@ def _similar_pairs(train: Ratings, gamma: int):
     return (codes, *(np.concatenate(part) for part in zip(*found)))
 
 
-def deviation_rows(users, rows, ratings, n_users: int, row_means: np.ndarray):
-    """(ptr, cols, devs): the ratings as a users x train items CSR of
-    deviations from the item means, ascending columns per user. A rating
-    of an item outside train (row -1) is left out."""
-    known = rows >= 0
-    if not known.all():
-        users, rows, ratings = users[known], rows[known], ratings[known]
-    del known
-    key = users.astype(np.int64)
-    key *= len(row_means)
-    key += rows
-    order = np.argsort(key)
-    del key
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=n_users))))
-    cols = rows[order]
-    devs = ratings[order]
-    devs -= row_means[cols]
-    return ptr, cols, devs
-
-
 class KnnPredictor(Predictor):
     """Deviation-form prediction over the user's rated neighbors of the item.
 
     Falls back to the default predictor when no rated neighbor exists. The
-    matrix must list the segment model's items, in its order.
+    matrix must list the segment model's items, in its order, and ``train``
+    must be coded in the segment model's id tables.
 
-    The ratings are kept only as the users x train items CSR of deviations
-    that ``deviation_rows`` builds, not as the ``user_ratings`` given, so
-    the caller's dict can go once the predictor is built.
+    The ratings are read as the users x train items CSR of their deviations
+    from the item means, rows by user code, built from ``train``'s codes; a
+    rating of an item outside the segment model's train items is left out.
+    ``train`` itself is kept, as ``self.train``, so that a caller can tell by
+    identity which ratings the predictor reads.
 
     A catalog row only reads the matrix columns of the items the user
     rated: for each rated item j, ascending, the items i that list j, with
@@ -303,49 +285,54 @@ class KnnPredictor(Predictor):
         self,
         matrix: SimilarityMatrix,
         stats: SegmentModel,
-        user_ratings: dict[str, dict[str, float]],
+        train: Ratings,
         r_min: float = 1.0,
         r_max: float = 5.0,
         gamma: int | None = None,
     ):
         if matrix.item_ids != stats.item_ids:
             raise ValueError("similarity matrix items differ from the segment model's train items")
+        if (train.user_ids, train.item_ids) != (stats.users, stats.items):
+            raise ValueError("train ratings use other id tables than the segment model")
         self.matrix = matrix
         self.stats = stats
+        self.train = train
         self.r_min = r_min
         self.r_max = r_max
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
 
+        # the users x train items CSR of deviations, each row's columns ascending
+        n = len(matrix.item_ids)
+        users, ratings = train.users, train.ratings
+        rows = stats.code_row.astype(np.int32)[train.items]
+        if rows.min(initial=0) < 0:  # ratings of items outside train are left out
+            known = rows >= 0
+            users, rows, ratings = users[known], rows[known], ratings[known]
+        key = users.astype(np.int64)
+        key *= n
+        key += rows
+        order = np.argsort(key)
+        key = key[order]
+        if np.equal(key[1:], key[:-1]).any():
+            raise ValueError("train ratings repeat a (user, item) pair of a train item")
+        del key
+        counts = np.bincount(users, minlength=len(stats.users))
+        self.user_ptr = np.concatenate(([0], np.cumsum(counts)))
+        self.user_cols, self.user_dev = rows[order], ratings[order]
+        del rows, order
+        self.user_dev -= stats.row_means[self.user_cols]
+
         # column-major weights: column j lists the items i with j as a
         # neighbor, ascending; a stable sort keeps the rows' order
-        n = len(matrix.item_ids)
         by_col = np.argsort(matrix.indices, kind="stable")
         rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
         self.col_len = np.bincount(matrix.indices, minlength=n)
         self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
         self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
-        del by_col, rows
-
-        # the users x train items CSR of deviations; its rows are the codes of
-        # the segment model's users and of any other user given, sorted
-        self.user_ids = tuple(sorted(user_ratings.keys() | set(stats.users)))
-        rated = user_ratings.values()
-        counts = np.fromiter(map(len, rated), np.intp, len(rated))
-        owners = np.fromiter(
-            (code_of(self.user_ids, u) for u in user_ratings), np.int32, len(rated)
-        )
-        size = int(counts.sum())
-        # each item id's row through one dict; -1 outside train
-        row_of = dict(zip(stats.item_ids, range(n)))
-        rows = np.fromiter(map(row_of.get, chain.from_iterable(rated), repeat(-1)), np.int32, size)
-        ratings = np.fromiter(chain.from_iterable(r.values() for r in rated), float, size)
-        self.user_ptr, self.user_cols, self.user_dev = deviation_rows(
-            owners.repeat(counts), rows, ratings, len(self.user_ids), stats.row_means
-        )
 
     def predict(self, user_id: str, item_id: str) -> float:
-        user = code_of(self.user_ids, user_id)
+        user = code_of(self.stats.users, user_id)
         r = code_of(self.matrix.item_ids, item_id)
         # the user's CSR row: rated columns ascending, and their deviations
         c, d = (self.user_ptr[user], self.user_ptr[user + 1]) if user >= 0 else (0, 0)
@@ -386,7 +373,7 @@ class KnnPredictor(Predictor):
         # the default predictor's row, with the KNN score put over it
         # wherever a rated neighbor lists the item, then clipped
         row = self.fallback.train_row(user_id)
-        user = code_of(self.user_ids, user_id)
+        user = code_of(self.stats.users, user_id)
         if user >= 0:
             a, b = self.user_ptr[user], self.user_ptr[user + 1]
             if a < b:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import Predictor
 from .dataset import SEGMENTS, Ratings, SegmentModel, SplitDataset, user_ratings_index
-from .knn import KnnPredictor, block_top_n, deviation_rows
+from .knn import KnnPredictor, block_top_n
 from .metrics import (
     MetricTable,
     ScoredLog,
@@ -257,22 +257,10 @@ def run_core(
     return report
 
 
-def _scores_train(model: KnnPredictor, data: SplitDataset) -> bool:
-    """Whether the ratings ``predict_many`` reads, the model's users x items
-    CSR of deviations, are those of ``data.train``, in whatever order the
-    model was given them: the CSR that ``deviation_rows`` builds from
-    ``data.train``. A model that also lists users outside ``data.users``
-    has more rows, and a train set that repeats a (user, item) pair, which
-    ``load_dataset`` never leaves, more entries: neither matches."""
-    train, stats = data.train, model.stats
-    rows = stats.code_row[train.items]
-    csr = deviation_rows(train.users, rows, train.ratings, len(data.users), stats.row_means)
-    return all(map(np.array_equal, csr, (model.user_ptr, model.user_cols, model.user_dev)))
-
-
 def _reusable_core(model, matrix, data, segments, config) -> CoreReport | None:
     """The model's core report if the KNN that Explore would build on
-    ``matrix`` is the model itself, scoring the same data; else None."""
+    ``matrix`` is the model itself, scoring the same data; else None. The
+    model reads ``data.train`` if it was given that very object."""
     run = _core_runs.get(model) if type(model) is KnnPredictor else None
     if (
         run is not None
@@ -282,7 +270,7 @@ def _reusable_core(model, matrix, data, segments, config) -> CoreReport | None:
         and run.data is data
         and run.segments is segments
         and run.config == config
-        and _scores_train(model, data)
+        and model.train is data.train
     ):
         return run.report
     return None
@@ -315,13 +303,9 @@ def run_explore(
             reused_core=True,
             matrix_counts=matrix.counts(),
         )
-    emulated = KnnPredictor(
-        matrix,
-        segments,
-        user_ratings_index(data.train),
-        r_min=config.r_min,
-        r_max=config.r_max,
-    )
+    # user_ratings_index returns data.train itself; perfbench traces it here
+    train = user_ratings_index(data.train)
+    emulated = KnnPredictor(matrix, segments, train, r_min=config.r_min, r_max=config.r_max)
     report = run_core(emulated, data, segments, config)
     report.timings["extract"] = extract_s
     report.matrix_counts = matrix.counts()

@@ -14,6 +14,8 @@ slot where the library now reduces arrays;
 ``per_cell_aggregate_discover`` judges each user with those per-user
 measures one cell at a time. ``item_group_of`` gives the groups of
 ``synthetic.gen_clustered``'s items, which only tests read.
+``user_ratings_index`` is the user -> {item: rating} dict that
+``KnnPredictor`` once took; the dict-reading references read it.
 """
 
 from __future__ import annotations
@@ -408,6 +410,14 @@ def sparse_similarity_matrix(train, k, gamma):
     return SimilarityMatrix.top_k(
         k, items, np.concatenate((i, j)), np.concatenate((j, i)), np.tile(sim, 2)
     )
+
+
+def user_ratings_index(logs):
+    """The logs as user -> {item: rating}; of a repeated pair, the last rating."""
+    index = {}
+    for log in Ratings.of(logs):
+        index.setdefault(log.user_id, {})[log.item_id] = log.rating
+    return index
 
 
 def weight_matrix(matrix):

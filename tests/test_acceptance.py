@@ -14,7 +14,7 @@ import pytest
 import oracle
 from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.cli import main as cli_main
-from recbench.dataset import build_segment_model, split, user_ratings_index
+from recbench.dataset import build_segment_model, split
 from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.metrics import GLOBAL, ScoredLog, aggregate_discover, comp_user
 from recbench.mf import (
@@ -261,7 +261,7 @@ def test_knn_structure_recovery():
         assert all(group[n] == group[item] for n, _ in lst), item
 
     config = ProtocolConfig(top_n=5, explore_k=15)
-    knn = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+    knn = KnnPredictor(matrix, segments, data.train)
     knn_rmse = run_core(knn, data, segments, config).table("RMSE").value(GLOBAL)
     default_rmse = (
         run_core(DefaultPredictor(segments), data, segments, config)
@@ -282,11 +282,10 @@ def test_explore_pipeline():
     logs = gen_clustered(120, 40, 4, density=0.5, seed=21)
     data = split(logs, 0.8, seed=22)
     segments = build_segment_model(data.train)
-    ratings = user_ratings_index(data.train)
 
     config = ProtocolConfig(top_n=5, explore_k=10)
     native = KnnPredictor(
-        build_similarity_matrix(data.train, k=10, gamma=20), segments, ratings
+        build_similarity_matrix(data.train, k=10, gamma=20), segments, data.train
     )
     core = run_core(native, data, segments, config)
     explore = run_explore(native, data, segments, config)
@@ -298,7 +297,7 @@ def test_explore_pipeline():
                        validation_fraction=0.05)
     emulated_matrix = mf_item_similarity(factors, 10)
     emulated = run_core(
-        KnnPredictor(emulated_matrix, segments, ratings), data, segments, config
+        KnnPredictor(emulated_matrix, segments, data.train), data, segments, config
     )
 
     # Shuffled baseline: same per-item weights, randomly reassigned neighbors.
@@ -314,7 +313,7 @@ def test_explore_pipeline():
         )
     shuffled_report = run_core(
         KnnPredictor(
-            oracle.similarity_matrix(emulated_matrix.k, shuffled, items), segments, ratings
+            oracle.similarity_matrix(emulated_matrix.k, shuffled, items), segments, data.train
         ),
         data, segments, config,
     )
@@ -430,11 +429,10 @@ def test_end_to_end_scale():
     data = split(logs, 0.9, seed=91)
     segments = build_segment_model(data.train)
     config = ProtocolConfig(top_n=10, explore_k=100)
-    ratings = user_ratings_index(data.train)
 
     reports = {}
     matrix = build_similarity_matrix(data.train, 100, 50)
-    reports["knn"] = evaluate(KnnPredictor(matrix, segments, ratings), data, segments, config)
+    reports["knn"] = evaluate(KnnPredictor(matrix, segments, data.train), data, segments, config)
     factors = train_mf(data.train, n_factors=8, seed=92, budget_seconds=60,
                        validation_fraction=0.015)
     reports["mf"] = evaluate(MFPredictor(factors, segments), data, segments, config)

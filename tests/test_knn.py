@@ -1,5 +1,4 @@
-import gc
-import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import RatingLog, build_segment_model, split, user_ratings_index
+from recbench.dataset import RatingLog, Ratings, build_segment_model, split
 from recbench import knn
 from recbench.knn import KnnPredictor, build_similarity_matrix, weighted_pearson
 from recbench.mf import mf_item_similarity, train_mf
@@ -265,7 +264,7 @@ class TestSimilarityMatrixFormat:
 class TestKnnPredict:
     def make_predictor(self, logs, matrix):
         stats = build_segment_model(logs)
-        return KnnPredictor(matrix, stats, user_ratings_index(logs))
+        return KnnPredictor(matrix, stats, Ratings.of(logs))
 
     def test_single_neighbor_deviation(self):
         # Item means both 3, user rated neighbor 5 with weight 1 -> 3 + 2 = 5.
@@ -363,7 +362,7 @@ class TestKnnPredict:
         # nobody lists the last item as a neighbor
         logs.append(RatingLog("unreached", items[-1], 2.0))
         # the users' ratings arrive in no particular item order
-        logs = [logs[n] for n in rng.permutation(len(logs))]
+        logs = Ratings.of([logs[n] for n in rng.permutation(len(logs))])
         stats = build_segment_model(logs)
         train = stats.item_ids
         # few weight levels, so neighbors tie, of mixed magnitudes, so the
@@ -375,8 +374,8 @@ class TestKnnPredict:
             weighted = [(j, float(rng.choice(levels))) for j in others]
             lists[i] = sorted(weighted, key=lambda t: (-t[1], t[0]))[:k]
         matrix = oracle.similarity_matrix(k, lists, train)
-        ratings = user_ratings_index(logs)
-        model = KnnPredictor(matrix, stats, ratings)
+        ratings = oracle.user_ratings_index(logs)
+        model = KnnPredictor(matrix, stats, logs)
         catalog = tuple(sorted(set(train) | {"i-unknown"}))
         sub = [catalog[c] for c in rng.integers(0, len(catalog), 5)] + ["x-unknown"]
         for user in sorted(ratings) + ["cold"]:
@@ -391,8 +390,8 @@ class TestKnnPredict:
     @given(st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 9), st.integers(1, 8))
     def test_scalar_predict_matches_the_dict_reference(self, seed, n_items, n_users, k):
         """The scalar path reads the deviation CSR; the reference reads the
-        dict. Cold users and items, single-rating users, ratings of items
-        outside train and users the segment model does not know."""
+        dict of the same ratings. Cold users and items, single-rating users,
+        ratings of items outside train and users without a train rating."""
         rng = np.random.default_rng(seed)
         items = [f"i{i:02d}" for i in range(n_items)]
         logs = [
@@ -402,24 +401,27 @@ class TestKnnPredict:
             if rng.random() < 0.5
         ]
         logs += [RatingLog("single", items[0], 4.0), RatingLog("test-only", "i-test", 3.0)]
-        data = split([logs[n] for n in rng.permutation(len(logs))], 0.8, seed)
-        assume(len(data.train))
-        stats = build_segment_model(data.train)
-        train = stats.item_ids
+        logs = [logs[n] for n in rng.permutation(len(logs))]
+        # "outsider" is in the id tables but never in train
+        logs += [RatingLog("outsider", item, float(rng.integers(1, 6))) for item in items[:3]]
+        logs = Ratings.of(logs)
+        data = split(logs, 0.8, seed)
+        train = part(data.train, data.train.users != logs.user_ids.index("outsider"))
+        assume(len(train))
+        stats = build_segment_model(train)
         # tied and non-positive weights of mixed magnitudes, each row in no
         # particular order, so the order of a sum shows in its last bits
         levels = [0.0, -0.2, *(10.0 ** rng.uniform(-3, 1, 3))]
         lists = {}
-        for i in train:
-            others = [j for j in train if j != i and rng.random() < 0.6]
+        for i in stats.item_ids:
+            others = [j for j in stats.item_ids if j != i and rng.random() < 0.6]
             picked = rng.permutation(len(others))[:k]
             lists[i] = [(others[t], float(rng.choice(levels))) for t in picked]
-        matrix = oracle.similarity_matrix(k, lists, train)
-        # every log, so some rated items are outside train, and a user
-        # the segment model does not know
-        ratings = user_ratings_index(logs)
-        ratings["outsider"] = {item: float(rng.integers(1, 6)) for item in train[:3]}
-        model = KnnPredictor(matrix, stats, ratings)
+        matrix = oracle.similarity_matrix(k, lists, stats.item_ids)
+        # every log, so some rated items are outside train, and some users
+        # (the outsider and maybe others) have no train rating
+        ratings = oracle.user_ratings_index(logs)
+        model = KnnPredictor(matrix, stats, logs)
         for user in sorted(ratings) + ["cold"]:
             for item in (*stats.items, "i-unknown"):
                 got = model.predict(user, item)
@@ -428,20 +430,44 @@ class TestKnnPredict:
             by_matvec = oracle.matvec_knn_scores(matrix, stats, ratings, user, stats.items)
             assert np.array_equal(model.predict_many(user, stats.items), by_matvec)
 
-    def test_keeps_no_reference_to_the_ratings(self):
-        class Index(dict):  # a dict that a weak reference can watch
-            pass
-
-        logs = gen_uniform(30, 15, 0.5, seed=4)
-        matrix = build_similarity_matrix(logs, k=5, gamma=5)
-        ratings = Index((u, Index(r)) for u, r in user_ratings_index(logs).items())
-        watched = [weakref.ref(ratings), *map(weakref.ref, ratings.values())]
-        model = KnnPredictor(matrix, build_segment_model(logs), ratings)
-        del ratings
-        gc.collect()
-        assert all(ref() is None for ref in watched)
-        assert not hasattr(model, "user_ratings")
+    def test_holds_the_train_ratings_and_no_dict(self):
+        data = split(gen_uniform(30, 15, 0.5, seed=4), 0.8, 1)
+        matrix = build_similarity_matrix(data.train, k=5, gamma=5)
+        model = KnnPredictor(matrix, build_segment_model(data.train), data.train)
+        assert model.train is data.train
+        assert not [name for name, value in vars(model).items() if isinstance(value, dict)]
         assert 1.0 <= model.predict("u00000", "i00001") <= 5.0
+
+    def test_other_id_tables_rejected(self):
+        data = split(gen_uniform(30, 15, 0.5, seed=4), 0.8, 1)
+        stats = build_segment_model(data.train)
+        matrix = build_similarity_matrix(data.train, k=5, gamma=5)
+        for other in (
+            replace(data.train, user_ids=(*data.users, "zz-extra")),
+            replace(data.train, item_ids=(*data.items, "zz-extra")),
+        ):
+            with pytest.raises(ValueError, match="^train ratings use other id tables than"):
+                KnnPredictor(matrix, stats, other)
+
+    def test_repeated_train_pair_rejected(self):
+        logs = [
+            RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 3.0),
+            RatingLog("v", "k", 5.0),
+        ]
+        logs = Ratings.of(logs)
+        # k is in the tables, but not a train item of the segment model
+        stats = build_segment_model(part(logs, logs.items != 2))
+        matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ij")
+        twice = part(logs, [0, 1, 2, 3, 1])
+        with pytest.raises(
+            ValueError, match=r"^train ratings repeat a \(user, item\) pair of a train item$"
+        ):
+            KnnPredictor(matrix, stats, twice)
+        # a repeated pair of an item outside train is left out like any of its ratings
+        model = KnnPredictor(matrix, stats, part(logs, [0, 1, 2, 3, 3]))
+        once = KnnPredictor(matrix, stats, logs)
+        for user in ("u", "v"):
+            assert np.array_equal(model.predict_many(user, "ijk"), once.predict_many(user, "ijk"))
 
     def test_similarity_capability_truncates(self):
         logs = gen_uniform(30, 15, 0.5, seed=4)
@@ -456,5 +482,12 @@ class TestKnnPredict:
         logs = gen_uniform(30, 15, 0.5, seed=4)
         matrix = build_similarity_matrix(logs, k=5, gamma=5)
         fewer = [log for log in logs if log.item_id != "i00003"]
-        with pytest.raises(ValueError):
-            KnnPredictor(matrix, build_segment_model(fewer), user_ratings_index(logs))
+        with pytest.raises(ValueError, match="similarity matrix items differ"):
+            KnnPredictor(matrix, build_segment_model(fewer), Ratings.of(fewer))
+
+
+def part(logs: Ratings, picked) -> Ratings:
+    """The logs that ``picked`` (a mask or positions) selects, in the same id tables."""
+    return Ratings(
+        logs.user_ids, logs.item_ids, logs.users[picked], logs.items[picked], logs.ratings[picked]
+    )

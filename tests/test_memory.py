@@ -5,7 +5,7 @@ so the figures do not move with the machine or the allocator. Each stage's
 peak per log must not grow from the smaller fixture to the larger (a stage
 whose working set grows faster than its input fails), and must stay under
 a bound set from the measured value. The fixed budgets (the KNN build's
-block, the index and SGD level chunks, the MF extraction block) are cut
+block, the SGD level chunk, the MF extraction block) are cut
 to a size far below the fixtures', so that what the peaks show is the
 part that grows with the logs; the CSV chunk is 4 KiB, a few hundred lines.
 The last test bounds ``run_core``'s peak in score blocks.
@@ -26,11 +26,12 @@ ITEMS = 300
 # (users, draws): 16,894 and 33,685 distinct logs
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
-# 73.3, build 54.8, index 58.4, init 64.2, epoch 33.6 and extraction 16.8
-# (before the construction stages were cut to these working sets: 93.1,
-# 204.3, 114.5, 94.7, 97.9 and 20.8; the load 93.1 until it parsed plain
-# CSV chunks in bulk)
-BOUNDS = {"load": 88, "build": 66, "index": 70, "init": 77, "epoch": 40, "extract": 20}
+# 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8 (before the
+# construction stages were cut to these working sets: build 204.3, init
+# 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it parsed plain
+# CSV chunks in bulk; the init 64.2 while it read a user -> {item: rating}
+# dict, built by a stage of its own at 58.4)
+BOUNDS = {"load": 88, "build": 66, "init": 53, "epoch": 40, "extract": 20}
 # a peak per log may grow this much from the smaller size to the larger
 # (dict and array growth steps)
 SLACK = 1.05
@@ -71,10 +72,7 @@ def peaks_per_log(path) -> dict[str, float]:
     stats = build_segment_model(train)
     matrix = build_similarity_matrix(train, 100, 50)
     peaks["build"] = peak_of(lambda: build_similarity_matrix(train, 100, 50)) / n
-    peaks["index"] = peak_of(lambda: dataset.user_ratings_index(train)) / n
-    index = dataset.user_ratings_index(train)  # outside the traced region
-    peaks["init"] = peak_of(lambda: KnnPredictor(matrix, stats, index)) / n
-    del index
+    peaks["init"] = peak_of(lambda: KnnPredictor(matrix, stats, train)) / n
 
     rng = np.random.default_rng(1)
     _, uu = dense_codes(train.users, len(train.user_ids))  # as train_mf codes them
@@ -96,7 +94,6 @@ def measured(tmp_path_factory):
     sizes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**10)
-        patch.setattr(dataset, "INDEX_CHUNK", 2**10)
         patch.setattr(dataset, "CSV_CHUNK", 2**12)
         patch.setattr(mf, "LEVEL_CHUNK", 2**10)
         patch.setattr(mf, "EXTRACT_BLOCK_BYTES", 2**14)

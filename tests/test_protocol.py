@@ -19,7 +19,6 @@ from recbench.dataset import (
     SplitDataset,
     build_segment_model,
     split,
-    user_ratings_index,
 )
 from recbench.knn import KnnPredictor, block_top_n, build_similarity_matrix
 from recbench.metrics import GLOBAL
@@ -269,7 +268,7 @@ class TestRunCore:
         data, segments = make_data(seed=4)
         model = DefaultPredictor(segments)
         config = ProtocolConfig(top_n=5, explore_k=5, exclude_seen=True)
-        train_index = user_ratings_index(data.train)
+        train_index = oracle.user_ratings_index(data.train)
         for user in data.users:
             seen = set(train_index.get(user, ()))
             top = top_items(model, user, data.items, 5, seen)
@@ -355,7 +354,7 @@ class TestRunCore:
         # K > explore_k, so Explore scores a truncated matrix, not the core's.
         monkeypatch.setattr(KnnPredictor, "predict_many", counting)
         matrix = build_similarity_matrix(data.train, k=6, gamma=10)
-        model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+        model = KnnPredictor(matrix, segments, data.train)
         config = ProtocolConfig(top_n=4, explore_k=5)
         for run in (run_core, run_explore):
             calls.clear()
@@ -371,7 +370,7 @@ def make_predictor(name, data, segments):
         return RandomPredictor(seed=1)
     if name == "knn":
         matrix = build_similarity_matrix(data.train, k=5, gamma=10)
-        return KnnPredictor(matrix, segments, user_ratings_index(data.train))
+        return KnnPredictor(matrix, segments, data.train)
     factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
     return MFPredictor(factors, segments)
 
@@ -463,7 +462,8 @@ class TestRunCoreBlocks:
             protocol, "aggregate_discover", lambda *args: judged.append(args) or aggregate(*args)
         )
         run_core(model, data, segments, ProtocolConfig(top_n=4, explore_k=5, exclude_seen=exclude_seen))
-        train_index, test_index = user_ratings_index(data.train), user_ratings_index(data.test)
+        train_index = oracle.user_ratings_index(data.train)
+        test_index = oracle.user_ratings_index(data.test)
         expected = {}
         for user in data.users:
             scores = {i: model.predict(user, i) for i in data.items}
@@ -527,7 +527,7 @@ class TestExplore:
         data = split(logs, 0.8, seed=7)
         segments = build_segment_model(data.train)
         matrix = build_similarity_matrix(data.train, k=8, gamma=20)
-        model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+        model = KnnPredictor(matrix, segments, data.train)
         config = ProtocolConfig(top_n=5, explore_k=8)
         core = run_core(model, data, segments, config)
         explore = run_explore(model, data, segments, config)
@@ -540,11 +540,7 @@ class TestExplore:
         factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
         for model in (
             MFPredictor(factors, segments),
-            KnnPredictor(
-                build_similarity_matrix(data.train, k=k, gamma=10),
-                segments,
-                user_ratings_index(data.train),
-            ),
+            KnnPredictor(build_similarity_matrix(data.train, k=k, gamma=10), segments, data.train),
         ):
             explore = run_explore(model, data, segments, ProtocolConfig(top_n=3, explore_k=k))
             matrix = model.item_similarity_matrix(k)
@@ -616,9 +612,26 @@ CONFIGS = st.builds(
 )
 
 
-def knn_model(data, segments, k, user_ratings=None):
+def knn_model(data, segments, k, train=None):
+    """A KNN on the similarities of ``data.train`` that reads ``train``, by default ``data.train``."""
     matrix = build_similarity_matrix(data.train, k=k, gamma=2)
-    return KnnPredictor(matrix, segments, user_ratings or user_ratings_index(data.train))
+    return KnnPredictor(matrix, segments, data.train if train is None else train)
+
+
+def with_logs(logs: Ratings, users, items, ratings) -> Ratings:
+    """``logs`` and, after them, the logs of these codes in its id tables and ratings."""
+    return replace(
+        logs,
+        users=np.append(logs.users, users).astype(np.int32),
+        items=np.append(logs.items, items).astype(np.int32),
+        ratings=np.append(logs.ratings, ratings),
+    )
+
+
+def picked(logs: Ratings, positions) -> Ratings:
+    """The logs at ``positions``, in that order, in the same id tables."""
+    columns = (logs.users[positions], logs.items[positions], logs.ratings[positions])
+    return Ratings(logs.user_ids, logs.item_ids, *columns)
 
 
 @contextmanager
@@ -640,9 +653,7 @@ def knn_scored_users():
 
 def assert_matches_oracle(report, matrix, data, segments, config):
     """The report's cells are the oracle's for a KNN on ``matrix`` and the train ratings."""
-    emulated = KnnPredictor(
-        matrix, segments, user_ratings_index(data.train), config.r_min, config.r_max
-    )
+    emulated = KnnPredictor(matrix, segments, data.train, config.r_min, config.r_max)
     reference = oracle.naive_core_report(
         emulated, data, segments, config.top_n, config.exclude_seen
     )
@@ -754,22 +765,19 @@ class TestExploreReusesNativeKnnCore:
 
         data, segments = case
         model = DefaultScores(
-            build_similarity_matrix(data.train, k=config.explore_k, gamma=2),
-            segments,
-            user_ratings_index(data.train),
+            build_similarity_matrix(data.train, k=config.explore_k, gamma=2), segments, data.train
         )
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 
     @settings(max_examples=30, deadline=None)
-    @given(split_cases(), CONFIGS)
-    def test_knn_on_other_ratings_than_train(self, case, config):
+    @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
+    def test_knn_on_other_ratings_than_train(self, case, config, rng):
         data, segments = case
-        ratings = user_ratings_index(data.train)
-        user, rated = next(iter(ratings.items()))
-        item, rating = next(iter(rated.items()))
-        rated[item] = rating % 5 + 1
-        model = knn_model(data, segments, config.explore_k, ratings)
+        ratings = data.train.ratings.copy()
+        changed = rng.randrange(len(ratings))
+        ratings[changed] = ratings[changed] % 5 + 1
+        model = knn_model(data, segments, config.explore_k, replace(data.train, ratings=ratings))
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 
@@ -777,12 +785,14 @@ class TestExploreReusesNativeKnnCore:
     @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
     def test_knn_rated_one_more_train_item(self, case, config, rng):
         data, segments = case
-        ratings = user_ratings_index(data.train)
-        gaps = [(u, i) for u, rated in ratings.items() for i in segments.item_ids if i not in rated]
+        train = data.train
+        rated = set(zip(train.users.tolist(), train.items.tolist()))
+        train_items = np.flatnonzero(segments.item_counts).tolist()
+        users = sorted({u for u, _ in rated})
+        gaps = [(u, i) for u in users for i in train_items if (u, i) not in rated]
         assume(gaps)
         user, item = rng.choice(gaps)
-        ratings[user][item] = 3.0
-        model = knn_model(data, segments, config.explore_k, ratings)
+        model = knn_model(data, segments, config.explore_k, with_logs(train, user, item, 3.0))
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 
@@ -790,10 +800,8 @@ class TestExploreReusesNativeKnnCore:
     @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
     def test_knn_lacks_one_train_pair(self, case, config, rng):
         data, segments = case
-        ratings = user_ratings_index(data.train)
-        user = rng.choice(sorted(ratings))
-        del ratings[user][rng.choice(sorted(ratings[user]))]
-        model = knn_model(data, segments, config.explore_k, ratings)
+        kept = np.delete(np.arange(len(data.train)), rng.randrange(len(data.train)))
+        model = knn_model(data, segments, config.explore_k, picked(data.train, kept))
         run_core(model, data, segments, config)
         assert_rescored(model, data, segments, config)
 
@@ -801,44 +809,38 @@ class TestExploreReusesNativeKnnCore:
     @given(split_cases(), CONFIGS, st.booleans())
     def test_knn_given_a_user_outside_the_data(self, case, config, rated):
         data, segments = case
-        ratings = user_ratings_index(data.train)
-        ratings["stranger"] = {segments.item_ids[0]: 3.0} if rated else {}
-        model = knn_model(data, segments, config.explore_k, ratings)
-        run_core(model, data, segments, config)
-        assert_rescored(model, data, segments, config)
+        train = replace(data.train, user_ids=(*data.users, "zz-stranger"))
+        if rated:
+            train = with_logs(train, len(data.users), np.flatnonzero(segments.item_counts)[0], 3.0)
+        with pytest.raises(ValueError, match="other id tables"):
+            knn_model(data, segments, config.explore_k, train)
 
     @settings(max_examples=30, deadline=None)
     @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
     def test_train_repeats_a_pair(self, case, config, rng):
-        """A KNN given the ratings of a train set that repeats a (user,
-        item) pair holds it once, so it does not score that train set."""
+        """A train set that repeats a (user, item) pair, which
+        ``load_dataset`` never leaves, is no input for a KNN."""
         data, _ = case
         train = [(log.user_id, log.item_id, log.rating) for log in data.train]
         test = [(log.user_id, log.item_id, log.rating) for log in data.test]
         data = split_of([*train, rng.choice(train)], test)
         segments = build_segment_model(data.train)
         assert len(data.train) == len(train) + 1
-        model = knn_model(data, segments, config.explore_k)
-        run_core(model, data, segments, config)
-        assert_rescored(model, data, segments, config)
+        with pytest.raises(ValueError, match=r"repeat a \(user, item\) pair"):
+            knn_model(data, segments, config.explore_k)
 
     @settings(max_examples=30, deadline=None)
     @given(split_cases(), CONFIGS, st.randoms(use_true_random=False))
     def test_knn_given_train_ratings_in_another_order(self, case, config, rng):
+        """Equal ratings in another object are re-scored: reuse asks for
+        ``data.train`` itself. The scores are those of the core."""
         data, segments = case
-        users = list(user_ratings_index(data.train).items())
-        rng.shuffle(users)
-        ratings = {}
-        for user, rated in users:
-            items = list(rated.items())
-            rng.shuffle(items)
-            ratings[user] = dict(items)
-        model = knn_model(data, segments, config.explore_k, ratings)
+        positions = list(range(len(data.train)))
+        rng.shuffle(positions)
+        model = knn_model(data, segments, config.explore_k, picked(data.train, positions))
         core = run_core(model, data, segments, config)
-        with knn_scored_users() as scored:
-            explore = run_explore(model, data, segments, config)
-        assert scored == []
-        assert explore.reused_core
+        assert_rescored(model, data, segments, config)
+        explore = run_explore(model, data, segments, config)
         assert [t.cells for t in explore.tables] == [t.cells for t in core.tables]
 
     @settings(max_examples=20, deadline=None)
@@ -879,7 +881,7 @@ class TestDeterminismAndLeakage:
         matrix = build_similarity_matrix(data.train, k=6, gamma=10)
         reports = []
         for _ in range(2):
-            model = KnnPredictor(matrix, segments, user_ratings_index(data.train))
+            model = KnnPredictor(matrix, segments, data.train)
             reports.append(report_payload(evaluate(model, data, segments, config)))
         assert reports[0] == reports[1]
 
@@ -906,8 +908,8 @@ class TestDeterminismAndLeakage:
         config = ProtocolConfig(top_n=5, explore_k=5)
         test_pairs = {(l.user_id, l.item_id) for l in data.test}
         # Re-derive outcomes the way run_core does and check evaluability.
-        train_index = user_ratings_index(data.train)
-        test_index = user_ratings_index(data.test)
+        train_index = oracle.user_ratings_index(data.train)
+        test_index = oracle.user_ratings_index(data.test)
         for user in data.users:
             seen = set(train_index.get(user, ()))
             top = top_items(model, user, data.items, 5, seen)

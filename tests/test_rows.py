@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracle
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import RatingLog, build_segment_model, user_ratings_index
+from recbench.dataset import RatingLog, Ratings, build_segment_model
 from recbench.knn import KnnPredictor
 from recbench.mf import FactorModel, MFPredictor
 
@@ -25,8 +25,8 @@ BOUNDS = [(1.0, 5.0), (2.0, 4.0), (3.0, 3.5)]
 
 @st.composite
 def row_cases(draw):
-    """(rng, train logs, their segment model, users to score, item
-    sequences, r_min, r_max)."""
+    """(rng, logs, a segment model of all but their last two, users to
+    score, item sequences, r_min, r_max)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     items = [f"i{i:02d}" for i in range(draw(st.integers(1, 12)))]
     logs = [
@@ -37,12 +37,18 @@ def row_cases(draw):
     ]
     # a single-rating user, sorted after the others: inside every model
     logs.append(RatingLog("w-single", items[-1], float(rng.integers(1, 6))))
-    stats = build_segment_model(logs)
-    if draw(st.booleans()):  # integer means: arrays of int64
+    # "stranger", sorted first, rated a train item and one outside train:
+    # both are in the id tables, and outside the segment model's train logs
+    n = len(logs)
+    logs += [RatingLog("stranger", items[-1], 5.0), RatingLog("stranger", "i-outside", 1.0)]
+    logs = Ratings.of(logs)
+    columns = (logs.users[:n], logs.items[:n], logs.ratings[:n])
+    stats = build_segment_model(Ratings(logs.user_ids, logs.item_ids, *columns))
+    if draw(st.booleans()):  # integer means: arrays of int64 (0 without a train rating)
         stats = dataclasses.replace(
             stats,
-            user_means=np.round(stats.user_means).astype(np.int64),
-            item_means=np.round(stats.item_means).astype(np.int64),
+            user_means=np.round(np.nan_to_num(stats.user_means)).astype(np.int64),
+            item_means=np.round(np.nan_to_num(stats.item_means)).astype(np.int64),
             global_mean=round(stats.global_mean),
         )
     train = stats.item_ids
@@ -56,7 +62,7 @@ def row_cases(draw):
         [],
         (),
     )
-    users = [*stats.users, "cold"]  # each of stats.users has a train rating
+    users = [*stats.users, "cold"]  # each of stats.users but "stranger" has a train rating
     r_min, r_max = draw(st.sampled_from(BOUNDS))
     return rng, logs, stats, users, sequences, r_min, r_max
 
@@ -88,12 +94,14 @@ class TestKnnRow:
         matrix = oracle.similarity_matrix(k, lists, train)
         if int_weights:
             matrix = dataclasses.replace(matrix, weights=matrix.weights.astype(np.int64))
-        # the first user stays outside the model; "stranger" is outside
-        # train, and rated an item outside train too
-        ratings = user_ratings_index(logs)
-        del ratings[users[0]]
-        ratings["stranger"] = {train[-1]: 5.0, "i-outside": 1.0}
-        model = KnnPredictor(matrix, stats, ratings, r_min, r_max)
+        # the model reads every log but those of users[1], the first train
+        # user; "stranger" is outside train, and rated an item outside train too
+        read = logs.users != 1  # users[1]'s code
+        columns = (logs.users[read], logs.items[read], logs.ratings[read])
+        logs = Ratings(logs.user_ids, logs.item_ids, *columns)
+        ratings = oracle.user_ratings_index(logs)
+        assert users[1] not in ratings and "stranger" in ratings
+        model = KnnPredictor(matrix, stats, logs, r_min, r_max)
         for user in users + ["stranger"]:
             for item_ids in sequences:
                 want = oracle.matvec_knn_scores(matrix, stats, ratings, user, item_ids, r_min, r_max)
@@ -105,8 +113,8 @@ class TestMfRow:
     @given(row_cases(), st.integers(3, 6))
     def test_matches_gathered_reference(self, case, f):
         rng, _, stats, users, sequences, r_min, r_max = case
-        # the first user is outside the model, "stranger" outside train
-        model_users = users[1:-1] + ["stranger"]
+        # the first train user is outside the model, "stranger" outside train
+        model_users = users[2:-1] + ["stranger"]
         # mixed scales, so raw scores cross both bounds
         model = FactorModel(
             n_factors=f,

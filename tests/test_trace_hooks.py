@@ -40,9 +40,14 @@ segments = dataset.build_segment_model(data.train)
 model = ev.build_model(workload, data, segments, 1)
 config = ev.protocol_config()
 protocol.run_core(model, data, segments, config)
-protocol.run_explore(model, data, segments, config)
+explore = protocol.run_explore(model, data, segments, config)
 trace = tracer.finish(time.monotonic())
-print(json.dumps({"metrics": layer_metrics(trace), "spans": sorted({s["name"] for s in trace["spans"]})}))
+print(json.dumps({
+    "metrics": layer_metrics(trace),
+    "spans": sorted({s["name"] for s in trace["spans"]}),
+    "users": len(data.users),
+    "reused_core": explore.reused_core,
+}))
 """
 
 
@@ -64,6 +69,11 @@ def test_traced_evaluation_sees_the_library(workload, tmp_path):
         assert f"metrics.{name}" in traced["spans"]  # run_core still calls it
     if workload == "knn-catalog":
         assert metrics["knn.neighbors"] > 0
+        # the harness's KNN reads data.train itself, so Explore is the core
+        # report, and each user is scored once in all
+        assert traced["reused_core"]
+        assert metrics["protocol.rescored"] == 0
+        assert metrics["knn.predict_calls"] == traced["users"]
     else:
         # train_mf looks sgd_epoch up on the module, where the tracer wraps it
         assert metrics["mf.epochs"] == 5
