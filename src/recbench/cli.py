@@ -274,7 +274,11 @@ def cmd_gen_fixture(args) -> int:
         logs = synthetic.gen_clustered(
             args.users, args.items, args.groups, args.density, seed
         )
-    synthetic.write_csv(logs, args.output)
+    try:
+        synthetic.write_csv(logs, args.output)
+    except OSError as exc:
+        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_MANIFEST
     print(f"wrote {len(logs)} logs to {args.output}")
     return EXIT_OK
 

@@ -7,6 +7,7 @@ import io
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,7 @@ class Ratings:
     ``items`` are int32 codes into them and ``ratings`` the float64 ratings.
     The parts of a split keep the tables of the whole, so a code names the
     same id in each part, and a table may list ids without a log in a part.
+    The three arrays are made read-only, since ``by_user`` is cached.
     """
 
     user_ids: tuple[str, ...]
@@ -70,6 +72,21 @@ class Ratings:
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.users, self.items, self.ratings):
+            column.flags.writeable = False
+
+    @cached_property
+    def by_user(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, ptr): user code u's logs are at ``order[ptr[u]:ptr[u + 1]]``,
+        by ascending item code, and the logs of a repeated pair in log order."""
+        order = _by_user_item(self.users, self.items, len(self.item_ids))
+        order = order.astype(np.int32) if len(order) < 2**31 else order
+        counts = np.bincount(self.users, minlength=len(self.user_ids))
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        order.flags.writeable = ptr.flags.writeable = False
+        return order, ptr
 
     @classmethod
     def of(cls, logs) -> Ratings:
@@ -175,20 +192,24 @@ class LoadResult:
     dropped_duplicates: int
 
 
+def _by_user_item(users: np.ndarray, items: np.ndarray, n_items: int) -> np.ndarray:
+    """The log positions by (user, item) code, in one stable sort, so a
+    repeated pair's positions stay ascending."""
+    return np.argsort(users.astype(np.int64) * n_items + items, kind="stable")
+
+
 def _dedupe(logs: Ratings) -> LoadResult:
     """Keep each (user, item) pair once: at its first position, with its last rating."""
-    key = logs.users.astype(np.int64) * len(logs.item_ids) + logs.items
-    order = np.argsort(key, kind="stable")  # a pair's positions stay ascending
-    key = key[order]
-    repeats = np.equal(key[1:], key[:-1])
-    del key
-    if not repeats.any():
+    order = _by_user_item(logs.users, logs.items, len(logs.item_ids))
+    users, items = logs.users[order], logs.items[order]
+    # in (user, item) order, a pair's run starts after a change and ends before the next
+    changes = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    del users, items
+    if changes.all():
         return LoadResult(logs, 0)
-    # in key order, a pair's run starts after a change of key and ends before the next
-    changes = ~repeats
     first = order[np.concatenate(([True], changes))]
     last = order[np.concatenate((changes, [True]))]
-    del order, repeats, changes
+    del order, changes
     # each pair's last position onto its first, gathered in position order
     source = np.full(len(logs), -1, np.intp)
     source[first] = last

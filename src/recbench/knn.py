@@ -188,31 +188,19 @@ def _similar_pairs(train: Ratings, gamma: int):
     rating, ascending, and the pairs i < j of their rows whose similarity
     is above SIM_EPS. The full-length arrays go as soon as the blocks no
     longer read them."""
-    # the train users and items, renumbered in the sorted order of the tables
-    _, users = dense_codes(train.users, len(train.user_ids))
-    codes, items = dense_codes(train.items, len(train.item_ids))
+    # user-major copy, by (user, item), the items renumbered in table order
+    order, user_ptr = train.by_user
+    codes, user_items = dense_codes(train.items[order], len(train.item_ids))
     n = len(codes)
-    ratings = train.ratings
-    # user-major copy, by (user, item): each rater's items ascend
-    key = users.astype(np.int64) * n + items  # (user, item) pairs are distinct
-    by_user = np.argsort(key)
-    del key
-    user_items, user_ratings = items[by_user], ratings[by_user]
-    # each rating's position in the user-major copy
-    dtype = np.int32 if len(by_user) < 2**31 else np.int64
-    position = np.empty(len(by_user), dtype)
-    position[by_user] = np.arange(len(by_user), dtype=dtype)
-    del by_user
-    user_end = np.cumsum(np.bincount(users))
-    # item-major entries, by (item, user): each item's raters ascend
-    by_item = np.lexsort((users, items))
-    entry_items, entry_users, entry_ratings = items[by_item], users[by_item], ratings[by_item]
-    del users, items
+    user_ratings = train.ratings[order]
+    # item-major entries, by (item, user) as the sort is stable; each entry's
+    # position in the copy, as int32 where order is
+    after = np.argsort(user_items, kind="stable").astype(order.dtype)
+    entry_items, entry_ratings = user_items[after], user_ratings[after]
+    entry_users = train.users[order[after]]
     item_ptr = np.concatenate(([0], np.cumsum(np.bincount(entry_items, minlength=n))))
-    # an entry's pairs: its rater's items after its item, [after, user_end)
-    after = position[by_item]
+    # an entry's pairs: its rater's items after its item, [after, user end)
     after += 1
-    del position, by_item
 
     # (i, j, similarity) of the kept pairs, one triple of arrays per block
     found = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
@@ -226,7 +214,7 @@ def _similar_pairs(train: Ratings, gamma: int):
         a, b = item_ptr[start], item_ptr[stop]
         offsets = (entry_items[a:b] - start) * np.intp(n)
         block_x, block_after = entry_ratings[a:b], after[a:b]
-        lengths = user_end[entry_users[a:b]] - block_after
+        lengths = user_ptr[entry_users[a:b] + 1] - block_after
         for c, d in _row_blocks(lengths, BUILD_BLOCK_ENTRIES):
             pos = _runs(block_after[c:d], lengths[c:d])
             cell = np.repeat(offsets[c:d], lengths[c:d]) + user_items[pos]
@@ -304,24 +292,16 @@ class KnnPredictor(Predictor):
 
         # the users x train items CSR of deviations, each row's columns ascending
         n = len(matrix.item_ids)
-        users, ratings = train.users, train.ratings
-        rows = stats.code_row.astype(np.int32)[train.items]
+        order, self.user_ptr = train.by_user
+        rows = stats.code_row.astype(np.int32)[train.items[order]]
         if rows.min(initial=0) < 0:  # ratings of items outside train are left out
-            known = rows >= 0
-            users, rows, ratings = users[known], rows[known], ratings[known]
-        key = users.astype(np.int64)
-        key *= n
-        key += rows
-        order = np.argsort(key)
-        key = key[order]
-        if np.equal(key[1:], key[:-1]).any():
+            known = rows >= 0  # a row's new bounds count the known logs before the old
+            self.user_ptr = np.concatenate(([0], np.cumsum(known)))[self.user_ptr]
+            order, rows = order[known], rows[known]
+        if ((rows[1:] == rows[:-1]) & (np.diff(train.users[order]) == 0)).any():
             raise ValueError("train ratings repeat a (user, item) pair of a train item")
-        del key
-        counts = np.bincount(users, minlength=len(stats.users))
-        self.user_ptr = np.concatenate(([0], np.cumsum(counts)))
-        self.user_cols, self.user_dev = rows[order], ratings[order]
-        del rows, order
-        self.user_dev -= stats.row_means[self.user_cols]
+        self.user_cols, self.user_dev = rows, train.ratings[order]
+        self.user_dev -= stats.row_means[rows]
 
         # column-major weights: column j lists the items i with j as a
         # neighbor, ascending; a stable sort keeps the rows' order

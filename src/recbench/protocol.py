@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import Predictor
-from .dataset import SEGMENTS, Ratings, SegmentModel, SplitDataset, user_ratings_index
+from .dataset import SEGMENTS, SegmentModel, SplitDataset, user_ratings_index
 from .knn import KnnPredictor, block_top_n
 from .metrics import (
     MetricTable,
@@ -121,15 +121,6 @@ class _CoreRun:
 _core_runs: weakref.WeakKeyDictionary[KnnPredictor, _CoreRun] = weakref.WeakKeyDictionary()
 
 
-def _by_user(logs: Ratings, n_users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The logs' user codes, item codes and ratings grouped by user code, each
-    group in log order, and the bounds of the groups: user u's are
-    [bounds[u], bounds[u + 1])."""
-    order = np.argsort(logs.users, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(logs.users, minlength=n_users))))
-    return logs.users[order], logs.items[order], logs.ratings[order], bounds.tolist()
-
-
 def run_core(
     model: Predictor,
     data: SplitDataset,
@@ -151,9 +142,13 @@ def run_core(
     if (segments.users, segments.items) != (users, catalog):
         raise ValueError("the segment model was built on other id tables than the data")
     heavy, popular = segments.heavy, segments.popular
-    # each user's train and test item codes (= catalog positions), in log order
-    seen_users, seen_items, _, seen_bounds = _by_user(data.train, len(users))
-    test_users, test_items, test_ratings, test_bounds = _by_user(data.test, len(users))
+    # each user's train and test item codes (= catalog positions), ascending
+    order, seen_bounds = data.train.by_user
+    seen_users, seen_items = data.train.users[order], data.train.items[order]
+    order, test_bounds = data.test.by_user
+    test_users, test_items = data.test.users[order], data.test.items[order]
+    test_ratings = data.test.ratings[order]
+    seen_bounds, test_bounds = seen_bounds.tolist(), test_bounds.tolist()
     # each test log's index into SEGMENTS: (Huser, Luser) x (Pitem, Uitem)
     test_cells = ~heavy[test_users] + 2 * ~popular[test_items]
     predicted = np.empty(len(test_items))
@@ -179,16 +174,14 @@ def run_core(
         seen = slice(seen_bounds[u0], seen_bounds[u1] if config.exclude_seen else seen_bounds[u0])
         seen = (seen_users[seen] - u0, seen_items[seen])
         rows, cols = block_top_n(scores, config.top_n, seen, out=scores)
-        # the block's test logs by sorted key row * m + position; of equal
+        # the block's test logs by ascending key row * m + position; of equal
         # keys the last in log order is found, as a dict of the logs keeps it
         keys = test_rows * m + test_items[tests]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
         ranked = rows * m + cols
         # a slot below every key gets -1, which reads the largest key: no match
         at = np.searchsorted(keys, ranked, side="right") - 1
         if len(keys):
-            slots.append(tests.start + order[at[keys[at] == ranked]])
+            slots.append(tests.start + at[keys[at] == ranked])
     block = scores = None  # the block goes before Compare builds its records
     slots = np.concatenate(slots) if slots else np.empty(0, np.intp)
     nan = np.flatnonzero(np.isnan(predicted))

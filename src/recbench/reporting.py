@@ -149,11 +149,12 @@ def load_report(path: str | Path) -> dict:
 
     Each core cell must hold a finite number or null and an int support
     >= 0, under string function and metric names (segment names are JSON
-    object keys, so always strings).
+    object keys, so always strings). The protocol's r_min and r_max must be numbers.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        ok = isinstance(payload["model"], str) and {"r_min", "r_max"} <= payload["protocol"].keys()
+        scale = (payload["protocol"]["r_min"], payload["protocol"]["r_max"])
+        ok = isinstance(payload["model"], str) and all(map(is_number, scale))
         ok = ok and all(
             isinstance(t.function, str)
             and isinstance(t.metric, str)
@@ -164,8 +165,8 @@ def load_report(path: str | Path) -> dict:
         ok = False
     if not ok:
         raise ValueError(
-            f"{path} is not a report: no model name, protocol or core tables,"
-            " or a cell that is not a finite number or null with a support >= 0"
+            f"{path} is not a report: no model name, numeric rating scale or core"
+            " tables, or a cell that is not a finite number or null with a support >= 0"
         )
     return payload
 

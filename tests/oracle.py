@@ -16,6 +16,8 @@ measures one cell at a time. ``item_group_of`` gives the groups of
 ``synthetic.gen_clustered``'s items, which only tests read.
 ``user_ratings_index`` is the user -> {item: rating} dict that
 ``KnnPredictor`` once took; the dict-reading references read it.
+``naive_by_user`` is the (user, item) order of ``Ratings.by_user`` by a
+sort of Python tuples.
 """
 
 from __future__ import annotations
@@ -630,6 +632,14 @@ def naive_dedupe(logs):
     for log in logs:
         by_key[(log.user_id, log.item_id)] = log
     return list(by_key.values()), len(logs) - len(by_key)
+
+
+def naive_by_user(logs: Ratings):
+    """``Ratings.by_user`` by brute force -> (the log positions sorted by
+    (user code, item code, position), each user code's number of logs)."""
+    users, items = logs.users.tolist(), logs.items.tolist()
+    order = sorted(range(len(users)), key=lambda k: (users[k], items[k], k))
+    return order, [users.count(u) for u in range(len(logs.user_ids))]
 
 
 def naive_split(logs, ratio, seed):

@@ -541,6 +541,20 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("cannot load report:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("r_min", [1]), ("r_max", {"a": 5}), ("r_min", "1"), ("r_max", None), ("r_min", True)],
+    )
+    def test_non_numeric_scale_rejected(self, tmp_path, fixture_csv, capsys, field, bad):
+        report = self.run_model(tmp_path, fixture_csv, {"name": "default"}, "default")
+        payload = json.loads(report.read_text())
+        payload["protocol"][field] = bad
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["compare", str(report), str(report)]) == EXIT_EVALUATION
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load report:") and "Traceback" not in err
+
 
 def test_import_loads_no_scipy():
     """scipy is a test dependency only: the package must not import it."""
@@ -572,6 +586,14 @@ class TestGenFixture:
         assert main(["--seed", "5", "gen-fixture", "uniform", str(a)]) == EXIT_OK
         assert main(["--seed", "5", "gen-fixture", "uniform", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, parent):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / parent / "fix.csv"
+        assert main(["gen-fixture", "uniform", str(out)]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -445,6 +445,48 @@ def test_ratings_columns_and_views():
     assert all(type(log.rating) is float for log in ratings)
 
 
+def coded(n_users, n_items, logs) -> Ratings:
+    """(user code, item code, rating) triples as a Ratings with tables of these sizes."""
+    users, items, ratings = zip(*logs) if logs else ((), (), ())
+    return Ratings(
+        tuple(f"u{k}" for k in range(n_users)),
+        tuple(f"i{k}" for k in range(n_items)),
+        np.array(users, np.int32),
+        np.array(items, np.int32),
+        np.array(ratings, float),
+    )
+
+
+@st.composite
+def coded_logs(draw):
+    """Up to 40 logs on tables of 1-6 users and 1-6 items: repeated pairs,
+    table users with no log and single-log users all occur."""
+    n_users, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    log = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1), st.integers(1, 5))
+    return coded(n_users, n_items, draw(st.lists(log, max_size=40)))
+
+
+class TestByUser:
+    # u0: a repeated pair (i1 twice) out of item order; u1: no log; u2: one log
+    @example(coded(4, 3, [(0, 1, 5), (2, 0, 1), (0, 0, 2), (0, 1, 3), (3, 2, 4), (0, 2, 1)]))
+    @example(coded(3, 2, []))
+    @given(coded_logs())
+    @settings(max_examples=200, deadline=None)
+    def test_against_a_tuple_sort(self, logs):
+        order, ptr = logs.by_user
+        expected_order, counts = oracle.naive_by_user(logs)
+        assert order.tolist() == expected_order
+        assert ptr.tolist() == np.cumsum([0] + counts).tolist()
+        assert order.dtype == np.int32 and logs.by_user is logs.by_user
+
+    def test_arrays_are_read_only(self):
+        """A write fails, instead of leaving a stale by_user behind."""
+        logs = coded(2, 2, [(0, 1, 4), (1, 0, 2)])
+        for array in (logs.users, logs.items, logs.ratings, *logs.by_user):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
 def test_user_ratings_index():
     """What the benchmark harness passes to KnnPredictor: Ratings.of, so a
     split's train set itself."""

@@ -9,6 +9,11 @@ block, the SGD level chunk, the MF extraction block) are cut
 to a size far below the fixtures', so that what the peaks show is the
 part that grows with the logs; the CSV chunk is 4 KiB, a few hundred lines.
 The last test bounds ``run_core``'s peak in score blocks.
+
+The ``index`` stage is ``Ratings.by_user``, measured on a fresh copy of
+the train logs. ``build`` and ``init`` are measured with the train logs'
+index present: the first, unmeasured ``build_similarity_matrix`` call
+builds it, and both stages read it.
 """
 
 import tracemalloc
@@ -18,7 +23,14 @@ import pytest
 
 from recbench import dataset, knn, mf, protocol
 from recbench.baselines import Predictor
-from recbench.dataset import RatingLog, build_segment_model, dense_codes, load_dataset, split
+from recbench.dataset import (
+    RatingLog,
+    Ratings,
+    build_segment_model,
+    dense_codes,
+    load_dataset,
+    split,
+)
 from recbench.knn import KnnPredictor, build_similarity_matrix
 from recbench.mf import FactorModel, mf_item_similarity, sgd_epoch
 
@@ -26,12 +38,13 @@ ITEMS = 300
 # (users, draws): 16,894 and 33,685 distinct logs
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
-# 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8 (before the
+# 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8, and index
+# 18.2 (build 53.7 and init 43.4 since they read the index; before the
 # construction stages were cut to these working sets: build 204.3, init
 # 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it parsed plain
 # CSV chunks in bulk; the init 64.2 while it read a user -> {item: rating}
 # dict, built by a stage of its own at 58.4)
-BOUNDS = {"load": 88, "build": 66, "init": 53, "epoch": 40, "extract": 20}
+BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 53, "epoch": 40, "extract": 20}
 # a peak per log may grow this much from the smaller size to the larger
 # (dict and array growth steps)
 SLACK = 1.05
@@ -69,6 +82,9 @@ def peaks_per_log(path) -> dict[str, float]:
     peaks = {"load": peak_of(lambda: load_dataset(path)) / len(logs)}
     train = split(logs, 0.9, 1).train
     n = len(train)
+    fresh = Ratings(train.user_ids, train.item_ids, train.users, train.items, train.ratings)
+    peaks["index"] = peak_of(lambda: fresh.by_user) / n
+    del fresh
     stats = build_segment_model(train)
     matrix = build_similarity_matrix(train, 100, 50)
     peaks["build"] = peak_of(lambda: build_similarity_matrix(train, 100, 50)) / n

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from recbench import protocol
+from recbench import cli, dataset, protocol
 from recbench.baselines import DefaultPredictor, Predictor, RandomPredictor
 from recbench.dataset import (
     SEGMENTS,
@@ -241,6 +241,24 @@ class TestRunCore:
         assert report.table("RMSE").value(GLOBAL) == 0.0
         assert report.table("COMP_macro").value(GLOBAL) == 1.0
         assert report.table("COMP_micro").value(GLOBAL) == 1.0
+
+    @pytest.mark.parametrize("name", ["knn", "mf"])
+    def test_train_and_test_logs_are_each_ordered_once(self, monkeypatch, name):
+        """The model build, the core run and Explore (MF's re-run too) share
+        each Ratings' cached by-user order."""
+        data, segments = make_data(seed=4)
+        ordered = []
+        order = dataset._by_user_item
+
+        def counted(users, items, n_items):
+            ordered.append(users)
+            return order(users, items, n_items)
+
+        monkeypatch.setattr(dataset, "_by_user_item", counted)
+        manifest = {"model": {"name": name, "K": 5, "F": 4}, "split": {"seed": 1}}
+        model = cli.build_model(name, manifest, data, segments, 1.0, 5.0)
+        evaluate(model, data, segments, ProtocolConfig(top_n=5, explore_k=5))
+        assert sorted(map(id, ordered)) == sorted(map(id, (data.train.users, data.test.users)))
 
     @pytest.mark.parametrize("exclude_seen", [True, False])
     def test_default_predictor_matches_naive_reference(self, exclude_seen):
