@@ -85,9 +85,7 @@ class RandomPredictor(Predictor):
             raise ValueError(f"no integer rating level in [{r_min}, {r_max}]")
 
     def predict(self, user_id: str, item_id: str) -> float:
-        key = f"{self.seed}|{user_id}|{item_id}".encode()
-        digest = hashlib.blake2b(key, digest_size=8).digest()
-        return float(self.levels[int.from_bytes(digest, "big") % len(self.levels)])
+        return float(self.predict_many(user_id, (item_id,))[0])
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         prefix = f"{self.seed}|{user_id}|".encode()

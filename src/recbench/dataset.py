@@ -74,7 +74,11 @@ class Ratings:
     ratings: np.ndarray
 
     def __post_init__(self):
-        for column in (self.users, self.items, self.ratings):
+        for name in ("users", "items", "ratings"):
+            column = getattr(self, name)
+            if column.base is not None:  # a view, whose base could still be written
+                column = column.copy()
+                object.__setattr__(self, name, column)
             column.flags.writeable = False
 
     @cached_property

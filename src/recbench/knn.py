@@ -70,8 +70,10 @@ class SimilarityMatrix:
     def truncated(self, k: int) -> "SimilarityMatrix":
         if k >= self.k:
             return self
-        rows = np.repeat(np.arange(len(self.item_ids)), np.diff(self.indptr))
-        return SimilarityMatrix.top_k(k, self.item_ids, rows, self.indices, self.weights)
+        kept = np.minimum(np.diff(self.indptr), k)  # a row's first k are its top k
+        at = _runs(self.indptr[:-1], kept)
+        indptr = np.concatenate(([0], np.cumsum(kept)))
+        return SimilarityMatrix(k, self.item_ids, indptr, self.indices[at], self.weights[at])
 
 
 def weighted_pearson(
@@ -108,10 +110,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def block_top_n(
-    scores: np.ndarray,
-    n: int,
-    seen: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray | None = None,
+    scores: np.ndarray, n: int, seen: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, position) of the ``n`` highest scores of each row of a block,
     rows ascending, each row's best first and its ties by ascending position.
@@ -119,10 +118,10 @@ def block_top_n(
     The (row, position) pairs in ``seen`` and -inf scores are never picked,
     so a row yields fewer than ``n`` when the rest run out; NaN scores rank
     after every other. Only each row's candidates at or above its n-th
-    highest score are sorted. The block's negation is written to ``out``
-    (``scores`` itself, to rank in place), else to a new array.
+    highest score are sorted. The block is ranked in place: it is left
+    holding its negation, with +inf at the ``seen`` cells.
     """
-    neg = np.negative(scores, out=out)
+    neg = np.negative(scores, out=scores)
     neg[seen] = np.inf
     # each row's n-th lowest, copied out so that the partitioned block goes at once
     kth = np.partition(neg, n - 1, axis=1)[:, n - 1, None].copy() if n < neg.shape[1] else np.inf

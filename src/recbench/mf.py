@@ -34,19 +34,20 @@ class FactorModel:
     learning_rate: float
     regularization: float
     seed: int
-    user_ids: list[str]
+    user_ids: list[str]  # sorted and distinct: a user's row is found by bisection
     item_ids: list[str]  # sorted, as train_mf leaves them
     user_factors: np.ndarray  # (n_users, F), column USER_PINNED == 1
     item_factors: np.ndarray  # (n_items, F), column ITEM_PINNED == 1
     training_log: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        self.user_index = {u: n for n, u in enumerate(self.user_ids)}
+        if any(a >= b for a, b in zip(self.user_ids, self.user_ids[1:])):
+            raise ValueError("factor model user_ids must be sorted and distinct")
 
     def raw_predict(self, user_id: str, item_id: str) -> float | None:
-        u = self.user_index.get(user_id)
+        u = code_of(self.user_ids, user_id)
         i = code_of(self.item_ids, item_id)
-        if u is None or i < 0:
+        if u < 0 or i < 0:
             return None
         return float(self.user_factors[u] @ self.item_factors[i])
 
@@ -254,7 +255,7 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
         corr = np.matmul(block, unit.T, out=buffer[: len(block)])
         np.clip(corr, -1.0, 1.0, out=corr)
         local = np.arange(len(block))
-        rows, cols = block_top_n(corr, k, (local, start + local), out=corr)
+        rows, cols = block_top_n(corr, k, (local, start + local))
         # the block now holds the negated correlations
         sims = np.negative(corr[rows, cols])
         positive = sims > SIM_EPS
@@ -309,8 +310,8 @@ class MFPredictor(Predictor):
         return float(min(max(raw, self.r_min), self.r_max))
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
-        u = self.model.user_index.get(user_id)
-        if u is None:
+        u = code_of(self.model.user_ids, user_id)
+        if u < 0:
             return self.fallback.predict_many(user_id, item_ids)
         if item_ids is self.stats.items:
             factors, outside = self.catalog

@@ -173,7 +173,7 @@ def run_core(
         predicted[tests] = scores[test_rows, test_items[tests]]
         seen = slice(seen_bounds[u0], seen_bounds[u1] if config.exclude_seen else seen_bounds[u0])
         seen = (seen_users[seen] - u0, seen_items[seen])
-        rows, cols = block_top_n(scores, config.top_n, seen, out=scores)
+        rows, cols = block_top_n(scores, config.top_n, seen)
         # the block's test logs by ascending key row * m + position; of equal
         # keys the last in log order is found, as a dict of the logs keeps it
         keys = test_rows * m + test_items[tests]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RatingLog
+from .dataset import RatingLog, Ratings, _columns
 
 
 def _user_id(n: int) -> str:
@@ -25,15 +25,14 @@ def gen_uniform(
     seed: int,
     r_min: int = 1,
     r_max: int = 5,
-) -> list[RatingLog]:
+) -> Ratings:
     """Each (user, item) pair rated with probability ``density``, uniform levels."""
     rng = np.random.default_rng(seed)
     picks = rng.random((n_users, n_items)) < density
     levels = rng.integers(r_min, r_max + 1, size=(n_users, n_items))
-    return [
-        RatingLog(_user_id(u), _item_id(i), float(levels[u, i]))
-        for u, i in zip(*np.nonzero(picks))
-    ]
+    return _columns(
+        (_user_id(u), _item_id(i), float(levels[u, i])) for u, i in zip(*np.nonzero(picks))
+    )
 
 
 def gen_planted_rank1(
@@ -41,17 +40,16 @@ def gen_planted_rank1(
     n_items: int,
     density: float,
     seed: int,
-) -> list[RatingLog]:
+) -> Ratings:
     """Noise-free rank-1 structure: rating = clamp(round(a_u * b_i)) in [1, 5]."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(1.0, 2.2, n_users)
     b = rng.uniform(1.0, 2.2, n_items)
     picks = rng.random((n_users, n_items)) < density
     ratings = np.clip(np.round(np.outer(a, b)), 1.0, 5.0)
-    return [
-        RatingLog(_user_id(u), _item_id(i), float(ratings[u, i]))
-        for u, i in zip(*np.nonzero(picks))
-    ]
+    return _columns(
+        (_user_id(u), _item_id(i), float(ratings[u, i])) for u, i in zip(*np.nonzero(picks))
+    )
 
 
 def gen_clustered(
@@ -60,7 +58,7 @@ def gen_clustered(
     n_groups: int,
     density: float,
     seed: int,
-) -> list[RatingLog]:
+) -> Ratings:
     """Item groups with per-user group preferences.
 
     Every item in group g receives the user's group preference (an integer in
@@ -72,13 +70,12 @@ def gen_clustered(
     prefs = rng.integers(1, 6, size=(n_users, n_groups)).astype(float)
     group_of = (np.arange(n_items) * n_groups) // n_items
     picks = rng.random((n_users, n_items)) < density
-    return [
-        RatingLog(_user_id(u), _item_id(i), float(prefs[u, group_of[i]]))
-        for u, i in zip(*np.nonzero(picks))
-    ]
+    return _columns(
+        (_user_id(u), _item_id(i), float(prefs[u, group_of[i]])) for u, i in zip(*np.nonzero(picks))
+    )
 
 
-def write_csv(logs: list[RatingLog], path: str | Path) -> None:
+def write_csv(logs: Ratings | list[RatingLog], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "item_id", "rating"])

@@ -14,6 +14,9 @@ slot where the library now reduces arrays;
 ``per_cell_aggregate_discover`` judges each user with those per-user
 measures one cell at a time. ``item_group_of`` gives the groups of
 ``synthetic.gen_clustered``'s items, which only tests read.
+``uniform_logs``, ``planted_rank1_logs`` and ``clustered_logs`` are the
+``synthetic`` generators as they were when they built a list of
+``RatingLog``: ``Ratings.of`` of each must equal the generator's Ratings.
 ``user_ratings_index`` is the user -> {item: rating} dict that
 ``KnnPredictor`` once took; the dict-reading references read it.
 ``naive_by_user`` is the (user, item) order of ``Ratings.by_user`` by a
@@ -29,10 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench import mf
-from recbench.dataset import SEGMENTS, Ratings, SegmentModel
+from recbench.dataset import SEGMENTS, RatingLog, Ratings, SegmentModel, code_of
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 from recbench.metrics import GLOBAL, MetricTable
-from recbench.synthetic import _item_id
+from recbench.synthetic import _item_id, _user_id
 
 
 def naive_rmse(pairs):
@@ -503,8 +506,8 @@ def gathered_mf_scores(model, stats, user_id, item_ids, r_min=1.0, r_max=5.0):
     the default predictor's scores over the whole row, and ``np.where``
     between the two."""
     fallback = default_scores(stats, user_id, item_ids, r_min, r_max)
-    u = model.user_index.get(user_id)
-    if u is None:
+    u = code_of(model.user_ids, user_id)
+    if u < 0:
         return fallback
     rows = stats.item_rows(item_ids)
     known = rows >= 0
@@ -722,3 +725,39 @@ def item_group_of(n_items, n_groups):
     """Item id -> group index, as ``synthetic.gen_clustered`` assigns them:
     group g holds items [g * n_items / n_groups, (g+1) * n_items / n_groups)."""
     return {_item_id(i): i * n_groups // n_items for i in range(n_items)}
+
+
+def uniform_logs(n_users, n_items, density, seed, r_min=1, r_max=5):
+    """``synthetic.gen_uniform`` as a list of RatingLog."""
+    rng = np.random.default_rng(seed)
+    picks = rng.random((n_users, n_items)) < density
+    levels = rng.integers(r_min, r_max + 1, size=(n_users, n_items))
+    return [
+        RatingLog(_user_id(u), _item_id(i), float(levels[u, i]))
+        for u, i in zip(*np.nonzero(picks))
+    ]
+
+
+def planted_rank1_logs(n_users, n_items, density, seed):
+    """``synthetic.gen_planted_rank1`` as a list of RatingLog."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1.0, 2.2, n_users)
+    b = rng.uniform(1.0, 2.2, n_items)
+    picks = rng.random((n_users, n_items)) < density
+    ratings = np.clip(np.round(np.outer(a, b)), 1.0, 5.0)
+    return [
+        RatingLog(_user_id(u), _item_id(i), float(ratings[u, i]))
+        for u, i in zip(*np.nonzero(picks))
+    ]
+
+
+def clustered_logs(n_users, n_items, n_groups, density, seed):
+    """``synthetic.gen_clustered`` as a list of RatingLog."""
+    rng = np.random.default_rng(seed)
+    prefs = rng.integers(1, 6, size=(n_users, n_groups)).astype(float)
+    group_of = (np.arange(n_items) * n_groups) // n_items
+    picks = rng.random((n_users, n_items)) < density
+    return [
+        RatingLog(_user_id(u), _item_id(i), float(prefs[u, group_of[i]]))
+        for u, i in zip(*np.nonzero(picks))
+    ]

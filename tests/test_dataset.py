@@ -353,7 +353,7 @@ class TestSegmentModel:
     def test_order_independent(self):
         logs = gen_uniform(15, 10, 0.5, seed=4)
         a = build_segment_model(logs)
-        b = build_segment_model(list(reversed(logs)))
+        b = build_segment_model(list(logs)[::-1])
         assert a.user_threshold == b.user_threshold
         assert np.array_equal(a.user_means, b.user_means)
         assert a.global_mean == b.global_mean
@@ -485,6 +485,14 @@ class TestByUser:
         for array in (logs.users, logs.items, logs.ratings, *logs.by_user):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+    def test_a_view_is_copied(self):
+        """A write through a view's base leaves the logs, and by_user, as they were."""
+        u = np.array([1, 0, 1], np.int32)
+        logs = Ratings(("a", "b"), ("x", "y"), u[:], np.array([0, 1, 1], np.int32), np.ones(3))
+        order, _ = logs.by_user
+        u[0] = 0
+        assert logs.users.tolist() == [1, 0, 1] and order.tolist() == [1, 0, 2]
 
 
 def test_user_ratings_index():

@@ -69,6 +69,12 @@ class TestPrediction:
         pred = MFPredictor(model, stats)
         assert pred.predict("ghost", "i0") == DefaultPredictor(stats).predict("ghost", "i0")
 
+    @pytest.mark.parametrize("user_ids", [["u1", "u0"], ["u0", "u0"]])
+    def test_unsorted_user_ids_rejected(self, user_ids):
+        """A user's row is found by bisection in user_ids."""
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            small_model([[1, 0, 0]] * 2, [[0, 1, 0]], user_ids=user_ids)
+
     def test_predict_many_matches_predict(self):
         logs = gen_uniform(20, 12, 0.5, seed=1)
         model = train_mf(logs, n_factors=4, seed=2, budget_seconds=2, validation_fraction=0.1)
@@ -90,7 +96,7 @@ class TestPrediction:
         assert len(stats.item_ids) < len(catalog)  # items outside train
         pred = MFPredictor(model, stats)
         before = dict(vars(pred))
-        assert {"u00000", "u00007"} <= model.user_index.keys()
+        assert {"u00000", "u00007"} <= set(model.user_ids)
         for user in ["u00000", "u00007", "ghost"]:
             tested = [l.item_id for l in data.test if l.user_id == user] + ["unknown"]
             calls = [(catalog, pred.predict_many(user, catalog))]

@@ -163,9 +163,7 @@ class TestBlockTopN:
     @example(UNEQUAL_COUNTS)
     def test_rows_match_per_row_reference(self, case):
         scores, n, seen = case
-        original = scores.copy()
-        rows, cols = block_top_n(scores, n, seen_cells(seen))
-        assert np.array_equal(scores, original, equal_nan=True)  # the block is not changed
+        rows, cols = block_top_n(scores.copy(), n, seen_cells(seen))
         assert np.all(np.diff(rows) >= 0)
         for r, row in enumerate(scores):
             got = cols[rows == r].tolist()
@@ -182,18 +180,20 @@ class TestBlockTopN:
     @example(UNEQUAL_COUNTS)
     def test_equals_the_two_dimensional_scan(self, case):
         scores, n, seen = case
-        got = block_top_n(scores, n, seen_cells(seen))
+        got = block_top_n(scores.copy(), n, seen_cells(seen))
         want = oracle.nonzero_block_top_n(scores, n, seen_cells(seen))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(block_cases())
-    def test_ranking_in_place_gives_the_rows_of_the_default_call(self, case):
+    def test_leaves_the_block_negated_and_seen_at_inf(self, case):
+        """What MF's extraction reads back from the ranked block."""
         scores, n, seen = case
-        want = block_top_n(scores, n, seen_cells(seen))
         block = scores.copy()
-        got = block_top_n(block, n, seen_cells(seen), out=block)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        block_top_n(block, n, seen_cells(seen))
+        want = np.negative(scores)
+        want[seen_cells(seen)] = np.inf
+        assert np.array_equal(block, want, equal_nan=True)
 
 
 class TestProtocolConfig:

@@ -2,12 +2,14 @@
 
 The digests are those ``python tests/reference_reports.py`` prints for the
 default, random and KNN models, and those ``perfbench/evaluate.py`` prints
-for the knn-catalog benchmark input at seeds 1-4. A change that moves no
+for the knn-catalog benchmark input at seeds 1-4; so are the two fixture
+CSVs the reference runs read. A change that moves no
 reported number leaves them as they are. MF is left out, here and in the
 benchmark's mf-heavy input: its dot products run through BLAS kernels
 chosen per CPU, so its digests may differ between machines.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from reference_reports import digests
+from recbench.synthetic import write_csv
+from reference_reports import FIXTURES, digests
 
 PINNED = {
     "clustered default exclude_seen=true": "7c146cc5e1c72bc432cf9826c38b931aa9be26d8efe40edd0e6a1d7f95ccaa4c",
@@ -30,6 +33,12 @@ PINNED = {
     "uniform random exclude_seen=false": "ff43f055a672fb85964e27c371855f0803f31c4346089ae4f5a0c5d932a5a677",
     "uniform knn exclude_seen=true": "da391684c9f203e62d72ca6dde87e28d204678e9b72ffb3f33ed9b1c974ec1f7",
     "uniform knn exclude_seen=false": "b79812e79af933b6f478c331e110b7cf9960bcb08420c376e5dead5b31b0ddb7",
+}
+
+# sha256 of each reference fixture as synthetic.write_csv writes it
+FIXTURE_CSVS = {
+    "clustered": "d80ca42f6793688bd14893440f4981678182c1ef182bd9186a0dedf68e31d68c",
+    "uniform": "49cfb8b2595050b9a42ff766491387fc8eb4dae7034942aa35cb3a2c97aedbd3",
 }
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,6 +75,13 @@ def test_every_run_is_pinned(measured):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_is_byte_identical(measured, name):
     assert measured[name] == PINNED[name]
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_fixture_csv_is_byte_identical(fixture, tmp_path):
+    path = tmp_path / f"{fixture}.csv"
+    write_csv(FIXTURES[fixture](), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_CSVS[fixture]
 
 
 @pytest.mark.parametrize("seed", sorted(KNN_CATALOG))

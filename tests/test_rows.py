@@ -113,8 +113,9 @@ class TestMfRow:
     @given(row_cases(), st.integers(3, 6))
     def test_matches_gathered_reference(self, case, f):
         rng, _, stats, users, sequences, r_min, r_max = case
-        # the first train user is outside the model, "stranger" outside train
-        model_users = users[2:-1] + ["stranger"]
+        # the first train user is outside the model, "stranger" outside
+        # train; sorted, as FactorModel requires
+        model_users = sorted(users[2:-1] + ["stranger"])
         # mixed scales, so raw scores cross both bounds
         model = FactorModel(
             n_factors=f,
