@@ -45,7 +45,7 @@ MODEL_NAMES = ("knn", "mf", "default", "random")
 # Model keys read as integers by build_model; the fit checks the ranges of
 # all but seed, which must be >= 0 as split.seed is.
 MODEL_INT_KEYS = ("K", "gamma", "F", "seed")
-# Model keys read as numbers by build_model.
+# Model keys read as numbers by build_model, each the name of a train_mf parameter.
 MODEL_NUMBER_KEYS = ("budget_seconds", "validation_fraction", "learning_rate", "regularization")
 
 
@@ -91,7 +91,8 @@ def load_manifest(path: str | Path) -> tuple[dict, ProtocolConfig]:
     dataset = _section(manifest, "dataset", ("path", "format"), required=True)
     if not isinstance(_require(dataset, "path"), str):
         raise ManifestError("dataset.path must be a string")
-    dataset.setdefault("format", "csv")
+    if dataset.setdefault("format", "csv") not in ("csv", "netflix"):
+        raise ManifestError(f"dataset.format must be csv or netflix, not {dataset['format']!r}")
     if not Path(dataset["path"]).exists():
         raise ManifestError(f"dataset path does not exist: {dataset['path']}")
     model_keys = ("name", *MODEL_INT_KEYS, *MODEL_NUMBER_KEYS)
@@ -138,15 +139,12 @@ def build_model(name: str, manifest: dict, data, segments, r_min: float, r_max: 
         matrix = build_similarity_matrix(data.train, k, gamma)
         return KnnPredictor(matrix, segments, data.train, r_min, r_max, gamma=gamma)
     if name == "mf":
-        model = train_mf(
-            data.train,
-            n_factors=int(model_cfg.get("F", 16)),
-            seed=int(model_cfg.get("seed", manifest["split"]["seed"])),
-            budget_seconds=float(model_cfg.get("budget_seconds", 90 * 60)),
-            validation_fraction=float(model_cfg.get("validation_fraction", 0.015)),
-            learning_rate=float(model_cfg.get("learning_rate", 0.030)),
-            regularization=float(model_cfg.get("regularization", 0.008)),
-        )
+        # the manifest's keys only, so train_mf's defaults are the only ones
+        settings = {key: float(model_cfg[key]) for key in MODEL_NUMBER_KEYS if key in model_cfg}
+        if "F" in model_cfg:
+            settings["n_factors"] = int(model_cfg["F"])
+        seed = int(model_cfg.get("seed", manifest["split"]["seed"]))
+        model = train_mf(data.train, seed=seed, **settings)
         return MFPredictor(model, segments, r_min, r_max)
     raise ManifestError(f"unknown model {name!r}")
 

@@ -24,8 +24,6 @@ CSV_CHUNK = 2**16
 _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\r\n"
 # The uint64 whose first k bytes in memory are 0xff and the rest 0, by k
 _FIRST_BYTES = np.frombuffer(b"".join(b"\xff" * k + bytes(8 - k) for k in range(9)), np.uint64)
-# 10**k, exact, for the at most 15 fraction digits of a plain rating
-_POW10 = np.array([10**k for k in range(16)], dtype=float)
 
 
 def code_of(table, key: str) -> int:
@@ -112,11 +110,11 @@ class Ratings:
 class _Columns:
     """Logs appended as columns, each id coded in the order it is first seen.
 
-    The CSV bulk path adds its logs in chunks of id keys, after the logs of
-    line 1 and before those of any later line the row path reads. Until the
-    columns are read, such a log's code is the position of its key among the
-    distinct keys of all the chunks; ``to_ratings`` codes their ids with one
-    ``_distinct_rows`` over those keys.
+    The CSV bulk path adds its logs in chunks of id keys and float64
+    ratings, after the logs of line 1 and before those of any later line the
+    row path reads. Until the columns are read, such a log's code is the
+    position of its key among the distinct keys of all the chunks;
+    ``to_ratings`` codes their ids with one ``_distinct_rows`` over those keys.
     """
 
     def __init__(self):
@@ -323,39 +321,6 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], ranks
 
 
-def _ratings(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int):
-    """Each field ``buf[start:start + length]`` (at most ``width`` bytes) as
-    ``float`` reads it, if every one matches [+-]?D+(.D*)? with at most 15
-    digits; None otherwise. The value is M / 10**k of two exact doubles,
-    which one IEEE division rounds as ``float`` does."""
-    first = buf[starts]
-    signed = ((first == ord("+")) | (first == ord("-"))) & (lengths > 0)
-    m = np.zeros(len(starts))  # the digits as one integer
-    n_digits, n_dots, k = (np.zeros(len(starts), np.intp) for _ in range(3))
-    led = np.zeros(len(starts), bool)  # a digit right after any sign
-    for j in range(width):
-        inside = lengths > j
-        byte = buf[starts + j]
-        digit = byte - np.uint8(ord("0"))
-        is_digit = (digit < 10) & inside
-        if j < 2:
-            led |= is_digit & (signed == j)
-        n_digits += is_digit
-        m = np.where(is_digit, m * 10 + digit, m)
-        n_dots += (byte == ord(".")) & inside
-        k += is_digit & (n_dots > 0)
-    if not (
-        led.all()
-        and (n_digits + n_dots + signed == lengths).all()
-        and n_dots.max() <= 1
-        and n_digits.max() <= 15
-    ):
-        return None
-    values = m / _POW10[k]
-    np.negative(values, out=values, where=first == ord("-"))
-    return values
-
-
 def _timestamps_ok(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> bool:
     """Whether every field ``buf[start:start + length]`` (at most ``width``
     bytes) is empty or matches [+-]?D+."""
@@ -379,9 +344,10 @@ def _plain_chunk(chunk: bytes, r_min: float, r_max: float):
 
     Plain: every byte printable ASCII but space and '"', and '\\r' only
     right before '\\n'; 3 or 4 fields of at most ``csv.field_size_limit()``
-    bytes; a rating [+-]?D+(.D*)? of at most 15 digits inside the scale; a
-    timestamp empty or [+-]?D+ of at most 18 bytes, which any ``int`` digit
-    limit admits."""
+    bytes; a rating that ``float`` reads inside the scale; a timestamp
+    empty or [+-]?D+ of at most 18 bytes, which any ``int`` digit limit
+    admits. numpy casts bytes to float64 with ``float`` itself, so each
+    distinct rating text of the chunk is read once, by the row path's parser."""
     if not chunk.endswith(b"\n"):  # the file's last line
         chunk += b"\n"
     if chunk.translate(None, _PLAIN_BYTES):
@@ -414,22 +380,27 @@ def _plain_chunk(chunk: bytes, r_min: float, r_max: float):
         (stamp_starts, stops[four] - stamp_starts),
     )
     widths = [int(np.max(lengths, initial=0)) for _, lengths in fields]
-    if max(widths) > csv.field_size_limit() or widths[2] > 17 or widths[3] > 18:
+    if max(widths) > csv.field_size_limit() or widths[3] > 18:
         return None
-    # ids as keys of 8-byte words, each column's at most twice the chunk
-    n_words = [-(-max(width, 1) // 8) for width in widths[:2]]
+    # ids and rating texts as keys of 8-byte words, each column's at most twice the chunk
+    n_words = [-(-max(width, 1) // 8) for width in widths[:3]]
     if max(n_words) * 8 * len(ends) > 2 * len(buf):
         return None
     padded = np.zeros(len(buf) + 8 * max(n_words) + 18, np.uint8)
     padded[: len(buf)] = buf
-    ratings = _ratings(padded, *fields[2], widths[2])
-    if ratings is None or not ((ratings >= r_min) & (ratings <= r_max)).all():
-        return None
     if not _timestamps_ok(padded, *fields[3], widths[3]):
         return None
     words = np.ndarray((len(padded) - 7,), np.uint64, padded, strides=(1,))
-    users, items = (_field_words(words, *field, width) for field, width in zip(fields, n_words))
-    return _distinct_rows(users), _distinct_rows(items), ratings
+    users, items, (texts, where) = (
+        _distinct_rows(_field_words(words, *field, width)) for field, width in zip(fields, n_words)
+    )
+    try:  # trailing NUL bytes dropped
+        ratings = texts.view(f"S{8 * n_words[2]}")[:, 0].astype(float)
+    except ValueError:
+        return None
+    if not ((ratings >= r_min) & (ratings <= r_max)).all():
+        return None
+    return users, items, ratings[where]
 
 
 def _load_csv(path: Path, r_min: float, r_max: float) -> _Columns:

@@ -179,7 +179,7 @@ def train_mf(
 
     started = time.monotonic()
     training_log: list[dict] = []
-    best = (np.inf, p.copy(), q.copy())
+    best_rmse, p_best, q_best = np.inf, np.empty_like(p), np.empty_like(q)
     consecutive_increases = 0
     prev_val = np.inf
     epoch = 0
@@ -199,8 +199,10 @@ def train_mf(
         training_log.append(
             {"epoch": epoch, "val_rmse": val_rmse, "elapsed": elapsed, "levels": levels}
         )
-        if val_rmse < best[0]:
-            best = (val_rmse, p.copy(), q.copy())
+        if val_rmse < best_rmse:  # always at epoch 0, since val_rmse is finite
+            best_rmse = val_rmse
+            np.copyto(p_best, p)
+            np.copyto(q_best, q)
         consecutive_increases = consecutive_increases + 1 if val_rmse > prev_val else 0
         prev_val = val_rmse
         epoch += 1
@@ -209,7 +211,6 @@ def train_mf(
         if max_epochs is not None and epoch >= max_epochs:
             break
 
-    _, p_best, q_best = best
     return FactorModel(
         n_factors=n_factors,
         learning_rate=learning_rate,

@@ -175,10 +175,9 @@ class IncompatibleReports(Exception):
     pass
 
 
-def render_compare(payloads: list[dict], names: list[str] | None = None) -> str:
-    """Side-by-side comparison of report payloads with best-value marks."""
-    if names is None:
-        names = [p["model"] for p in payloads]
+def render_compare(payloads: list[dict]) -> str:
+    """Side-by-side comparison of report payloads, by model, with best-value marks."""
+    names = [p["model"] for p in payloads]
     scales = {(p["protocol"]["r_min"], p["protocol"]["r_max"]) for p in payloads}
     if len(scales) > 1:
         raise IncompatibleReports("reports use different rating scales")

@@ -177,6 +177,23 @@ class TestRun:
         assert len(rmse) >= 4 and all(a < b for a, b in zip(rmse[-4:], rmse[-3:]))
         assert "training_log" not in (out / "report.json").read_text()
 
+    def test_mf_defaults_are_train_mfs(self, tmp_path, fixture_csv):
+        spelled = {
+            "F": 16,
+            "budget_seconds": 90 * 60,
+            "validation_fraction": 0.015,
+            "learning_rate": 0.030,
+            "regularization": 0.008,
+        }
+        reports = []
+        for n, model in enumerate([{"name": "mf"}, {"name": "mf", **spelled}]):
+            path = manifest_file(tmp_path, fixture_csv, model, name=f"m{n}.json")
+            assert main(["run", str(path), "-o", str(tmp_path / str(n))]) == EXIT_OK
+            reports.append((tmp_path / str(n) / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        config = json.loads(reports[0])["model_config"]
+        assert config == {"F": 16, "learning_rate": 0.03, "regularization": 0.008, "seed": 7}
+
     def test_output_dir_env(self, tmp_path, fixture_csv, monkeypatch):
         path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
         monkeypatch.setenv("RECBENCH_OUTPUT_DIR", str(tmp_path / "env-out"))
@@ -295,6 +312,9 @@ class TestErrors:
             ("model.learning_rate", "fast"),
             ("model.regularization", {}),
             ("dataset.path", 5),
+            ("dataset.format", "parquet"),
+            ("dataset.format", 5),
+            ("dataset.format", None),
             ("model.bogus", 1),
         ],
     )

@@ -80,17 +80,21 @@ class TestLoadCsv:
 
 
 # lines the bulk path parses: 3 or 4 fields of printable ASCII; ids of 0 to
-# 17 bytes (one, two and three 8-byte key words); ratings [+-]?D+(.D*)? of
-# up to 15 digits, -0 among them; timestamps empty or [+-]?D+
+# 17 bytes (one, two and three 8-byte key words); ratings as float() reads
+# them, -0, exponents, underscores and 16 or more digits among them, and inf
+# and nan, which the scale refuses; timestamps empty or [+-]?D+
 PLAIN_IDS = st.sampled_from(
     ["", "u1", "u2", "U10", "9", "i~!#", "b\\s", "12345678", "123456789", "a" * 17]
 )
 PLAIN_RATINGS = st.sampled_from(
     ["3", "3.0", "3.", "+4.5", "-0", "-0.75", "007.250", "10", "1.23456789012345", "0.1"]
+    + ["1e0", ".5", "4.", "+.5e1", "1_0", "9.999999999999999", "2.50000000000000000001"]
+    + ["inf", "nan"]
 )
 PLAIN_STAMPS = st.sampled_from([None, "", "1234", "+5", "-7", "000000000000000009"])
-# lines that are not plain: the row path reads them, raising where it must
-# (16-digit ratings whose digits, as M / 10**k, round away from float())
+# lines that are not plain: the row path reads them, raising where it must;
+# and four lines whose 16-digit, exponent or fraction-only ratings float()
+# reads, which are plain
 NOT_PLAIN = st.sampled_from(
     [
         '"u,1",i1,3',
@@ -189,6 +193,36 @@ class TestBulkCsv:
         ratings = load_dataset(path, r_min=-1.0, r_max=1e9).logs.ratings
         assert ratings.tobytes() == np.array([float(l.split(",")[2]) for l in lines]).tobytes()
         assert np.signbit(ratings).tolist() == [True, False, False, False, False]
+
+
+class TestBulkRatings:
+    """A bulk rating is what ``float`` reads, bit for bit; a chunk whose
+    rating ``float`` refuses, or reads outside the scale, is not plain.
+    This pins numpy's bytes-to-float64 cast to ``float``."""
+
+    TEXTS = st.one_of(
+        st.floats().map(repr),
+        st.lists(st.sampled_from([*"0123456789+-._eE", "inf", "nan"]), max_size=25).map(
+            lambda parts: "".join(parts)[:25]
+        ),
+    )
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(TEXTS)
+    @example("1_0")
+    @example("2.50000000000000000001")
+    @example("-0")
+    @example("")
+    def test_a_rating_is_what_float_reads(self, text):
+        logs = dataset._plain_chunk(b"u,i," + text.encode("ascii") + b"\n", -1.0, 10.0)
+        try:
+            want = float(text)
+        except ValueError:
+            want = None
+        if want is None or not -1.0 <= want <= 10.0:
+            assert logs is None
+        else:
+            assert logs[2].tobytes() == np.array([want]).tobytes()
 
 
 class TestLoadNetflix:
