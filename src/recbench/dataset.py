@@ -35,10 +35,14 @@ def code_of(table, key: str) -> int:
 def dense_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The codes (into a table of ``size`` ids) that occur, ascending, and
     each code's position among them, as int32: ``np.unique`` with
-    ``return_inverse``, by counting instead of sorting."""
-    present = np.bincount(codes, minlength=size) > 0
-    rank = np.cumsum(present, dtype=np.int32) - 1
-    return np.flatnonzero(present), rank[codes]
+    ``return_inverse``, by a flag over the table instead of sorting."""
+    codes = codes.astype(np.intp, copy=False)  # indexes twice as fast as int32
+    present = np.zeros(size, bool)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(size, np.int32)  # read only where a code occurs
+    rank[distinct] = np.arange(len(distinct), dtype=np.int32)
+    return distinct, rank[codes]
 
 
 class DatasetError(Exception):

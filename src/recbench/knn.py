@@ -13,9 +13,10 @@ _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
 # the positivity filter must agree between the naive and vectorized routes.
 SIM_EPS = 1e-9
-# Co-rating sums that build_similarity_matrix holds for one block of item
-# rows (rows x items, at least one row), and pairs it expands at once.
-BUILD_BLOCK_ENTRIES = 2**16
+# Pairs that build_similarity_matrix expands at once, co-rating sums it
+# holds for one block of item rows (but one row heavier than that), and
+# similar pairs it keeps pending before a merge into each row's top K.
+BUILD_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,15 +37,6 @@ class SimilarityMatrix:
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.item_ids, self.item_ids[1:])):
             raise ValueError("similarity matrix item_ids must be sorted and distinct")
-
-    @classmethod
-    def top_k(cls, k, item_ids, rows, cols, weights) -> "SimilarityMatrix":
-        """Each row's first ``k`` of the given entries by (-weight, column)."""
-        order = np.lexsort((cols, -weights, rows))
-        counts = np.bincount(rows, minlength=len(item_ids))
-        kept = order[_runs(np.cumsum(counts) - counts, np.minimum(counts, k))]
-        indptr = np.concatenate(([0], np.cumsum(np.minimum(counts, k))))
-        return cls(k, tuple(item_ids), indptr, cols[kept], weights[kept])
 
     def neighbor_list(self, item_id: str) -> list[tuple[str, float]]:
         ids = self.item_ids
@@ -153,96 +145,223 @@ def _row_blocks(weights: np.ndarray, budget: int):
         start = stop
 
 
+def _entry_order(rows, cols, weights, n: int) -> np.ndarray:
+    """The order of entries by (row, -weight, column), as ``np.lexsort((cols,
+    -weights, rows))`` gives it, for distinct (row, column) pairs, columns
+    below n and weights that are not NaN.
+
+    It is one argsort of an int64 key, (row, rank of -weight, column), which
+    is unique, so any sort gives this order: 103 against 426 ns an entry
+    for ``np.lexsort`` on 3M random entries. Where the key could overflow,
+    it is ``np.lexsort``."""
+    if not len(rows):
+        return np.zeros(0, np.intp)
+    # each weight's rank from the highest, equal weights equal
+    by_weight = np.argsort(weights)[::-1]
+    ranked = weights[by_weight]
+    steps = ranked[1:] != ranked[:-1]
+    del ranked
+    key = np.empty(len(rows), np.int64)
+    key[by_weight[0]] = 0
+    key[by_weight[1:]] = np.cumsum(steps)
+    del by_weight, steps
+    levels = int(key.max()) + 1
+    if (int(rows.max()) + 1) * levels * n >= 2**63:
+        return np.lexsort((cols, -weights, rows))
+    key += rows.astype(np.int64) * levels
+    key *= n
+    key += cols
+    return np.argsort(key)
+
+
 def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> SimilarityMatrix:
     """Top-K Weighted Pearson neighbors for every item of the train set.
 
     Co-rating statistics are summed over expanded pairs: each (item i,
     rater u) entry is paired with u's items j > i, so only co-rated pairs
-    i < j are ever materialized. Items are taken one block of rows at a
-    time, whose sums over every column are held dense, at most
-    BUILD_BLOCK_ENTRIES of them (at least one row); a block's entries are
-    expanded at most BUILD_BLOCK_ENTRIES pairs at a time (an entry with
-    more gets a chunk of its own). So neither the items x items product
-    nor a popular item's expanded pairs are held at once. Each pair's sums
-    add its terms in ascending rater order, the order of a row-wise sparse
-    product (Gustavson 1978), so the similarities are those of that
-    product, bit for bit.
+    i < j are ever materialized, at most BUILD_BLOCK_ENTRIES at once. Items
+    are taken in blocks of consecutive rows whose pairs number at most
+    that; a row with more is a block of its own and is expanded in chunks.
+    A block's sums are held by cell: over the co-rated (row, column) cells
+    of its pairs, found by counting, not sorting, first the columns the
+    pairs touch and then the cells among the rows x those columns; a cell
+    with one rater is not summed. A heavy row's sums are held over the
+    columns from it on. So neither the items x items product nor a popular
+    item's expanded pairs are held at once, and a block's work is that of
+    its pairs, cells and the n columns. Each cell's sums add its terms in
+    ascending rater order from 0.0, the order of a row-wise sparse product
+    (Gustavson 1978), so the similarities are those of that product, bit
+    for bit.
+
+    Each block's pairs above SIM_EPS go, for both ends, into a running top
+    K per row (_TopK), so the similar pairs are never held all at once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     train = Ratings.of(train)
-    codes, first, second, sims = _similar_pairs(train, gamma)
-    rows, cols = np.concatenate((first, second)), np.concatenate((second, first))
-    del first, second
-    weights = np.tile(sims, 2)
-    del sims
-    item_ids = [train.item_ids[c] for c in codes.tolist()]
-    return SimilarityMatrix.top_k(k, item_ids, rows, cols, weights)
+    blocks = _similar_pairs(train, gamma)
+    codes = next(blocks)
+    top = _TopK(k, len(codes))
+    for first, second, sims, stop in blocks:
+        top.add(first, second, sims, stop)
+    item_ids = tuple(train.item_ids[c] for c in codes.tolist())
+    return SimilarityMatrix(k, item_ids, *top.merged())
+
+
+class _TopK:
+    """Each row's top k entries by (-weight, column) of the similar pairs
+    added so far, for both ends: those kept at the last merge, and those
+    pending.
+
+    The pending entries are merged in once there are more than
+    BUILD_BLOCK_ENTRIES of them and more than the kept ones of the rows
+    still open, so merging costs O(entries added) in all; an entry that its
+    row's k-th kept one beats is dropped as it comes. The top k of a union
+    is the top k of the parts' top ks, since (-weight, column) orders a
+    row's entries totally, so the result is that of one sort of all the
+    entries, while only O(rows x k + BUILD_BLOCK_ENTRIES) are held.
+    The rows that get no more pairs are set aside at a merge, and not
+    sorted again.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.k = k
+        self.counts = np.zeros(n, np.intp)
+        self.closed, self.done = 0, []  # rows below closed: their (columns, weights)
+        self.cols, self.weights = np.empty(0, np.int32), np.empty(0)  # the open rows'
+        # each open row's k-th kept weight, once it has k
+        self.floor = np.full(n, -np.inf)
+        self.pending, self.size = [], 0
+
+    def add(self, first, second, weights, closed: int):
+        """Adds the pairs (first, second) with their weights, to both rows;
+        the rows below ``closed`` get no pairs after these."""
+        rows, cols, weights = np.concatenate((first, second)), np.concatenate((second, first)), np.tile(weights, 2)
+        # a row's pairs come by ascending column, (i, row) by block, then
+        # (row, j), so an entry with its row's k-th weight loses their tie
+        above = weights > np.take(self.floor, rows)
+        self.pending.append((rows[above], cols[above], weights[above]))
+        self.size += len(self.pending[-1][0])
+        if self.size > max(BUILD_BLOCK_ENTRIES, len(self.cols)):
+            self.merge(closed)
+
+    def merge(self, closed: int):
+        """Merges the pending entries in; the rows below ``closed`` are set aside."""
+        n = len(self.counts)
+        rows = np.repeat(np.arange(self.closed, n, dtype=np.int32), self.counts[self.closed :])
+        parts = [list(part) for part in zip((rows, self.cols, self.weights), *self.pending)]
+        # only parts holds the entries, so that each part goes as its field is joined
+        rows = self.cols = self.weights = None
+        self.pending, self.size = [], 0
+        rows, cols, weights = (np.concatenate(parts.pop(0)) for _ in range(3))
+        # each row's first k entries by (-weight, column)
+        order = _entry_order(rows, cols, weights, n)
+        found = np.bincount(rows, minlength=n)
+        del rows
+        counts = np.minimum(found, self.k)
+        order = order[_runs(np.cumsum(found) - found, counts)]
+        cols, weights = cols[order], weights[order]
+        del order
+        self.counts[self.closed :] = counts[self.closed :]
+        done = int(counts[self.closed : closed].sum())
+        self.done.append((cols[:done].copy(), weights[:done].copy()))  # not views of the open rows
+        self.closed = closed
+        self.cols, self.weights = cols[done:], weights[done:]
+        full = np.flatnonzero(counts[closed:] == self.k) + closed
+        last = np.cumsum(counts[closed:])[full - closed] - 1
+        self.floor[full] = self.weights[last]
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, weights) of every row's top k."""
+        self.merge(len(self.counts))
+        indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        return (indptr, *(np.concatenate(part) for part in zip(*self.done)))
 
 
 def _similar_pairs(train: Ratings, gamma: int):
-    """(codes, i, j, similarity): the codes of the items with a train
-    rating, ascending, and the pairs i < j of their rows whose similarity
-    is above SIM_EPS. The full-length arrays go as soon as the blocks no
-    longer read them."""
+    """Yields the codes of the items with a train rating, ascending, then
+    for each block of their rows (i, j, similarity, stop): the pairs i < j
+    with i in the block whose similarity is above SIM_EPS, and the row after
+    the block. The full-length arrays go when the blocks end."""
     # user-major copy, by (user, item), the items renumbered in table order
     order, user_ptr = train.by_user
-    codes, user_items = dense_codes(train.items[order], len(train.item_ids))
+    codes, user_items = dense_codes(np.take(train.items, order), len(train.item_ids))
     n = len(codes)
-    user_ratings = train.ratings[order]
-    # item-major entries, by (item, user) as the sort is stable; each entry's
-    # position in the copy, as int32 where order is
+    yield codes
+    # item-major entries, by (item, user) as the sort is stable: each one's
+    # position in the copy plus one, where its pairs (its rater's items
+    # after its item) start, and their number, as int32 where order is
     after = np.argsort(user_items, kind="stable").astype(order.dtype)
-    entry_items, entry_ratings = user_items[after], user_ratings[after]
-    entry_users = train.users[order[after]]
-    item_ptr = np.concatenate(([0], np.cumsum(np.bincount(entry_items, minlength=n))))
-    # an entry's pairs: its rater's items after its item, [after, user end)
+    item_ptr = np.concatenate(([0], np.cumsum(np.bincount(user_items, minlength=n))))
+    lengths = np.take(user_ptr[1:].astype(order.dtype), np.take(train.users, np.take(order, after)))
     after += 1
+    lengths -= after
+    user_ratings = np.take(train.ratings, order)
+    # each row's pairs: the sum of its entries' lengths
+    pairs = np.add.reduceat(lengths, item_ptr[:-1], dtype=np.intp)
 
-    # (i, j, similarity) of the kept pairs, one triple of arrays per block
-    found = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
-    block_rows = max(1, BUILD_BLOCK_ENTRIES // max(n, 1))
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        # the block's sums by cell (i - start) * n + j
-        count = np.zeros((stop - start) * n, np.intp)
-        sum_x, sum_y, sum_xy, sum_x2, sum_y2 = np.zeros((5, len(count)))
-        # the block's entries: their cells' row offsets, ratings and pairs
+    for start, stop in _row_blocks(pairs, BUILD_BLOCK_ENTRIES):
+        # the block's entries: their rows, ratings and pairs' runs in the copy
         a, b = item_ptr[start], item_ptr[stop]
-        offsets = (entry_items[a:b] - start) * np.intp(n)
-        block_x, block_after = entry_ratings[a:b], after[a:b]
-        lengths = user_ptr[entry_users[a:b] + 1] - block_after
-        for c, d in _row_blocks(lengths, BUILD_BLOCK_ENTRIES):
-            pos = _runs(block_after[c:d], lengths[c:d])
-            cell = np.repeat(offsets[c:d], lengths[c:d]) + user_items[pos]
-            x, y = np.repeat(block_x[c:d], lengths[c:d]), user_ratings[pos]
-            # the pairs come in (i, rater, j) order, and add.at adds in input
-            # order onto the sums so far: each pair's terms by ascending rater
-            count += np.bincount(cell, minlength=len(count))
-            np.add.at(sum_x, cell, x)
-            np.add.at(sum_y, cell, y)
-            np.add.at(sum_xy, cell, x * y)
-            np.add.at(sum_x2, cell, x * x)
-            np.add.at(sum_y2, cell, y * y)
+        block_after, block_lengths = after[a:b], lengths[a:b]
+        block_x = np.take(user_ratings, block_after - 1)
+        if pairs[start] <= BUILD_BLOCK_ENTRIES:  # one chunk
+            pos = _runs(block_after, block_lengths)
+            # the columns the pairs touch, then the cells (row, column) they
+            # touch, a cell c being row c // width and column touched[c % width]
+            touched, cols = dense_codes(np.take(user_items, pos), n)
+            width = len(touched)
+            rows = np.repeat(np.arange(stop - start) * width, np.diff(item_ptr[start : stop + 1]))
+            cells, cell = dense_codes(np.repeat(rows, block_lengths) + cols, (stop - start) * width)
+            del rows, cols
+            count = np.bincount(cell)
+            # the pairs of cells with two raters or more, the only ones kept
+            paired = np.flatnonzero(np.take(count, cell) >= 2)
+            x = np.repeat(block_x, block_lengths)[paired]
+            y = np.take(user_ratings, pos[paired])
+            cell = cell[paired]
+            # bincount adds each cell's terms in input order, (i, rater, j),
+            # from 0.0: by ascending rater
+            sum_x, sum_y, sum_xy, sum_x2, sum_y2 = (
+                np.bincount(cell, weights=terms, minlength=len(cells))
+                for terms in (x, y, x * y, x * x, y * y)
+            )
+        else:  # one row, its cells over the columns from it on, in chunks
+            touched = np.arange(start, n)
+            width = len(touched)
+            count = np.zeros(width, np.intp)
+            sum_x, sum_y, sum_xy, sum_x2, sum_y2 = np.zeros((5, width))
+            for c, d in _row_blocks(block_lengths, BUILD_BLOCK_ENTRIES):
+                pos = _runs(block_after[c:d], block_lengths[c:d])
+                cell = np.take(user_items, pos) - np.intp(start)  # intp: add.at is faster
+                x, y = np.repeat(block_x[c:d], block_lengths[c:d]), np.take(user_ratings, pos)
+                # add.at adds in input order onto the sums so far: each
+                # cell's terms by ascending rater
+                count += np.bincount(cell, minlength=width)
+                np.add.at(sum_x, cell, x)
+                np.add.at(sum_y, cell, y)
+                np.add.at(sum_xy, cell, x * y)
+                np.add.at(sum_x2, cell, x * x)
+                np.add.at(sum_y2, cell, y * y)
+            cells = np.arange(width)
         kept = np.flatnonzero(count >= 2)
         count = count[kept].astype(float)
-        sum_x, sum_y, sum_xy = sum_x[kept], sum_y[kept], sum_xy[kept]
-        sum_x2, sum_y2 = sum_x2[kept], sum_y2[kept]
-
-        cov = sum_xy - sum_x * sum_y / count
-        var_x = sum_x2 - sum_x**2 / count
-        var_y = sum_y2 - sum_y**2 / count
+        cov = sum_xy[kept] - sum_x[kept] * sum_y[kept] / count
+        # only a positive covariance can give a similarity above SIM_EPS
+        at = np.flatnonzero(cov > 0)
+        kept, count, cov = kept[at], count[at], cov[at]
+        sum_x, sum_y = sum_x[kept], sum_y[kept]
+        var_x = sum_x2[kept] - sum_x**2 / count
+        var_y = sum_y2[kept] - sum_y**2 / count
         valid = (var_x > _VAR_EPS) & (var_y > _VAR_EPS)
         sim = np.zeros(len(count))
         sim[valid] = cov[valid] / np.sqrt(var_x[valid] * var_y[valid])
         sim = np.clip(sim, -1.0, 1.0) * np.minimum(count, gamma) / gamma
         positive = sim > SIM_EPS
-        first, second = np.divmod(kept[positive], n)
-        found.append(((first + start).astype(np.int32), second.astype(np.int32), sim[positive]))
-
-    return (codes, *(np.concatenate(part) for part in zip(*found)))
+        first, second = np.divmod(cells[kept[positive]], width)
+        yield (first + start).astype(np.int32), touched[second].astype(np.int32), sim[positive], stop
 
 
 class KnnPredictor(Predictor):
@@ -291,15 +410,15 @@ class KnnPredictor(Predictor):
 
         # the users x train items CSR of deviations, each row's columns ascending
         n = len(matrix.item_ids)
-        order, self.user_ptr = train.by_user
-        rows = stats.code_row.astype(np.int32)[train.items[order]]
+        order, self.user_ptr = train.by_user  # int32: gathered by np.take, which is faster
+        rows = np.take(stats.code_row.astype(np.int32), np.take(train.items, order))
         if rows.min(initial=0) < 0:  # ratings of items outside train are left out
             known = rows >= 0  # a row's new bounds count the known logs before the old
             self.user_ptr = np.concatenate(([0], np.cumsum(known)))[self.user_ptr]
             order, rows = order[known], rows[known]
-        if ((rows[1:] == rows[:-1]) & (np.diff(train.users[order]) == 0)).any():
+        if ((rows[1:] == rows[:-1]) & (np.diff(np.take(train.users, order)) == 0)).any():
             raise ValueError("train ratings repeat a (user, item) pair of a train item")
-        self.user_cols, self.user_dev = rows, train.ratings[order]
+        self.user_cols, self.user_dev = rows, np.take(train.ratings, order)
         self.user_dev -= stats.row_means[rows]
 
         # column-major weights: column j lists the items i with j as a

@@ -20,7 +20,9 @@ measures one cell at a time. ``item_group_of`` gives the groups of
 ``user_ratings_index`` is the user -> {item: rating} dict that
 ``KnnPredictor`` once took; the dict-reading references read it.
 ``naive_by_user`` is the (user, item) order of ``Ratings.by_user`` by a
-sort of Python tuples.
+sort of Python tuples. ``top_k_matrix`` cuts all of a matrix's entries to
+each row's top K in one sort, as the KNN build did before its running top
+K; the sparse-product and MF references build their matrices with it.
 """
 
 from __future__ import annotations
@@ -328,12 +330,23 @@ def naive_mf_item_similarity(model, k):
     return neighbors
 
 
+def top_k_matrix(k, item_ids, rows, cols, weights):
+    """The SimilarityMatrix of each row's first ``k`` of the given entries
+    by (-weight, column), ordered at once by ``np.lexsort``: how the KNN
+    build cut its similar pairs before it kept a running top K."""
+    order = np.lexsort((cols, -weights, rows))
+    ranked_rows = rows[order]
+    kept = order[np.arange(len(order)) - np.searchsorted(ranked_rows, ranked_rows) < k]
+    counts = np.minimum(np.bincount(rows, minlength=len(item_ids)), k)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return SimilarityMatrix(k, tuple(item_ids), indptr, cols[kept], weights[kept])
+
+
 def blocked_mf_item_similarity(model, k):
     """``mf.mf_item_similarity`` as it was before it cut each block's rows
     to K: the same correlation blocks (of ``mf.EXTRACT_BLOCK_BYTES``, read
     at call time), every block's candidates gathered, then ordered and cut
-    at once by ``SimilarityMatrix.top_k``. The extraction must equal it
-    bit for bit."""
+    at once by ``top_k_matrix``. The extraction must equal it bit for bit."""
     m = model.item_factors
     centered = m - m.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
@@ -358,7 +371,7 @@ def blocked_mf_item_similarity(model, k):
         r, c = np.nonzero((corr >= floors[:, None]) & (corr > SIM_EPS))
         found.append((r + start, c, corr[r, c]))
     rows, cols, sims = (np.concatenate(part) for part in zip(*found))
-    return SimilarityMatrix.top_k(k, model.item_ids, rows, cols, sims)
+    return top_k_matrix(k, model.item_ids, rows, cols, sims)
 
 
 def similarity_matrix(k, lists, item_ids):
@@ -412,7 +425,7 @@ def sparse_similarity_matrix(train, k, gamma):
     sim = np.clip(sim, -1.0, 1.0) * np.minimum(n, gamma) / gamma
     keep = sim > SIM_EPS
     i, j, sim = i[keep], j[keep], sim[keep]
-    return SimilarityMatrix.top_k(
+    return top_k_matrix(
         k, items, np.concatenate((i, j)), np.concatenate((j, i)), np.tile(sim, 2)
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from recbench.baselines import DefaultPredictor
-from recbench.dataset import RatingLog, Ratings, build_segment_model, split
+from recbench.dataset import RatingLog, Ratings, build_segment_model, dense_codes, split
 from recbench import knn
 from recbench.knn import KnnPredictor, build_similarity_matrix, weighted_pearson
 from recbench.mf import mf_item_similarity, train_mf
@@ -137,9 +137,13 @@ def naive_similarity_lists(logs, k, gamma):
 class TestBlockedBuild:
     """Row blocks of the co-rating products against one block and the pairwise oracle."""
 
-    @pytest.mark.parametrize("budget", [1, 40, 500])
+    @pytest.mark.parametrize("budget", [1, 30, 40, 500, 2**40])
     def test_blocks_match_one_block(self, monkeypatch, budget):
+        # at budget 1 every row is a block of its own, expanded one rating's
+        # pairs at a time, and the top K is merged as soon as its pending
+        # entries outnumber its kept ones
         logs = gen_clustered(80, 40, 4, density=0.3, seed=11)
+        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**40)
         whole = build_similarity_matrix(logs, k=7, gamma=10)
         monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", budget)
         assert build_similarity_matrix(logs, k=7, gamma=10).neighbors == whole.neighbors
@@ -194,6 +198,60 @@ class TestBlockedBuild:
         assert got.k == want.k and got.item_ids == want.item_ids
         for field in ("indptr", "indices", "weights"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("budget", [1, 30])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 12))
+    def test_tied_weights_and_a_heavy_row_match_sparse_products(self, budget, seed, k, gamma):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(8, 20)), int(rng.integers(2, 7))
+        rated = rng.random((n_users, n_items)) < 0.5
+        rated[np.arange(n_users), np.arange(n_users) % n_items] = True
+        rated[np.arange(n_users), (np.arange(n_users) + 1) % n_items] = True
+        logs = []
+        for u, i in zip(*np.nonzero(rated)):
+            # each item twice, under two ids and with the same ratings, so
+            # that the weights of the copies tie wherever they are cut at K
+            rating = float(rng.integers(1, 4))
+            logs += [RatingLog(f"u{u:02d}", f"i{i}{copy}", rating) for copy in "ab"]
+        # rated by everyone and first in id order: its row's pairs, each
+        # user's other ratings, number at least 4 per user, past the budget
+        logs += [RatingLog(f"u{u:02d}", "a", float(rng.integers(1, 6))) for u in range(n_users)]
+        logs = [logs[n] for n in rng.permutation(len(logs))]
+        merges = []
+        merge = knn._TopK.merge
+
+        def counted(top, closed):
+            merges.append(closed)
+            return merge(top, closed)
+
+        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget), mock.patch.object(knn._TopK, "merge", counted):
+            got = build_similarity_matrix(logs, k, gamma)
+        want = oracle.sparse_similarity_matrix(logs, k, gamma)
+        assert got.k == want.k and got.item_ids == want.item_ids
+        for field in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        if budget == 1:
+            assert len(merges) > 1, merges
+
+    @pytest.mark.parametrize("cols", [[], [3, 3, 3], [4, 0, 2, 1, 3, 0, 4]], ids=["none", "one", "all"])
+    def test_compact_column_rank(self, cols):
+        # a block's touched columns of 5, and each pair's among them
+        cols = np.array(cols, np.int32)
+        touched, rank = dense_codes(cols, 5)
+        want, inverse = np.unique(cols, return_inverse=True)
+        assert touched.tolist() == want.tolist()
+        assert rank.dtype == np.int32 and rank.tolist() == inverse.tolist()
+
+    @pytest.mark.parametrize("n", [40, 2**60], ids=["key", "overflow"])
+    def test_entry_order_is_lexsort(self, n):
+        rng = np.random.default_rng(5)
+        cells = rng.choice(40 * 40, 500, replace=False)
+        rows, cols = (cells // 40).astype(np.int32), (cells % 40).astype(np.int32)
+        weights = rng.integers(1, 6, len(cells)) / 5  # many ties
+        order = knn._entry_order(rows, cols, weights, n)
+        assert np.array_equal(order, np.lexsort((cols, -weights, rows)))
+        assert len(knn._entry_order(rows[:0], cols[:0], weights[:0], n)) == 0
 
     def test_row_blocks_cover_rows_within_budget(self):
         weights = np.array([3, 1, 9, 2, 2, 0, 4])

@@ -5,10 +5,15 @@ so the figures do not move with the machine or the allocator. Each stage's
 peak per log must not grow from the smaller fixture to the larger (a stage
 whose working set grows faster than its input fails), and must stay under
 a bound set from the measured value. The fixed budgets (the KNN build's
-block, the SGD level chunk, the MF extraction block) are cut
-to a size far below the fixtures', so that what the peaks show is the
-part that grows with the logs; the CSV chunk is 4 KiB, a few hundred lines.
-The last test bounds ``run_core``'s peak in score blocks.
+pairs, cells and pending entries, the SGD level chunk, the MF extraction
+block) are cut to a size far below the fixtures', so that what the peaks
+show is the part that grows with the logs; the CSV chunk is 4 KiB, a few
+hundred lines.
+
+The KNN build is also measured on a wide fixture, 6,000 items: there its
+similar pairs grow faster than the logs, and the build holds only each
+row's top K of them, so its peak per log must not grow either. The last
+test bounds ``run_core``'s peak in score blocks.
 
 The ``index`` stage is ``Ratings.by_user``, measured on a fresh copy of
 the train logs. ``build`` and ``init`` are measured with the train logs'
@@ -39,7 +44,9 @@ ITEMS = 300
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
 # 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8, and index
-# 18.2 (build 53.7 and init 43.4 since they read the index; before the
+# 18.2 (build 53.7 and init 43.4 since they read the index; the build 56.1
+# since it keeps a running top K, which here holds about as many entries
+# as the similar pairs it held until one sort, so its bound stays; before the
 # construction stages were cut to these working sets: build 204.3, init
 # 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it parsed plain
 # CSV chunks in bulk; the init 64.2 while it read a user -> {item: rating}
@@ -50,16 +57,16 @@ BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 53, "epoch": 40, "extrac
 SLACK = 1.05
 
 
-def netflix_shape(path, n_users, draws, seed=0):
+def netflix_shape(path, n_users, draws, seed=0, n_items=ITEMS):
     """Lognormal user activity and 1/rank^0.9 item popularity, integer
     ratings from a rank-3 signal plus noise, as a CSV; repeated pairs kept,
     as a real log has them."""
     rng = np.random.default_rng(seed)
     user_weights = rng.lognormal(0, 1.3, n_users)
-    item_weights = 1.0 / np.arange(1, ITEMS + 1) ** 0.9
+    item_weights = 1.0 / np.arange(1, n_items + 1) ** 0.9
     users = rng.choice(n_users, draws, p=user_weights / user_weights.sum())
-    items = rng.choice(ITEMS, draws, p=item_weights / item_weights.sum())
-    user_factors, item_factors = rng.normal(0, 1, (n_users, 3)), rng.normal(0, 1, (ITEMS, 3))
+    items = rng.choice(n_items, draws, p=item_weights / item_weights.sum())
+    user_factors, item_factors = rng.normal(0, 1, (n_users, 3)), rng.normal(0, 1, (n_items, 3))
     signal = np.einsum("ij,ij->i", user_factors[users], item_factors[items])
     ratings = np.clip(np.rint(3 + 0.6 * signal + rng.normal(0, 0.8, draws)), 1, 5).astype(int)
     columns = (users.tolist(), items.tolist(), ratings.tolist())
@@ -129,6 +136,45 @@ def test_peak_per_log_does_not_grow(measured, stage):
 @pytest.mark.parametrize("stage", sorted(BOUNDS))
 def test_peak_per_log_within_bound(measured, stage):
     assert measured[-1][stage] <= BOUNDS[stage], measured[-1][stage]
+
+
+WIDE_ITEMS = 6000
+# (users, draws) of the wide fixture: 32,606 and 60,084 train logs over
+# 5,170 and 5,820 items. The users stay and their draws double, so their
+# co-rated pairs grow about four times: from 181.5 to 323.5 bytes per train
+# log when the build held every similar pair until one sort
+WIDE_SIZES = ((1000, 45_000), (1000, 90_000))
+# K small enough that the matrix (15,195 and 24,352 neighbors) grows less
+# than the logs
+WIDE_K = 5
+# the build's peak per train log at the larger size, about a fifth above
+# the measured 63.1 (62.3 at the smaller)
+WIDE_BUILD = 76
+
+
+@pytest.fixture(scope="module")
+def wide_build(tmp_path_factory):
+    """The build's tracemalloc peak per train log at each wide size, with
+    a budget of 2**12, far below the fixture's pairs (2**10 only slows the
+    traced builds)."""
+    work = tmp_path_factory.mktemp("wide")
+    peaks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**12)
+        for n_users, draws in WIDE_SIZES:
+            path = work / f"logs-{draws}.csv"
+            netflix_shape(path, n_users, draws, n_items=WIDE_ITEMS)
+            train = split(load_dataset(path).logs, 0.9, 1).train
+            assert len(np.unique(train.items)) >= 5000
+            build_similarity_matrix(train, WIDE_K, 50)  # makes the by-user index
+            peaks.append(peak_of(lambda: build_similarity_matrix(train, WIDE_K, 50)) / len(train))
+    return peaks
+
+
+def test_wide_build_peak_per_log_does_not_grow(wide_build):
+    small, large = wide_build
+    assert large <= SLACK * small, (small, large)
+    assert large <= WIDE_BUILD, large
 
 
 CORE_ITEMS = 4000

@@ -1,0 +1,130 @@
+"""Time and memory of the KNN build at three Netflix-shape points.
+
+The points, each written with ``test_memory.netflix_shape`` (seed 0), split
+0.9 with seed 1 and built with K = 100 and gamma = 50:
+
+- ``1m``: 48,000 users, 1.15M draws, 1,800 items;
+- ``1.8m``: 96,000 users, 2.3M draws, 1,800 items;
+- ``wide``: 20,000 users, 1.15M draws, 17,770 items (Netflix's catalog).
+
+This process writes each point's CSV, loads and splits it, and pickles
+the train ``Ratings``. A fresh process per point reads that pickle (the
+setup) and builds the matrix: it prints the build's wall time, its
+peak RSS rise over the RSS after the setup, and the ``tracemalloc``
+peak per train log of a second build (tracing slows a build, and this one
+finds the train logs' by-user order made). So neither the CSV's
+generation nor its load, whose peaks pass the build's at 1,800 items, is
+in the rise. The last line is one JSON object.
+
+Usage, from the root of a checkout (not collected by pytest):
+``python tests/wide_point.py [POINT ...]`` (all three by default)
+"""
+
+from __future__ import annotations
+
+import json
+import pickle
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
+
+# name -> (users, draws, items)
+POINTS = {
+    "1m": (48_000, 1_150_000, 1_800),
+    "1.8m": (96_000, 2_300_000, 1_800),
+    "wide": (20_000, 1_150_000, 17_770),
+}
+K, GAMMA = 100, 50
+
+
+def status_mb(field: str) -> float:
+    """A size from this process's /proc status (Linux): VmRSS now, or VmHWM,
+    its peak. Not ``ru_maxrss``, which a child started by fork and exec
+    inherits from its parent."""
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":")) / 1024
+
+
+def measure(path: Path) -> dict:
+    """The build's figures on one point's pickled train logs, in this process."""
+    from recbench.dataset import Ratings
+    from recbench.knn import build_similarity_matrix
+
+    t = pickle.loads(path.read_bytes())
+    # cast to numpy's own dtype objects: an unpickled array's dtype is an
+    # equal copy, which takes np.add.at off its fast path (18x slower)
+    columns = t.users.astype(np.int32), t.items.astype(np.int32), t.ratings.astype(np.float64)
+    train = Ratings(t.user_ids, t.item_ids, *columns)
+    del t, columns
+    setup = status_mb("VmRSS")
+    t0 = time.perf_counter()
+    matrix = build_similarity_matrix(train, K, GAMMA)
+    build_s = time.perf_counter() - t0
+    peak = status_mb("VmHWM")
+    del matrix
+    tracemalloc.start()
+    build_similarity_matrix(train, K, GAMMA)
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "train_logs": len(train),
+        "items": len(train.item_ids),
+        "build_s": round(build_s, 3),
+        "rss_setup_mb": round(setup, 1),
+        "rss_peak_mb": round(peak, 1),
+        "rss_rise_mb": round(peak - setup, 1),
+        "traced_bytes_per_log": round(traced / len(train), 1),
+    }
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--measure"]:
+        print(json.dumps(measure(Path(argv[1]))))
+        return 0
+    names = argv or list(POINTS)
+    unknown = [name for name in names if name not in POINTS]
+    if unknown:
+        print(f"unknown points {unknown}; choose from {list(POINTS)}", file=sys.stderr)
+        return 2
+    from recbench.dataset import load_dataset, split
+    from test_memory import netflix_shape
+
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name in names:
+            n_users, draws, n_items = POINTS[name]
+            path = Path(work) / f"{name}.csv"
+            netflix_shape(path, n_users, draws, n_items=n_items)
+            train = split(load_dataset(path).logs, 0.9, 1).train
+            path.unlink()
+            path = path.with_suffix(".pickle")
+            path.write_bytes(pickle.dumps(train))
+            del train
+            out = subprocess.run(
+                [sys.executable, __file__, "--measure", str(path)],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            results[name] = json.loads(out.splitlines()[-1])
+            path.unlink()
+            r = results[name]
+            print(
+                f"{name}: {r['train_logs']:,} train logs, {r['items']:,} items: build "
+                f"{r['build_s']:.2f} s, RSS {r['rss_setup_mb']:.0f} -> {r['rss_peak_mb']:.0f} MB "
+                f"(+{r['rss_rise_mb']:.0f}), traced peak {r['traced_bytes_per_log']:.1f} B/log",
+                flush=True,
+            )
+    print(json.dumps(results))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
