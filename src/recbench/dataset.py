@@ -66,7 +66,9 @@ class Ratings:
     ``items`` are int32 codes into them and ``ratings`` the float64 ratings.
     The parts of a split keep the tables of the whole, so a code names the
     same id in each part, and a table may list ids without a log in a part.
-    The three arrays are made read-only, since ``by_user`` is cached.
+    The three arrays are made read-only, since ``by_user`` is cached, and
+    carry numpy's own dtypes; a Ratings pickles through its constructor, so
+    an unpickled one does too. The library's functions take a Ratings.
     """
 
     user_ids: tuple[str, ...]
@@ -76,12 +78,19 @@ class Ratings:
     ratings: np.ndarray
 
     def __post_init__(self):
-        for name in ("users", "items", "ratings"):
+        for name, dtype in (("users", np.int32), ("items", np.int32), ("ratings", np.float64)):
             column = getattr(self, name)
             if column.base is not None:  # a view, whose base could still be written
                 column = column.copy()
-                object.__setattr__(self, name, column)
             column.flags.writeable = False
+            # numpy's own dtype, not an equal copy as unpickled, on which np.add.at
+            # is slow: a view of the read-only column, or a cast
+            column = np.asarray(column, dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __reduce__(self):
+        return Ratings, (self.user_ids, self.item_ids, self.users, self.items, self.ratings)
 
     @cached_property
     def by_user(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,13 +102,6 @@ class Ratings:
         ptr = np.concatenate(([0], np.cumsum(counts)))
         order.flags.writeable = ptr.flags.writeable = False
         return order, ptr
-
-    @classmethod
-    def of(cls, logs) -> Ratings:
-        """A Ratings unchanged; a sequence of RatingLog as columns."""
-        if isinstance(logs, Ratings):
-            return logs
-        return _columns((log.user_id, log.item_id, log.rating) for log in logs)
 
     def __len__(self) -> int:
         return len(self.ratings)
@@ -512,13 +514,12 @@ class SplitDataset:
         return len(self.items)
 
 
-def split(logs, ratio: float, seed: int) -> SplitDataset:
+def split(logs: Ratings, ratio: float, seed: int) -> SplitDataset:
     """Assign each log independently to train with probability ``ratio``.
 
     The same (logs, ratio, seed) always yields identical partitions. The
     users and items of the result are the id tables of ``logs``.
     """
-    logs = Ratings.of(logs)
     if not len(logs):
         raise DatasetError("cannot split an empty log collection")
     if not 0.0 < ratio < 1.0:
@@ -595,12 +596,11 @@ class SegmentModel:
         return self.user_means[u] if u >= 0 else self.global_mean
 
 
-def build_segment_model(train) -> SegmentModel:
-    """Compute thresholds, counts and means from the train set only.
+def build_segment_model(train: Ratings) -> SegmentModel:
+    """Compute thresholds, counts and means from the train Ratings only.
 
     bincount adds each id's ratings in log order, as a running sum does.
     """
-    train = Ratings.of(train)
     if not len(train):
         raise DatasetError("cannot build a segment model from an empty train set")
 
@@ -624,10 +624,10 @@ def build_segment_model(train) -> SegmentModel:
     )
 
 
-def user_ratings_index(logs) -> Ratings:
-    """``Ratings.of(logs)``: a split's train set is returned itself.
+def user_ratings_index(train: Ratings) -> Ratings:
+    """``train`` itself: ``KnnPredictor`` reads its ``by_user`` order.
 
     It remains only because ``perfbench`` passes its result to
     ``KnnPredictor`` and traces it; ROADMAP item 1 removes those calls,
     and this function with them."""
-    return Ratings.of(logs)
+    return train

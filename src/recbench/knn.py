@@ -175,7 +175,8 @@ def _entry_order(rows, cols, weights, n: int) -> np.ndarray:
 
 
 def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> SimilarityMatrix:
-    """Top-K Weighted Pearson neighbors for every item of the train set.
+    """Top-K Weighted Pearson neighbors for every item with a log in the
+    train Ratings, whose ``by_user`` order the build reads.
 
     Co-rating statistics are summed over expanded pairs: each (item i,
     rater u) entry is paired with u's items j > i, so only co-rated pairs
@@ -200,7 +201,6 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
         raise ValueError("k must be >= 1")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    train = Ratings.of(train)
     blocks = _similar_pairs(train, gamma)
     codes = next(blocks)
     top = _TopK(k, len(codes))

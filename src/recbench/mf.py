@@ -44,13 +44,6 @@ class FactorModel:
         if any(a >= b for a, b in zip(self.user_ids, self.user_ids[1:])):
             raise ValueError("factor model user_ids must be sorted and distinct")
 
-    def raw_predict(self, user_id: str, item_id: str) -> float | None:
-        u = code_of(self.user_ids, user_id)
-        i = code_of(self.item_ids, item_id)
-        if u < 0 or i < 0:
-            return None
-        return float(self.user_factors[u] @ self.item_factors[i])
-
 
 def _rmse(p: np.ndarray, q: np.ndarray, uu: np.ndarray, ii: np.ndarray, rr: np.ndarray) -> float:
     pred = np.einsum("ij,ij->i", p[uu], q[ii])
@@ -132,23 +125,24 @@ def train_mf(
     regularization: float = 0.008,
     max_epochs: int | None = None,
 ) -> FactorModel:
-    """Train a biased factor model by seeded SGD with early stopping.
+    """Train a biased factor model on the train Ratings by seeded SGD with
+    early stopping. Its users and items are those with a train log, in the
+    order of the Ratings' id tables.
 
     Stops when the validation RMSE has increased three consecutive epochs or
     the wall-clock budget elapses, and returns the snapshot with the best
     validation RMSE seen. Raises TrainingError if an epoch leaves the
     validation RMSE infinite or NaN, which a too large learning rate does.
     """
-    train = Ratings.of(train)
     if not len(train):
         raise TrainingError("empty train set")
     if n_factors < 3:
         raise TrainingError("n_factors must be >= 3 (two bias slots + one factor)")
     if not 0.0 < validation_fraction < 0.5:
         raise TrainingError("validation_fraction must be in (0, 0.5)")
-    if budget_seconds <= 0:
-        raise TrainingError("budget must be positive")
     # "not x > 0" also rejects NaN
+    if not budget_seconds > 0:
+        raise TrainingError("budget must be positive")
     if not learning_rate > 0:
         raise TrainingError("learning_rate must be > 0")
     if not regularization >= 0:
@@ -305,9 +299,11 @@ class MFPredictor(Predictor):
         return factors, np.flatnonzero(outside)
 
     def predict(self, user_id: str, item_id: str) -> float:
-        raw = self.model.raw_predict(user_id, item_id)
-        if raw is None:
+        u = code_of(self.model.user_ids, user_id)
+        i = code_of(self.model.item_ids, item_id)
+        if u < 0 or i < 0:
             return self.fallback.predict(user_id, item_id)
+        raw = self.model.user_factors[u] @ self.model.item_factors[i]
         return float(min(max(raw, self.r_min), self.r_max))
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:

@@ -23,13 +23,11 @@ def gen_uniform(
     n_items: int,
     density: float,
     seed: int,
-    r_min: int = 1,
-    r_max: int = 5,
 ) -> Ratings:
-    """Each (user, item) pair rated with probability ``density``, uniform levels."""
+    """Each (user, item) pair rated with probability ``density``, uniform levels 1 to 5."""
     rng = np.random.default_rng(seed)
     picks = rng.random((n_users, n_items)) < density
-    levels = rng.integers(r_min, r_max + 1, size=(n_users, n_items))
+    levels = rng.integers(1, 6, size=(n_users, n_items))
     return _columns(
         (_user_id(u), _item_id(i), float(levels[u, i])) for u, i in zip(*np.nonzero(picks))
     )

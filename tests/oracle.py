@@ -14,9 +14,11 @@ slot where the library now reduces arrays;
 ``per_cell_aggregate_discover`` judges each user with those per-user
 measures one cell at a time. ``item_group_of`` gives the groups of
 ``synthetic.gen_clustered``'s items, which only tests read.
+``as_ratings`` builds the Ratings of a list of RatingLog, which the
+library's functions no longer take, through the loader's interning.
 ``uniform_logs``, ``planted_rank1_logs`` and ``clustered_logs`` are the
 ``synthetic`` generators as they were when they built a list of
-``RatingLog``: ``Ratings.of`` of each must equal the generator's Ratings.
+``RatingLog``: ``as_ratings`` of each must equal the generator's Ratings.
 ``user_ratings_index`` is the user -> {item: rating} dict that
 ``KnnPredictor`` once took; the dict-reading references read it.
 ``naive_by_user`` is the (user, item) order of ``Ratings.by_user`` by a
@@ -34,10 +36,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from recbench import mf
-from recbench.dataset import SEGMENTS, RatingLog, Ratings, SegmentModel, code_of
+from recbench.dataset import SEGMENTS, RatingLog, Ratings, SegmentModel, _columns, code_of
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 from recbench.metrics import GLOBAL, MetricTable
 from recbench.synthetic import _item_id, _user_id
+
+
+def as_ratings(logs) -> Ratings:
+    """A sequence of RatingLog as a Ratings, each id coded as the loader codes it."""
+    return _columns((log.user_id, log.item_id, log.rating) for log in logs)
 
 
 def naive_rmse(pairs):
@@ -396,7 +403,6 @@ def sparse_similarity_matrix(train, k, gamma):
     in ascending rater order, so ``build_similarity_matrix`` must match
     this bit for bit.
     """
-    train = Ratings.of(train)
     _, rows = np.unique(train.users, return_inverse=True)
     codes, cols = np.unique(train.items, return_inverse=True)
     items = [train.item_ids[c] for c in codes.tolist()]
@@ -433,7 +439,7 @@ def sparse_similarity_matrix(train, k, gamma):
 def user_ratings_index(logs):
     """The logs as user -> {item: rating}; of a repeated pair, the last rating."""
     index = {}
-    for log in Ratings.of(logs):
+    for log in logs:
         index.setdefault(log.user_id, {})[log.item_id] = log.rating
     return index
 
@@ -740,11 +746,11 @@ def item_group_of(n_items, n_groups):
     return {_item_id(i): i * n_groups // n_items for i in range(n_items)}
 
 
-def uniform_logs(n_users, n_items, density, seed, r_min=1, r_max=5):
+def uniform_logs(n_users, n_items, density, seed):
     """``synthetic.gen_uniform`` as a list of RatingLog."""
     rng = np.random.default_rng(seed)
     picks = rng.random((n_users, n_items)) < density
-    levels = rng.integers(r_min, r_max + 1, size=(n_users, n_items))
+    levels = rng.integers(1, 6, size=(n_users, n_items))
     return [
         RatingLog(_user_id(u), _item_id(i), float(levels[u, i]))
         for u, i in zip(*np.nonzero(picks))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+import oracle
 from recbench.baselines import DefaultPredictor, RandomPredictor
 from recbench.dataset import RatingLog, build_segment_model
 from recbench.metrics import GLOBAL, ScoredLog, aggregate_rmse
 
 
 def make_stats(logs):
-    return build_segment_model(logs)
+    return build_segment_model(oracle.as_ratings(logs))
 
 
 class TestDefaultPredictor:

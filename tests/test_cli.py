@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import recbench
 from recbench import cli
 from recbench.baselines import DefaultPredictor
@@ -76,7 +77,8 @@ class TestRun:
         header, *lines = fixture_csv.read_text().splitlines()
         # the split sends a log to test by its position alone: put the only
         # rating of a cold user and of two cold items at the first three test positions
-        probe = split([RatingLog(str(n), "i", 1.0) for n in range(len(lines) + 3)], 0.8, 7)
+        probe = [RatingLog(str(n), "i", 1.0) for n in range(len(lines) + 3)]
+        probe = split(oracle.as_ratings(probe), 0.8, 7)
         first, second, third = sorted(int(log.user_id) for log in probe.test)[:3]
         lines.insert(first, "cold-user,i00000,3.0")
         lines.insert(second, "u00000,cold-item,4.0")

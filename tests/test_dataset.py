@@ -1,4 +1,5 @@
 import csv
+import pickle
 import tempfile
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -19,7 +20,8 @@ from recbench.dataset import (
     split,
     user_ratings_index,
 )
-from recbench.synthetic import gen_uniform
+from recbench.knn import build_similarity_matrix
+from recbench.synthetic import gen_clustered, gen_uniform
 
 
 def write(tmp_path, name, text):
@@ -282,7 +284,7 @@ class TestSplit:
 
     def test_binomial_bound(self):
         # 10000 logs, ratio 0.9: 3 sigma around 9000 is +-90.
-        logs = [RatingLog(f"u{i}", f"i{i}", 3.0) for i in range(10_000)]
+        logs = oracle.as_ratings(RatingLog(f"u{i}", f"i{i}", 3.0) for i in range(10_000))
         data = split(logs, 0.9, seed=42)
         assert 8900 <= len(data.train) <= 9100
 
@@ -299,14 +301,14 @@ class TestSplit:
 
     def test_bad_inputs(self):
         with pytest.raises(DatasetError):
-            split([], 0.5, 0)
+            split(oracle.as_ratings([]), 0.5, 0)
         with pytest.raises(DatasetError):
-            split([RatingLog("u", "i", 3.0)], 1.0, 0)
+            split(oracle.as_ratings([RatingLog("u", "i", 3.0)]), 1.0, 0)
 
 
 def train_part(logs, in_train):
     """The logs in train where ``in_train`` is set, with the id tables of all of them."""
-    logs = Ratings.of(logs)
+    logs = oracle.as_ratings(logs)
     mask = np.asarray(in_train, dtype=bool)
     return Ratings(
         logs.user_ids, logs.item_ids, logs.users[mask], logs.items[mask], logs.ratings[mask]
@@ -316,7 +318,7 @@ def train_part(logs, in_train):
 class TestSegmentModel:
     def test_all_counts_equal_means_everyone_light(self):
         train = [RatingLog(f"u{u}", f"i{k}", 3.0) for u in range(4) for k in range(7)]
-        model = build_segment_model(train)
+        model = build_segment_model(oracle.as_ratings(train))
         assert model.user_threshold == 7
         assert model.user_counts.tolist() == [7] * 4
         assert model.heavy.tolist() == [False] * 4
@@ -324,7 +326,7 @@ class TestSegmentModel:
     def test_two_user_threshold(self):
         train = [RatingLog("a", f"i{k}", 3.0) for k in range(10)]
         train += [RatingLog("b", f"j{k}", 3.0) for k in range(20)]
-        model = build_segment_model(train)
+        model = build_segment_model(oracle.as_ratings(train))
         assert model.users == ("a", "b")
         assert model.user_threshold == 15
         assert model.heavy.tolist() == [False, True]
@@ -332,7 +334,7 @@ class TestSegmentModel:
     def test_segment_labels(self):
         train = [RatingLog("a", f"i{k}", 3.0) for k in range(10)]
         train += [RatingLog("b", f"j{k}", 3.0) for k in range(20)]
-        model = build_segment_model(train)
+        model = build_segment_model(oracle.as_ratings(train))
         counts = np.arange(len(model.items)) * 10
         model = replace(
             model,
@@ -346,7 +348,7 @@ class TestSegmentModel:
         assert model.popular.any() and not model.popular.all()
 
     def test_frozen(self):
-        model = build_segment_model([RatingLog("a", "i", 4.0)])
+        model = build_segment_model(oracle.as_ratings([RatingLog("a", "i", 4.0)]))
         with pytest.raises(FrozenInstanceError):
             model.user_threshold = 0.5
 
@@ -364,13 +366,15 @@ class TestSegmentModel:
         assert model.item_rows(["nothing", "i", "stranger"]).tolist() == [-1, 0, -1]
 
     def test_boundary_is_light(self):
-        model = build_segment_model([RatingLog("a", "i", 4.0), RatingLog("b", "i", 4.0)])
+        model = build_segment_model(
+            oracle.as_ratings([RatingLog("a", "i", 4.0), RatingLog("b", "i", 4.0)])
+        )
         model = replace(model, user_counts=np.array([15, 16]), user_threshold=15.0)
         assert model.heavy.tolist() == [False, True]
 
     def test_replace_derives_the_train_items_again(self):
         logs = [RatingLog("a", "i", 4.0), RatingLog("a", "j", 2.0), RatingLog("b", "k", 3.0)]
-        model = build_segment_model(logs)
+        model = build_segment_model(oracle.as_ratings(logs))
         assert model.item_ids == ("i", "j", "k")
         cut = replace(model, item_counts=np.array([1, 0, 1]))
         assert cut.item_ids == ("i", "k")
@@ -387,18 +391,20 @@ class TestSegmentModel:
     def test_order_independent(self):
         logs = gen_uniform(15, 10, 0.5, seed=4)
         a = build_segment_model(logs)
-        b = build_segment_model(list(logs)[::-1])
+        b = build_segment_model(oracle.as_ratings(list(logs)[::-1]))
         assert a.user_threshold == b.user_threshold
         assert np.array_equal(a.user_means, b.user_means)
         assert a.global_mean == b.global_mean
 
     def test_unseen_user_mean_falls_back_to_global(self):
-        model = build_segment_model([RatingLog("a", "i", 4.0), RatingLog("b", "i", 2.0)])
+        model = build_segment_model(
+            oracle.as_ratings([RatingLog("a", "i", 4.0), RatingLog("b", "i", 2.0)])
+        )
         assert model.user_mean("c") == model.global_mean == 3.0
 
     def test_empty_train(self):
         with pytest.raises(DatasetError):
-            build_segment_model([])
+            build_segment_model(oracle.as_ratings([]))
 
 
 @st.composite
@@ -468,8 +474,7 @@ class TestSegmentModelAgainstOracle:
 
 def test_ratings_columns_and_views():
     logs = [RatingLog("v", "j", 2.0), RatingLog("u", "j", 4.0), RatingLog("v", "i", 5)]
-    ratings = Ratings.of(logs)
-    assert Ratings.of(ratings) is ratings
+    ratings = oracle.as_ratings(logs)
     assert (ratings.user_ids, ratings.item_ids) == (("u", "v"), ("i", "j"))
     assert ratings.users.tolist() == [1, 0, 1] and ratings.items.tolist() == [1, 1, 0]
     assert ratings.users.dtype == ratings.items.dtype == np.int32
@@ -528,14 +533,35 @@ class TestByUser:
         u[0] = 0
         assert logs.users.tolist() == [1, 0, 1] and order.tolist() == [1, 0, 2]
 
+    def test_pickle_round_trip(self):
+        """Unpickled, through the constructor: read-only columns of numpy's
+        own dtypes (an equal copy takes np.add.at off its fast path), a
+        by_user built again and equal, and the same similarity matrix."""
+        logs = split(gen_clustered(60, 40, 4, 0.3, seed=2), 0.8, 1).train
+        logs.by_user
+        copy = pickle.loads(pickle.dumps(logs))
+        assert (copy.user_ids, copy.item_ids) == (logs.user_ids, logs.item_ids)
+        assert "by_user" not in vars(copy)
+        for name, dtype in (("users", np.int32), ("items", np.int32), ("ratings", np.float64)):
+            column = getattr(copy, name)
+            assert column.dtype is np.dtype(dtype), name
+            assert not column.flags.writeable, name
+            assert np.array_equal(column, getattr(logs, name)), name
+        for got, want in zip(copy.by_user, logs.by_user):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        got, want = build_similarity_matrix(copy, 5, 10), build_similarity_matrix(logs, 5, 10)
+        assert got.item_ids == want.item_ids
+        for field in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
 
 def test_user_ratings_index():
-    """What the benchmark harness passes to KnnPredictor: Ratings.of, so a
-    split's train set itself."""
+    """What the benchmark harness passes to KnnPredictor: a split's train set itself."""
     logs = [RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 5.0)]
-    train = split(logs, 0.5, 1).train
+    ratings = oracle.as_ratings(logs)
+    train = split(ratings, 0.5, 1).train
     assert user_ratings_index(train) is train
-    assert list(user_ratings_index(logs)) == logs
+    assert user_ratings_index(ratings) is ratings
     assert oracle.user_ratings_index(logs) == {"u": {"i": 4.0, "j": 2.0}, "v": {"i": 5.0}}
 
 

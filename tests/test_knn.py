@@ -66,13 +66,13 @@ class TestBuildSimilarityMatrix:
             r = float(1 + k)
             logs.append(RatingLog(f"u{k}", "a", r))
             logs.append(RatingLog(f"u{k}", "b", r))
-        matrix = build_similarity_matrix(logs, k=3, gamma=50)
+        matrix = build_similarity_matrix(oracle.as_ratings(logs), k=3, gamma=50)
         assert matrix.neighbor_list("a") == [("b", pytest.approx(5 / 50))]
         assert matrix.neighbor_list("b") == [("a", pytest.approx(5 / 50))]
 
     def test_single_rater_item_empty_list(self):
         logs = [RatingLog("u0", "solo", 4.0), RatingLog("u1", "a", 3.0), RatingLog("u2", "a", 5.0)]
-        matrix = build_similarity_matrix(logs, k=5)
+        matrix = build_similarity_matrix(oracle.as_ratings(logs), k=5)
         assert matrix.neighbor_list("solo") == []
 
     @pytest.mark.parametrize("gamma", [0, -5])
@@ -152,12 +152,12 @@ class TestBlockedBuild:
         # ratings around zero make some co-rating sums exactly zero, which
         # sparse products leave out
         rng = np.random.default_rng(12)
-        logs = [
+        logs = oracle.as_ratings(
             RatingLog(f"u{u}", f"i{i:02d}", float(rng.integers(-2, 3)))
             for u in range(30)
             for i in range(25)
             if rng.random() < 0.5
-        ]
+        )
         monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", 30)
         got = build_similarity_matrix(logs, k=6, gamma=8).neighbors
         want = naive_similarity_lists(logs, k=6, gamma=8)
@@ -191,7 +191,7 @@ class TestBlockedBuild:
         ]
         # a user with a single rating and an item with a single rater
         logs += [RatingLog("single", "i00", draw()), RatingLog("u00", "solo", draw())]
-        logs = [logs[n] for n in rng.permutation(len(logs))]
+        logs = oracle.as_ratings(logs[n] for n in rng.permutation(len(logs)))
         with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
             got = build_similarity_matrix(logs, k, gamma)
         want = oracle.sparse_similarity_matrix(logs, k, gamma)
@@ -217,7 +217,7 @@ class TestBlockedBuild:
         # rated by everyone and first in id order: its row's pairs, each
         # user's other ratings, number at least 4 per user, past the budget
         logs += [RatingLog(f"u{u:02d}", "a", float(rng.integers(1, 6))) for u in range(n_users)]
-        logs = [logs[n] for n in rng.permutation(len(logs))]
+        logs = oracle.as_ratings(logs[n] for n in rng.permutation(len(logs)))
         merges = []
         merge = knn._TopK.merge
 
@@ -322,34 +322,36 @@ class TestSimilarityMatrixFormat:
 class TestKnnPredict:
     def make_predictor(self, logs, matrix):
         stats = build_segment_model(logs)
-        return KnnPredictor(matrix, stats, Ratings.of(logs))
+        return KnnPredictor(matrix, stats, logs)
 
     def test_single_neighbor_deviation(self):
         # Item means both 3, user rated neighbor 5 with weight 1 -> 3 + 2 = 5.
-        logs = [
+        logs = oracle.as_ratings([
             RatingLog("u", "j", 5.0),
             RatingLog("v", "j", 1.0),
             RatingLog("v", "i", 3.0),
             RatingLog("w", "i", 3.0),
-        ]
+        ])
         matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ij")
         model = self.make_predictor(logs, matrix)
         assert model.predict("u", "i") == 5.0
 
     def test_fallback_when_no_rated_neighbor(self):
-        logs = [RatingLog("u", "a", 4.0), RatingLog("v", "b", 2.0), RatingLog("v", "c", 4.0)]
+        logs = oracle.as_ratings(
+            [RatingLog("u", "a", 4.0), RatingLog("v", "b", 2.0), RatingLog("v", "c", 4.0)]
+        )
         matrix = oracle.similarity_matrix(1, {"b": [("c", 0.5)]}, "abc")
         model = self.make_predictor(logs, matrix)
         stats = build_segment_model(logs)
         assert model.predict("u", "b") == DefaultPredictor(stats).predict("u", "b")
 
     def test_zero_deviation_gives_item_mean(self):
-        logs = [
+        logs = oracle.as_ratings([
             RatingLog("u", "j", 3.0),
             RatingLog("v", "j", 3.0),
             RatingLog("v", "i", 4.0),
             RatingLog("w", "i", 4.0),
-        ]
+        ])
         matrix = oracle.similarity_matrix(1, {"i": [("j", 0.8)]}, "ij")
         model = self.make_predictor(logs, matrix)
         assert model.predict("u", "i") == 4.0
@@ -420,7 +422,7 @@ class TestKnnPredict:
         # nobody lists the last item as a neighbor
         logs.append(RatingLog("unreached", items[-1], 2.0))
         # the users' ratings arrive in no particular item order
-        logs = Ratings.of([logs[n] for n in rng.permutation(len(logs))])
+        logs = oracle.as_ratings(logs[n] for n in rng.permutation(len(logs)))
         stats = build_segment_model(logs)
         train = stats.item_ids
         # few weight levels, so neighbors tie, of mixed magnitudes, so the
@@ -462,7 +464,7 @@ class TestKnnPredict:
         logs = [logs[n] for n in rng.permutation(len(logs))]
         # "outsider" is in the id tables but never in train
         logs += [RatingLog("outsider", item, float(rng.integers(1, 6))) for item in items[:3]]
-        logs = Ratings.of(logs)
+        logs = oracle.as_ratings(logs)
         data = split(logs, 0.8, seed)
         train = part(data.train, data.train.users != logs.user_ids.index("outsider"))
         assume(len(train))
@@ -512,7 +514,7 @@ class TestKnnPredict:
             RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 3.0),
             RatingLog("v", "k", 5.0),
         ]
-        logs = Ratings.of(logs)
+        logs = oracle.as_ratings(logs)
         # k is in the tables, but not a train item of the segment model
         stats = build_segment_model(part(logs, logs.items != 2))
         matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ij")
@@ -539,9 +541,9 @@ class TestKnnPredict:
     def test_other_item_order_rejected(self):
         logs = gen_uniform(30, 15, 0.5, seed=4)
         matrix = build_similarity_matrix(logs, k=5, gamma=5)
-        fewer = [log for log in logs if log.item_id != "i00003"]
+        fewer = oracle.as_ratings(log for log in logs if log.item_id != "i00003")
         with pytest.raises(ValueError, match="similarity matrix items differ"):
-            KnnPredictor(matrix, build_segment_model(fewer), Ratings.of(fewer))
+            KnnPredictor(matrix, build_segment_model(fewer), fewer)
 
 
 def part(logs: Ratings, picked) -> Ratings:

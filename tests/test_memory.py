@@ -26,6 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from recbench import dataset, knn, mf, protocol
 from recbench.baselines import Predictor
 from recbench.dataset import (
@@ -202,7 +203,9 @@ class TableScores(Predictor):
 
 @pytest.mark.parametrize("exclude_seen", [True, False])
 def test_run_core_holds_a_block_and_one_partitioned_copy(monkeypatch, exclude_seen):
-    logs = [RatingLog(f"u{k % 40:02d}", f"i{k:04d}", float(1 + k % 5)) for k in range(CORE_ITEMS)]
+    logs = oracle.as_ratings(
+        RatingLog(f"u{k % 40:02d}", f"i{k:04d}", float(1 + k % 5)) for k in range(CORE_ITEMS)
+    )
     data = split(logs, 0.9, 1)
     segments = build_segment_model(data.train)
     model = TableScores(data.users, data.items)

@@ -40,32 +40,38 @@ def small_model(p, q, user_ids=None, item_ids=None):
     )
 
 
+def one_log_stats(rating):
+    """The segment model of one log, u0's rating of i0."""
+    return build_segment_model(oracle.as_ratings([RatingLog("u0", "i0", rating)]))
+
+
 class TestPrediction:
     def test_zero_free_parameters_dot_is_zero(self):
         # Pinned slots only: p = (1, 0, 0), q = (0, 1, 0) -> dot product 0.
         model = small_model([[1, 0, 0]], [[0, 1, 0]])
-        assert model.raw_predict("u0", "i0") == 0.0
+        assert model.user_factors[0] @ model.item_factors[0] == 0.0
+        assert MFPredictor(model, one_log_stats(3.0)).predict("u0", "i0") == 1.0
 
     def test_dot_product_example(self):
         model = small_model([[1, 0.5, 0.2]], [[1.5, 1, 1.0]])
-        assert model.raw_predict("u0", "i0") == pytest.approx(2.2)
+        assert model.user_factors[0] @ model.item_factors[0] == pytest.approx(2.2)
+        assert MFPredictor(model, one_log_stats(3.0)).predict("u0", "i0") == pytest.approx(2.2)
 
     def test_clamped(self):
         model = small_model([[1, 0, 2.0]], [[1.5, 1, 2.4]])
-        stats = build_segment_model([RatingLog("u0", "i0", 3.0)])
-        pred = MFPredictor(model, stats)
-        assert model.raw_predict("u0", "i0") > 5.0
+        pred = MFPredictor(model, one_log_stats(3.0))
+        assert model.user_factors[0] @ model.item_factors[0] > 5.0
         assert pred.predict("u0", "i0") == 5.0
 
     def test_other_item_order_rejected(self):
         model = small_model([[1, 0, 0]], [[0, 1, 0], [0, 1, 1]])
-        stats = build_segment_model([RatingLog("u0", "i0", 4.0)])
+        stats = one_log_stats(4.0)
         with pytest.raises(ValueError):
             MFPredictor(model, stats)
 
     def test_unknown_user_falls_back(self):
         model = small_model([[1, 0, 0]], [[0, 1, 0]])
-        stats = build_segment_model([RatingLog("u0", "i0", 4.0)])
+        stats = one_log_stats(4.0)
         pred = MFPredictor(model, stats)
         assert pred.predict("ghost", "i0") == DefaultPredictor(stats).predict("ghost", "i0")
 
@@ -330,13 +336,16 @@ class TestTraining:
     def test_invalid_inputs(self):
         logs = gen_uniform(10, 5, 0.5, seed=0)
         with pytest.raises(TrainingError):
-            train_mf([], n_factors=4, seed=0, budget_seconds=1)
+            train_mf(oracle.as_ratings([]), n_factors=4, seed=0, budget_seconds=1)
         with pytest.raises(TrainingError):
             train_mf(logs, n_factors=2, seed=0, budget_seconds=1)
         with pytest.raises(TrainingError):
             train_mf(logs, n_factors=4, seed=0, budget_seconds=1, validation_fraction=0.7)
         with pytest.raises(TrainingError):
             train_mf(logs, n_factors=4, seed=0, budget_seconds=0)
+        # a NaN budget never ends a run: with max_epochs it would run them all
+        with pytest.raises(TrainingError, match="budget must be positive"):
+            train_mf(logs, n_factors=4, seed=0, budget_seconds=float("nan"), max_epochs=4)
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -523,7 +523,7 @@ class TestSegmentTables:
     def test_other_id_tables_rejected(self):
         data, segments = every_case()
         # the tables of the train logs alone lack the cold user and item
-        other = build_segment_model(list(data.train))
+        other = build_segment_model(oracle.as_ratings(data.train))
         assert other.users != data.users and other.items != data.items
         with pytest.raises(ValueError, match="other id tables"):
             run_core(DefaultPredictor(other), data, other, ProtocolConfig(top_n=2, explore_k=2))
@@ -582,7 +582,7 @@ class TestExplore:
 
 def split_of(train, test):
     """A SplitDataset whose train and test are exactly these (user, item, rating) logs."""
-    logs = Ratings.of([RatingLog(*log) for log in train + test])
+    logs = oracle.as_ratings(RatingLog(*log) for log in train + test)
     in_train = np.arange(len(logs)) < len(train)
 
     def part(mask):

@@ -41,7 +41,7 @@ def row_cases(draw):
     # both are in the id tables, and outside the segment model's train logs
     n = len(logs)
     logs += [RatingLog("stranger", items[-1], 5.0), RatingLog("stranger", "i-outside", 1.0)]
-    logs = Ratings.of(logs)
+    logs = oracle.as_ratings(logs)
     columns = (logs.users[:n], logs.items[:n], logs.ratings[:n])
     stats = build_segment_model(Ratings(logs.user_ids, logs.item_ids, *columns))
     if draw(st.booleans()):  # integer means: arrays of int64 (0 without a train rating)

@@ -31,8 +31,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
@@ -56,15 +54,9 @@ def status_mb(field: str) -> float:
 
 def measure(path: Path) -> dict:
     """The build's figures on one point's pickled train logs, in this process."""
-    from recbench.dataset import Ratings
     from recbench.knn import build_similarity_matrix
 
-    t = pickle.loads(path.read_bytes())
-    # cast to numpy's own dtype objects: an unpickled array's dtype is an
-    # equal copy, which takes np.add.at off its fast path (18x slower)
-    columns = t.users.astype(np.int32), t.items.astype(np.int32), t.ratings.astype(np.float64)
-    train = Ratings(t.user_ids, t.item_ids, *columns)
-    del t, columns
+    train = pickle.loads(path.read_bytes())
     setup = status_mb("VmRSS")
     t0 = time.perf_counter()
     matrix = build_similarity_matrix(train, K, GAMMA)
