@@ -45,6 +45,20 @@ def dense_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank[codes]
 
 
+def stable_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for integer codes in [0, size),
+    by 16-bit LSD radix passes: numpy's stable sort of uint16 is a radix
+    sort, so codes below 2**16 take one pass, and each further 16 bits one
+    more, stable on the order before it."""
+    order = np.argsort(codes.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
+    shift = 16
+    while size > 1 << shift:
+        digits = (np.take(codes, order) >> shift).astype(np.uint16)
+        order = np.take(order, np.argsort(digits, kind="stable"))
+        shift += 16
+    return order
+
+
 class DatasetError(Exception):
     """Raised for unreadable files, malformed lines or out-of-range ratings."""
 

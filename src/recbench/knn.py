@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of, dense_codes
+from .dataset import Ratings, SegmentModel, code_of, dense_codes, stable_order
 
 _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
@@ -293,7 +293,7 @@ def _similar_pairs(train: Ratings, gamma: int):
     # item-major entries, by (item, user) as the sort is stable: each one's
     # position in the copy plus one, where its pairs (its rater's items
     # after its item) start, and their number, as int32 where order is
-    after = np.argsort(user_items, kind="stable").astype(order.dtype)
+    after = stable_order(user_items, n).astype(order.dtype)
     item_ptr = np.concatenate(([0], np.cumsum(np.bincount(user_items, minlength=n))))
     lengths = np.take(user_ptr[1:].astype(order.dtype), np.take(train.users, np.take(order, after)))
     after += 1
@@ -423,8 +423,8 @@ class KnnPredictor(Predictor):
 
         # column-major weights: column j lists the items i with j as a
         # neighbor, ascending; a stable sort keeps the rows' order
-        by_col = np.argsort(matrix.indices, kind="stable")
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        by_col = stable_order(matrix.indices, n)
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))  # intp, which bincount reads uncast
         self.col_len = np.bincount(matrix.indices, minlength=n)
         self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
         self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of, dense_codes
+from .dataset import Ratings, SegmentModel, code_of, dense_codes, stable_order
 from .knn import SIM_EPS, SimilarityMatrix, block_top_n
 
 USER_PINNED = 0
@@ -63,11 +63,14 @@ def sgd_levels(users: np.ndarray, items: np.ndarray) -> np.ndarray:
     levels = np.empty(len(users), dtype=np.int32)  # a level is at most the update count
     for start in range(0, len(users), LEVEL_CHUNK):
         chunk = []
+        append = chunk.append
         stop = start + LEVEL_CHUNK
         for u, i in zip(users[start:stop].tolist(), items[start:stop].tolist()):
-            level = max(user_level[u], item_level[i]) + 1
+            a = user_level[u]
+            b = item_level[i]
+            level = a + 1 if a > b else b + 1
             user_level[u] = item_level[i] = level
-            chunk.append(level)
+            append(level)
         levels[start:stop] = chunk
     return levels
 
@@ -87,31 +90,41 @@ def sgd_epoch(
     The result is that of stepping one rating at a time in ``order``, bit
     for bit. Updates that share no user and no item commute (DSGD, Gemulla
     et al. 2011), so the ratings are applied one level of ``sgd_levels`` at
-    a time, each level as one vectorized step from the rows it gathers.
+    a time. p and q are stacked into one table, users' rows first, and the
+    schedule holds each update's two rows of it, so a level is one gather
+    of a (2, L, F) block, one step on both halves at once and one scatter.
     Every element goes through the same float operations as in a
     one-rating step: ``np.vecdot`` runs the kernel of a single ``pu @ qi``
-    (``einsum`` would move last bits). Returns the number of levels.
+    (``einsum`` would move last bits), and ``cur[::-1]`` pairs each p row
+    with its q row and each q row with its p row. Returns the number of
+    levels.
     """
     order = np.asarray(order, dtype=np.intp)
     levels = sgd_levels(uu[order], ii[order])
     # level 0 is empty, so the running counts start at 0: level k spans bounds[k-1]:bounds[k]
     bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
-    # the updates level by level, each level in the given order; intp rows,
-    # which fancy indexing takes without a cast at each level
-    order = order[np.argsort(levels, kind="stable")]
+    # the updates level by level, each level in the given order
+    order = order[stable_order(levels, len(bounds))]
     del levels
-    users, items, ratings = uu[order].astype(np.intp), ii[order].astype(np.intp), rr[order]
+    # row 0 the updates' users, row 1 their items, as rows of the stacked table
+    rows = np.empty((2, len(order)), np.int32)
+    rows[0] = uu[order]
+    rows[1] = ii[order]
+    rows[1] += len(p)
+    ratings = rr[order]
     del order
+    table = np.concatenate((p, q))
+    pinned = np.zeros((2, 1, table.shape[1]), bool)
+    pinned[0, 0, USER_PINNED] = pinned[1, 0, ITEM_PINNED] = True
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        u, i = users[start:stop], items[start:stop]
-        pu, qi = p[u], q[i]
-        err = (ratings[start:stop] - np.vecdot(pu, qi))[:, None]
-        p_new = pu + lr * (err * qi - reg * pu)
-        q_new = qi + lr * (err * pu - reg * qi)
-        p_new[:, USER_PINNED] = pu[:, USER_PINNED]
-        q_new[:, ITEM_PINNED] = qi[:, ITEM_PINNED]
-        p[u] = p_new
-        q[i] = q_new
+        at = rows[:, start:stop]
+        cur = table[at]
+        err = ratings[start:stop] - np.vecdot(cur[0], cur[1])
+        new = cur + lr * (err[:, None] * cur[::-1] - reg * cur)
+        np.copyto(new, cur, where=pinned)
+        table[at] = new
+    p[...] = table[: len(p)]
+    q[...] = table[len(p) :]
     return len(bounds) - 1
 
 
@@ -165,6 +178,8 @@ def train_mf(
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
     uu_fit, ii_fit, rr_fit = uu[fit_idx], ii[fit_idx], rr[fit_idx]
     uu_val, ii_val, rr_val = uu[val_idx], ii[val_idx], rr[val_idx]
+    # the views keep perm alive; the whole train's codes are in the gathers now
+    del perm, val_idx, fit_idx, uu, ii
 
     p = rng.uniform(-0.01, 0.01, (len(user_ids), n_factors))
     q = rng.uniform(-0.01, 0.01, (len(item_ids), n_factors))
@@ -178,7 +193,7 @@ def train_mf(
     prev_val = np.inf
     epoch = 0
     while True:
-        order = rng.permutation(len(fit_idx))
+        order = rng.permutation(len(rr_fit))
         # a diverging run overflows; it is reported below as a TrainingError
         with np.errstate(over="ignore", invalid="ignore"):
             # looked up as a module global, so a wrapper set on the module sees every epoch
@@ -260,9 +275,9 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
         indices[nnz : nnz + len(cols)] = cols
         weights[nnz : nnz + len(cols)] = sims
         nnz += len(cols)
-    buffer = corr = None  # the block goes before the output is trimmed
-    if nnz < len(indices):
-        indices, weights = indices[:nnz].copy(), weights[:nnz].copy()
+    # shrunk in place (a realloc), so the output is never held twice; no view of it is left
+    indices.resize(nnz, refcheck=False)
+    weights.resize(nnz, refcheck=False)
     return SimilarityMatrix(k, tuple(model.item_ids), indptr, indices, weights)
 
 

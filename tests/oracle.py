@@ -312,6 +312,19 @@ def naive_sgd_epoch(p, q, uu, ii, rr, order, lr, reg):
         qi[2:] += lr * (err * pu_old[2:] - reg * qi[2:])
 
 
+def naive_sgd_levels(users, items):
+    """Each update's level, from 1: one more than the highest level of an
+    earlier update on the same user or the same item, by a scan of every
+    earlier update."""
+    levels = []
+    for b in range(len(users)):
+        earlier = [
+            levels[a] for a in range(b) if users[a] == users[b] or items[a] == items[b]
+        ]
+        levels.append(1 + max(earlier, default=0))
+    return levels
+
+
 def naive_mf_item_similarity(model, k):
     """Dense items x items Pearson of the item factors -> {item: [(neighbor, sim)]}.
 

@@ -555,6 +555,44 @@ class TestByUser:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
+class TestStableOrder:
+    """The radix order against numpy's stable argsort."""
+
+    @given(
+        st.sampled_from([1, 7, 2**16, 2**16 + 1, 2**20, 2**31 - 1, 2**40]).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(st.integers(0, size - 1), max_size=200),
+                st.sampled_from([np.int32, np.int64]) if size <= 2**31 else st.just(np.int64),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_stable_argsort(self, case):
+        size, codes, dtype = case
+        codes = np.array(codes, dtype)
+        got = dataset.stable_order(codes, size)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(codes, kind="stable"))
+
+    @pytest.mark.parametrize("size", [2**12, 2**16, 2**16 + 3, 2**24, 2**33])
+    def test_many_ties_and_codes_above_16_bits(self, size):
+        """More codes than 2**16 with many ties: each pass must be stable
+        on the one before."""
+        rng = np.random.default_rng(size)
+        codes = rng.integers(0, size, 150_000)
+        codes[::3] = size - 1  # ties at the top code, all 16-bit digits set
+        codes[1::5] = size // 2  # ties whose low digits are 0 above 2**16
+        dtype = np.int32 if size < 2**31 else np.int64
+        codes = codes.astype(dtype)
+        assert np.array_equal(dataset.stable_order(codes, size), np.argsort(codes, kind="stable"))
+
+    def test_empty(self):
+        for size in (1, 2**20):
+            got = dataset.stable_order(np.array([], np.int32), size)
+            assert got.dtype == np.intp and len(got) == 0
+
+
 def test_user_ratings_index():
     """What the benchmark harness passes to KnnPredictor: a split's train set itself."""
     logs = [RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 5.0)]

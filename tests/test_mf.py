@@ -202,11 +202,16 @@ def sgd_fixture(shape, n, f, rng):
     return p, q, uu, ii, rr
 
 
+ORDER_KINDS = ("shuffled", "repeated", "single", "empty")
+
+
 def epoch_order(kind, n, rng):
     if kind == "shuffled":
         return rng.permutation(n)
     if kind == "repeated":  # ratings seen several times, some not at all
         return rng.integers(0, n, 2 * n)
+    if kind == "single":  # one update
+        return rng.integers(0, n, 1)
     return np.array([], dtype=np.intp)
 
 
@@ -217,14 +222,18 @@ class TestLevelSchedule:
     @given(
         shape=st.sampled_from(SGD_SHAPES),
         n=st.integers(1, 40),
-        orders=st.lists(st.sampled_from(["shuffled", "repeated", "empty"]), min_size=1, max_size=3),
+        orders=st.lists(st.sampled_from(ORDER_KINDS), min_size=1, max_size=3),
         f=st.sampled_from([3, 16]),
         lr=st.sampled_from([0.01, 0.05]),
+        codes=st.sampled_from([np.int32, np.int64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_naive_epochs_bit_for_bit(self, shape, n, orders, f, lr, seed):
+    def test_matches_naive_epochs_bit_for_bit(self, shape, n, orders, f, lr, codes, seed):
+        """Every shape leaves a p row and a q row that no update touches;
+        train_mf passes int32 codes, the benchmark's check int64."""
         rng = np.random.default_rng(seed)
         p, q, uu, ii, rr = sgd_fixture(shape, n, f, rng)
+        uu, ii = uu.astype(codes), ii.astype(codes)
         p_ref, q_ref = p.copy(), q.copy()
         for kind in orders:
             order = epoch_order(kind, n, rng)
@@ -238,7 +247,7 @@ class TestLevelSchedule:
     @given(
         shape=st.sampled_from(SGD_SHAPES),
         n=st.integers(1, 40),
-        kind=st.sampled_from(["shuffled", "repeated", "empty"]),
+        kind=st.sampled_from(ORDER_KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_levels_share_no_row_and_follow_every_dependency(self, shape, n, kind, seed):
@@ -251,11 +260,7 @@ class TestLevelSchedule:
             on_level = levels == level
             assert len(set(users[on_level].tolist())) == on_level.sum()
             assert len(set(items[on_level].tolist())) == on_level.sum()
-        for b in range(len(order)):
-            earlier = [
-                levels[a] for a in range(b) if users[a] == users[b] or items[a] == items[b]
-            ]
-            assert levels[b] == 1 + max(earlier, default=0)
+        assert levels.tolist() == oracle.naive_sgd_levels(users.tolist(), items.tolist())
 
     @pytest.mark.parametrize("chunk", [1, 3, 16])
     def test_levels_carry_across_chunks(self, monkeypatch, chunk):
@@ -500,7 +505,7 @@ class TestBlockedExtraction:
 
     def test_memory_is_the_block_and_the_output(self):
         """Peak memory: at most the block buffer, half of it again in
-        temporaries, and twice the n x K output (its trimmed copy)."""
+        temporaries, and twice the n x K output."""
         n_items, k = 3000, 100
         model = small_model(np.ones((1, 16)), np.random.default_rng(8).normal(0, 1, (n_items, 16)))
         tracemalloc.start()
@@ -537,6 +542,27 @@ class TestBlockedExtraction:
             tracemalloc.stop()
         assert matrix.counts()["neighbors"] == n_items * k
         assert peak / block <= bound, peak / block
+
+    def test_short_rows_are_trimmed_without_a_copy(self, monkeypatch):
+        """Most rows keep fewer than K, so the output is trimmed: in place,
+        never held twice. Nine in ten vectors are one direction, the rest
+        its mirror, so a row keeps its own group, about 82% of the n x K
+        slots in all; a trimmed copy next to them would pass twice the output."""
+        n_items, k = 600, 600
+        monkeypatch.setattr(mf, "EXTRACT_BLOCK_BYTES", 8 * n_items * 8)
+        rng = np.random.default_rng(10)
+        direction = np.where(np.arange(n_items) % 10 == 0, -1.0, 1.0)
+        q = direction[:, None] * rng.normal(0, 1, 16) + rng.normal(0, 0.01, (n_items, 16))
+        model = small_model(np.ones((1, 16)), q)
+        tracemalloc.start()
+        try:
+            matrix = mf_item_similarity(model, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.weights.nbytes
+        assert 0.7 < len(matrix.indices) / (n_items * (n_items - 1)) < 0.9
+        assert peak < 2 * output, peak / output
 
     def test_memory_bounded_by_block(self):
         n_items = 3000

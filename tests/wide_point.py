@@ -1,4 +1,4 @@
-"""Time and memory of the KNN build at three Netflix-shape points.
+"""Time and memory of the KNN build and of MF's fit at three Netflix-shape points.
 
 The points, each written with ``test_memory.netflix_shape`` (seed 0), split
 0.9 with seed 1 and built with K = 100 and gamma = 50:
@@ -14,7 +14,11 @@ peak RSS rise over the RSS after the setup, and the ``tracemalloc``
 peak per train log of a second build (tracing slows a build, and this one
 finds the train logs' by-user order made). So neither the CSV's
 generation nor its load, whose peaks pass the build's at 1,800 items, is
-in the rise. The last line is one JSON object.
+in the rise. Another fresh process fits MF on the same pickle (F = 16,
+seed 1, two epochs): it prints the slower epoch's ``sgd_epoch`` time, the
+``sgd_levels`` pass per update on one epoch's order, the fit's peak RSS
+rise over the setup, and the ``tracemalloc`` peak per train log of a
+second fit. The last line is one JSON object.
 
 Usage, from the root of a checkout (not collected by pytest):
 ``python tests/wide_point.py [POINT ...]`` (all three by default)
@@ -78,9 +82,70 @@ def measure(path: Path) -> dict:
     }
 
 
+def fit(path: Path) -> dict:
+    """MF's fit figures on one point's pickled train logs, in this process."""
+    import numpy as np
+
+    from recbench import mf
+    from recbench.dataset import dense_codes
+
+    def train(train):
+        return mf.train_mf(train, n_factors=16, seed=1, max_epochs=2)
+
+    train_logs = pickle.loads(path.read_bytes())
+    setup = status_mb("VmRSS")
+    epochs = []
+    sgd_epoch = mf.sgd_epoch
+
+    def timed_epoch(*args):
+        t0 = time.perf_counter()
+        levels = sgd_epoch(*args)
+        epochs.append(time.perf_counter() - t0)
+        return levels
+
+    mf.sgd_epoch = timed_epoch  # train_mf looks it up on the module
+    try:
+        train(train_logs)
+    finally:
+        mf.sgd_epoch = sgd_epoch
+    peak = status_mb("VmHWM")
+    # one epoch's order of the train logs, coded as train_mf codes them
+    _, uu = dense_codes(train_logs.users, len(train_logs.user_ids))
+    _, ii = dense_codes(train_logs.items, len(train_logs.item_ids))
+    order = np.random.default_rng(1).permutation(len(train_logs))
+    users, items = uu[order], ii[order]
+    del uu, ii, order
+    t0 = time.perf_counter()
+    mf.sgd_levels(users, items)
+    levels_s = time.perf_counter() - t0
+    del users, items
+    tracemalloc.start()
+    train(train_logs)
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "epoch_ms": round(1e3 * max(epochs), 1),
+        "levels_ns_per_update": round(1e9 * levels_s / len(train_logs), 1),
+        "rss_setup_mb": round(setup, 1),
+        "rss_peak_mb": round(peak, 1),
+        "rss_rise_mb": round(peak - setup, 1),
+        "traced_bytes_per_log": round(traced / len(train_logs), 1),
+    }
+
+
+def child(mode: str, path: Path) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, mode, str(path)], check=True, capture_output=True, text=True
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--measure"]:
         print(json.dumps(measure(Path(argv[1]))))
+        return 0
+    if argv[:1] == ["--fit"]:
+        print(json.dumps(fit(Path(argv[1]))))
         return 0
     names = argv or list(POINTS)
     unknown = [name for name in names if name not in POINTS]
@@ -101,17 +166,20 @@ def main(argv: list[str]) -> int:
             path = path.with_suffix(".pickle")
             path.write_bytes(pickle.dumps(train))
             del train
-            out = subprocess.run(
-                [sys.executable, __file__, "--measure", str(path)],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            results[name] = json.loads(out.splitlines()[-1])
-            path.unlink()
-            r = results[name]
+            r = results[name] = child("--measure", path)
             print(
                 f"{name}: {r['train_logs']:,} train logs, {r['items']:,} items: build "
                 f"{r['build_s']:.2f} s, RSS {r['rss_setup_mb']:.0f} -> {r['rss_peak_mb']:.0f} MB "
                 f"(+{r['rss_rise_mb']:.0f}), traced peak {r['traced_bytes_per_log']:.1f} B/log",
+                flush=True,
+            )
+            m = r["mf"] = child("--fit", path)
+            path.unlink()
+            print(
+                f"{name}: MF fit: epoch {m['epoch_ms']:.0f} ms, sgd_levels "
+                f"{m['levels_ns_per_update']:.0f} ns/update, RSS {m['rss_setup_mb']:.0f} -> "
+                f"{m['rss_peak_mb']:.0f} MB (+{m['rss_rise_mb']:.0f}), traced peak "
+                f"{m['traced_bytes_per_log']:.1f} B/log",
                 flush=True,
             )
     print(json.dumps(results))
