@@ -98,7 +98,9 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions starts[r], ..., starts[r] + lengths[r] - 1 of each run r,
     one run after the other."""
     offsets = lengths.cumsum() - lengths
-    return (starts - offsets).repeat(lengths) + np.arange(lengths.sum())
+    positions = (starts - offsets).repeat(lengths)
+    positions += np.arange(len(positions))
+    return positions
 
 
 def block_top_n(
@@ -408,8 +410,21 @@ class KnnPredictor(Predictor):
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
 
-        # the users x train items CSR of deviations, each row's columns ascending
+        # column-major weights: column j lists the items i with j as a
+        # neighbor, ascending; a stable sort keeps the rows' order. Each
+        # entry-length array goes once gathered from, so that three are held,
+        # and all before the CSR below, which fills what they leave
         n = len(matrix.item_ids)
+        by_col = stable_order(matrix.indices, n)
+        self.col_len = np.bincount(matrix.indices, minlength=n)
+        self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))  # intp, which bincount reads uncast
+        self.col_rows = rows[by_col]
+        del rows
+        self.col_weights = matrix.weights[by_col]
+        del by_col
+
+        # the users x train items CSR of deviations, each row's columns ascending
         order, self.user_ptr = train.by_user  # int32: gathered by np.take, which is faster
         rows = np.take(stats.code_row.astype(np.int32), np.take(train.items, order))
         if rows.min(initial=0) < 0:  # ratings of items outside train are left out
@@ -420,14 +435,6 @@ class KnnPredictor(Predictor):
             raise ValueError("train ratings repeat a (user, item) pair of a train item")
         self.user_cols, self.user_dev = rows, np.take(train.ratings, order)
         self.user_dev -= stats.row_means[rows]
-
-        # column-major weights: column j lists the items i with j as a
-        # neighbor, ascending; a stable sort keeps the rows' order
-        by_col = stable_order(matrix.indices, n)
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))  # intp, which bincount reads uncast
-        self.col_len = np.bincount(matrix.indices, minlength=n)
-        self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
-        self.col_rows, self.col_weights = rows[by_col], matrix.weights[by_col]
 
     def predict(self, user_id: str, item_id: str) -> float:
         user = code_of(self.stats.users, user_id)
@@ -461,9 +468,12 @@ class KnnPredictor(Predictor):
         entries = _runs(self.col_ptr[cols], lengths)
         targets = self.col_rows[entries]
         weights = self.col_weights[entries]
+        del entries
+        terms = values.repeat(lengths)
+        terms *= weights
         n = len(self.col_len)
         # bincount adds each target's terms in input order: ascending column
-        num = np.bincount(targets, weights=weights * values.repeat(lengths), minlength=n)
+        num = np.bincount(targets, weights=terms, minlength=n)
         den = np.bincount(targets, weights=weights, minlength=n)
         return num, den
 

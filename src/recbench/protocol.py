@@ -296,12 +296,16 @@ def run_explore(
             reused_core=True,
             matrix_counts=matrix.counts(),
         )
+    counts = matrix.counts()
     # user_ratings_index returns data.train itself; perfbench traces it here
     train = user_ratings_index(data.train)
     emulated = KnnPredictor(matrix, segments, train, r_min=config.r_min, r_max=config.r_max)
+    # the re-run scores from the column form alone; only predict, config and
+    # item_similarity_matrix read the row-major matrix, and none is called
+    emulated.matrix = matrix = None
     report = run_core(emulated, data, segments, config)
     report.timings["extract"] = extract_s
-    report.matrix_counts = matrix.counts()
+    report.matrix_counts = counts
     return report
 
 

@@ -394,6 +394,12 @@ def blocked_mf_item_similarity(model, k):
     return top_k_matrix(k, model.item_ids, rows, cols, sims)
 
 
+def naive_runs(starts, lengths):
+    """The positions of each run r, starts[r] to starts[r] + lengths[r] - 1,
+    one run after the other, as a list: the reference for ``knn._runs``."""
+    return [start + k for start, length in zip(starts, lengths) for k in range(length)]
+
+
 def similarity_matrix(k, lists, item_ids):
     """A SimilarityMatrix over the sorted ``item_ids`` from hand-made lists
     ``{item: [(neighbor, weight), ...]}``, each list kept in the order given."""

@@ -253,6 +253,26 @@ class TestBlockedBuild:
         assert np.array_equal(order, np.lexsort((cols, -weights, rows)))
         assert len(knn._entry_order(rows[:0], cols[:0], weights[:0], n)) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**31 - 1),
+                st.one_of(st.just(0), st.integers(1, 3), st.integers(1_000, 5_000)),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([np.int32, np.intp]),
+    )
+    def test_runs_match_a_list_built_oracle(self, runs, dtype):
+        # empty input, zero-length runs, one run and long runs; int32 as the
+        # build's entry positions and lengths are, intp as the CSR pointers
+        starts = np.array([start for start, _ in runs], dtype)
+        lengths = np.array([length for _, length in runs], dtype)
+        got = knn._runs(starts, lengths)
+        assert got.dtype == np.intp
+        assert got.tolist() == oracle.naive_runs(starts.tolist(), lengths.tolist())
+
     def test_row_blocks_cover_rows_within_budget(self):
         weights = np.array([3, 1, 9, 2, 2, 0, 4])
         blocks = list(knn._row_blocks(weights, 4))

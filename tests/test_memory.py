@@ -19,6 +19,12 @@ The ``index`` stage is ``Ratings.by_user``, measured on a fresh copy of
 the train logs. ``build`` and ``init`` are measured with the train logs'
 index present: the first, unmeasured ``build_similarity_matrix`` call
 builds it, and both stages read it.
+
+The ``explore`` stage is ``run_explore`` on an MF model: the extraction of
+its top-K matrix, the emulated KNN's init and its re-run, with the train
+and test logs' indexes present. It is bounded per matrix entry, not per
+log, and only at the larger size: the matrix (300 items x K = 100) is the
+same at both sizes while the logs double.
 """
 
 import tracemalloc
@@ -38,21 +44,27 @@ from recbench.dataset import (
     split,
 )
 from recbench.knn import KnnPredictor, build_similarity_matrix
-from recbench.mf import FactorModel, mf_item_similarity, sgd_epoch
+from recbench.mf import FactorModel, MFPredictor, mf_item_similarity, sgd_epoch
 
 ITEMS = 300
 # (users, draws): 16,894 and 33,685 distinct logs
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
 # 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8, and index
-# 18.2 (build 53.7 and init 43.4 since they read the index; the build 56.1
-# since it keeps a running top K, which here holds about as many entries
-# as the similar pairs it held until one sort, so its bound stays; before the
+# 18.2 (build 53.7 and init 38.1 since they read the index; the init 43.4
+# while it held four entry-length arrays at once, beside the users' CSR; the
+# build 56.1 since it keeps a running top K, which here holds about as many
+# entries as the similar pairs it held until one sort, so its bound stays; before the
 # construction stages were cut to these working sets: build 204.3, init
 # 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it parsed plain
 # CSV chunks in bulk; the init 64.2 while it read a user -> {item: rating}
 # dict, built by a stage of its own at 58.4)
-BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 53, "epoch": 40, "extract": 20}
+BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 46, "epoch": 40, "extract": 20}
+# the explore stage's bytes per matrix entry at the larger size, about a
+# fifth above the measured 83.1 (68.7 at the smaller); 100.8 while the
+# emulated KNN's init and neighbour sums held spare entry-length arrays and
+# its row-major matrix lived through the re-run
+EXPLORE_BOUND = 100
 # a peak per log may grow this much from the smaller size to the larger
 # (dict and array growth steps)
 SLACK = 1.05
@@ -85,10 +97,12 @@ def peak_of(stage) -> int:
 
 def peaks_per_log(path) -> dict[str, float]:
     """Each stage's tracemalloc peak, per log it reads: the loaded logs for
-    the load, the train logs for the rest."""
+    the load, the train logs for the rest but explore, which is per entry
+    of the extracted matrix."""
     logs = load_dataset(path).logs
     peaks = {"load": peak_of(lambda: load_dataset(path)) / len(logs)}
-    train = split(logs, 0.9, 1).train
+    data = split(logs, 0.9, 1)
+    train = data.train
     n = len(train)
     fresh = Ratings(train.user_ids, train.item_ids, train.users, train.items, train.ratings)
     peaks["index"] = peak_of(lambda: fresh.by_user) / n
@@ -109,6 +123,13 @@ def peaks_per_log(path) -> dict[str, float]:
     factors = rng.normal(0, 1, (len(stats.item_ids), 16))
     model = FactorModel(16, 0.03, 0.008, 0, ["u"], list(stats.item_ids), np.ones((1, 16)), factors)
     peaks["extract"] = peak_of(lambda: mf_item_similarity(model, 100)) / n
+
+    data.test.by_user  # as train's, built before the stage
+    explored = MFPredictor(model, stats)
+    config = protocol.ProtocolConfig(explore_k=100)
+    reports = []
+    peak = peak_of(lambda: reports.append(protocol.run_explore(explored, data, stats, config)))
+    peaks["explore"] = peak / reports[0].matrix_counts["neighbors"]
     return peaks
 
 
@@ -137,6 +158,10 @@ def test_peak_per_log_does_not_grow(measured, stage):
 @pytest.mark.parametrize("stage", sorted(BOUNDS))
 def test_peak_per_log_within_bound(measured, stage):
     assert measured[-1][stage] <= BOUNDS[stage], measured[-1][stage]
+
+
+def test_explore_peak_per_matrix_entry_within_bound(measured):
+    assert measured[-1]["explore"] <= EXPLORE_BOUND, measured[-1]["explore"]
 
 
 WIDE_ITEMS = 6000

@@ -1,4 +1,4 @@
-"""Time and memory of the KNN build and of MF's fit at three Netflix-shape points.
+"""Time and memory of the KNN build, MF's fit and MF's Explore at three Netflix-shape points.
 
 The points, each written with ``test_memory.netflix_shape`` (seed 0), split
 0.9 with seed 1 and built with K = 100 and gamma = 50:
@@ -8,8 +8,8 @@ The points, each written with ``test_memory.netflix_shape`` (seed 0), split
 - ``wide``: 20,000 users, 1.15M draws, 17,770 items (Netflix's catalog).
 
 This process writes each point's CSV, loads and splits it, and pickles
-the train ``Ratings``. A fresh process per point reads that pickle (the
-setup) and builds the matrix: it prints the build's wall time, its
+the split. A fresh process per point reads that pickle (the setup) and
+builds the matrix on the train logs: it prints the build's wall time, its
 peak RSS rise over the RSS after the setup, and the ``tracemalloc``
 peak per train log of a second build (tracing slows a build, and this one
 finds the train logs' by-user order made). So neither the CSV's
@@ -18,7 +18,12 @@ in the rise. Another fresh process fits MF on the same pickle (F = 16,
 seed 1, two epochs): it prints the slower epoch's ``sgd_epoch`` time, the
 ``sgd_levels`` pass per update on one epoch's order, the fit's peak RSS
 rise over the setup, and the ``tracemalloc`` peak per train log of a
-second fit. The last line is one JSON object.
+second fit. A third fresh process reads the split and evaluates MF as an
+evaluation does up to its Explore: the same two-epoch fit, the segment
+model and ``run_core`` with the default ``ProtocolConfig``. It then runs
+``run_explore`` and prints the Explore's peak RSS rise over the RSS before
+it, its wall time, the extracted matrix's entries and a sha256 of its
+tables' rows. The last line is one JSON object.
 
 Usage, from the root of a checkout (not collected by pytest):
 ``python tests/wide_point.py [POINT ...]`` (all three by default)
@@ -57,10 +62,10 @@ def status_mb(field: str) -> float:
 
 
 def measure(path: Path) -> dict:
-    """The build's figures on one point's pickled train logs, in this process."""
+    """The build's figures on one point's pickled split, in this process."""
     from recbench.knn import build_similarity_matrix
 
-    train = pickle.loads(path.read_bytes())
+    train = pickle.loads(path.read_bytes()).train
     setup = status_mb("VmRSS")
     t0 = time.perf_counter()
     matrix = build_similarity_matrix(train, K, GAMMA)
@@ -82,17 +87,21 @@ def measure(path: Path) -> dict:
     }
 
 
+def train_mf(train):
+    """MF as each process here fits it: F = 16, seed 1, two epochs."""
+    from recbench import mf
+
+    return mf.train_mf(train, n_factors=16, seed=1, max_epochs=2)
+
+
 def fit(path: Path) -> dict:
-    """MF's fit figures on one point's pickled train logs, in this process."""
+    """MF's fit figures on one point's pickled split, in this process."""
     import numpy as np
 
     from recbench import mf
     from recbench.dataset import dense_codes
 
-    def train(train):
-        return mf.train_mf(train, n_factors=16, seed=1, max_epochs=2)
-
-    train_logs = pickle.loads(path.read_bytes())
+    train_logs = pickle.loads(path.read_bytes()).train
     setup = status_mb("VmRSS")
     epochs = []
     sgd_epoch = mf.sgd_epoch
@@ -105,7 +114,7 @@ def fit(path: Path) -> dict:
 
     mf.sgd_epoch = timed_epoch  # train_mf looks it up on the module
     try:
-        train(train_logs)
+        train_mf(train_logs)
     finally:
         mf.sgd_epoch = sgd_epoch
     peak = status_mb("VmHWM")
@@ -120,7 +129,7 @@ def fit(path: Path) -> dict:
     levels_s = time.perf_counter() - t0
     del users, items
     tracemalloc.start()
-    train(train_logs)
+    train_mf(train_logs)
     traced = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {
@@ -130,6 +139,38 @@ def fit(path: Path) -> dict:
         "rss_peak_mb": round(peak, 1),
         "rss_rise_mb": round(peak - setup, 1),
         "traced_bytes_per_log": round(traced / len(train_logs), 1),
+    }
+
+
+def explore(path: Path) -> dict:
+    """MF's Explore figures on one point's pickled split, in this process,
+    after the fit and the core pass."""
+    import hashlib
+
+    from recbench.dataset import build_segment_model
+    from recbench.metrics import tables_to_rows
+    from recbench.mf import MFPredictor
+    from recbench.protocol import ProtocolConfig, run_core, run_explore
+
+    data = pickle.loads(path.read_bytes())
+    segments = build_segment_model(data.train)
+    model = MFPredictor(train_mf(data.train), segments)
+    config = ProtocolConfig()
+    run_core(model, data, segments, config)
+    setup, setup_peak = status_mb("VmRSS"), status_mb("VmHWM")
+    t0 = time.perf_counter()
+    report = run_explore(model, data, segments, config)
+    explore_s = time.perf_counter() - t0
+    peak = status_mb("VmHWM")
+    rows = json.dumps(tables_to_rows(report.tables)).encode()
+    return {
+        "explore_s": round(explore_s, 2),
+        "matrix_entries": report.matrix_counts["neighbors"],
+        "rss_setup_mb": round(setup, 1),
+        "rss_setup_peak_mb": round(setup_peak, 1),
+        "rss_peak_mb": round(peak, 1),
+        "rss_rise_mb": round(peak - setup, 1),
+        "tables_sha256": hashlib.sha256(rows).hexdigest(),
     }
 
 
@@ -147,6 +188,9 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--fit"]:
         print(json.dumps(fit(Path(argv[1]))))
         return 0
+    if argv[:1] == ["--explore"]:
+        print(json.dumps(explore(Path(argv[1]))))
+        return 0
     names = argv or list(POINTS)
     unknown = [name for name in names if name not in POINTS]
     if unknown:
@@ -161,11 +205,11 @@ def main(argv: list[str]) -> int:
             n_users, draws, n_items = POINTS[name]
             path = Path(work) / f"{name}.csv"
             netflix_shape(path, n_users, draws, n_items=n_items)
-            train = split(load_dataset(path).logs, 0.9, 1).train
+            data = split(load_dataset(path).logs, 0.9, 1)
             path.unlink()
             path = path.with_suffix(".pickle")
-            path.write_bytes(pickle.dumps(train))
-            del train
+            path.write_bytes(pickle.dumps(data))
+            del data
             r = results[name] = child("--measure", path)
             print(
                 f"{name}: {r['train_logs']:,} train logs, {r['items']:,} items: build "
@@ -174,12 +218,19 @@ def main(argv: list[str]) -> int:
                 flush=True,
             )
             m = r["mf"] = child("--fit", path)
-            path.unlink()
             print(
                 f"{name}: MF fit: epoch {m['epoch_ms']:.0f} ms, sgd_levels "
                 f"{m['levels_ns_per_update']:.0f} ns/update, RSS {m['rss_setup_mb']:.0f} -> "
                 f"{m['rss_peak_mb']:.0f} MB (+{m['rss_rise_mb']:.0f}), traced peak "
                 f"{m['traced_bytes_per_log']:.1f} B/log",
+                flush=True,
+            )
+            e = r["mf_explore"] = child("--explore", path)
+            path.unlink()
+            print(
+                f"{name}: MF Explore: {e['explore_s']:.2f} s, {e['matrix_entries']:,} matrix "
+                f"entries, RSS {e['rss_setup_mb']:.1f} -> {e['rss_peak_mb']:.1f} MB "
+                f"(+{e['rss_rise_mb']:.1f}), tables {e['tables_sha256'][:8]}",
                 flush=True,
             )
     print(json.dumps(results))
