@@ -243,7 +243,18 @@ def _run(manifest: dict, config: ProtocolConfig, outdir: str) -> int:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MiB."""
+    """Peak resident set size of this process so far, in MiB: VmHWM from
+    /proc/self/status, the peak of this process's own memory map, which
+    ``execve`` starts afresh. Only where that is absent, ``ru_maxrss``,
+    which on Linux also keeps the peak of the image before the exec, that
+    of the process that spawned this one."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10  # KiB
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes there, KiB here
 

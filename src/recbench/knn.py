@@ -15,7 +15,8 @@ _VAR_EPS = 1e-12
 SIM_EPS = 1e-9
 # Pairs that build_similarity_matrix expands at once, co-rating sums it
 # holds for one block of item rows (but one row heavier than that), and
-# similar pairs it keeps pending before a merge into each row's top K.
+# similar pairs it keeps pending before a merge into each row's top K; and
+# the matrix entries that KnnPredictor transposes at once.
 BUILD_BLOCK_ENTRIES = 2**14
 
 
@@ -366,6 +367,38 @@ def _similar_pairs(train: Ratings, gamma: int):
         yield (first + start).astype(np.int32), touched[second].astype(np.int32), sim[positive], stop
 
 
+def _transpose(matrix: SimilarityMatrix):
+    """(col_len, col_ptr, col_rows, col_weights): column j lists the items
+    i with j as a neighbor, ascending, with w_ij; col_rows is intp, which
+    np.bincount reads uncast.
+
+    Filled one block of rows at a time: a stable order of the block's
+    columns keeps its rows' order, and each entry goes to its column's next
+    free position, so the columns are those of one stable sort of all the
+    entries, while no entry-length order or sort buffer is held beside the
+    two arrays."""
+    n = len(matrix.item_ids)
+    col_len = np.bincount(matrix.indices, minlength=n)
+    col_ptr = np.concatenate(([0], np.cumsum(col_len)))
+    col_rows, col_weights = np.empty(col_ptr[-1], np.intp), np.empty(col_ptr[-1])
+    free = col_ptr[:-1].copy()
+    for start, stop in _row_blocks(np.diff(matrix.indptr), BUILD_BLOCK_ENTRIES):
+        a, b = matrix.indptr[start], matrix.indptr[stop]  # a block of empty rows writes nothing
+        cols = matrix.indices[a:b]
+        by_col = stable_order(cols, n)
+        counts = np.bincount(cols, minlength=n)
+        # the k-th entry in the block's column order goes to its column's
+        # next free position plus its rank among the block's entries of that
+        # column, k less the block's entries of the columns before it
+        at = (free - (np.cumsum(counts) - counts))[cols[by_col]]
+        at += np.arange(b - a)
+        free += counts
+        rows = np.repeat(np.arange(start, stop), np.diff(matrix.indptr[start : stop + 1]))
+        col_rows[at] = rows[by_col]
+        col_weights[at] = matrix.weights[a:b][by_col]
+    return col_len, col_ptr, col_rows, col_weights
+
+
 class KnnPredictor(Predictor):
     """Deviation-form prediction over the user's rated neighbors of the item.
 
@@ -410,19 +443,9 @@ class KnnPredictor(Predictor):
         self.gamma = gamma
         self.fallback = DefaultPredictor(stats, r_min, r_max)
 
-        # column-major weights: column j lists the items i with j as a
-        # neighbor, ascending; a stable sort keeps the rows' order. Each
-        # entry-length array goes once gathered from, so that three are held,
-        # and all before the CSR below, which fills what they leave
-        n = len(matrix.item_ids)
-        by_col = stable_order(matrix.indices, n)
-        self.col_len = np.bincount(matrix.indices, minlength=n)
-        self.col_ptr = np.concatenate(([0], np.cumsum(self.col_len)))
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))  # intp, which bincount reads uncast
-        self.col_rows = rows[by_col]
-        del rows
-        self.col_weights = matrix.weights[by_col]
-        del by_col
+        # the column form first, so that the users' CSR below fills what
+        # the transpose's blocks leave
+        self.col_len, self.col_ptr, self.col_rows, self.col_weights = _transpose(matrix)
 
         # the users x train items CSR of deviations, each row's columns ascending
         order, self.user_ptr = train.by_user  # int32: gathered by np.take, which is faster

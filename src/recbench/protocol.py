@@ -132,32 +132,38 @@ def run_core(
     Each user is scored once over the catalog, into a block of users of at
     most SCORE_BLOCK_BYTES. Decide and Compare read the users' test items
     out of the block, and Discover then ranks it in place, so the block and
-    the ranking's partitioned copy are the only block-sized arrays. Discover
-    judges only the top-N slots that hold a test item, the evaluable ones,
-    which are kept as the test logs they hold. A NaN test prediction, or a
-    table cell that is not a finite number, raises EvaluationError.
+    the ranking's partitioned copy are the only block-sized arrays; each
+    block's seen items are gathered for it alone. Compare then counts the
+    users with a test log a block's worth at a time, from records of their
+    test logs alone, so neither the seen items nor the records are held
+    for all users. Discover judges only the top-N slots that hold a test
+    item, the evaluable ones, which are kept as the test logs they hold. A
+    NaN test prediction, or a table cell that is not a finite number,
+    raises EvaluationError.
     """
     t_start = time.monotonic()
     users, catalog = data.users, data.items  # the catalog sorted, so ties go by id
     if (segments.users, segments.items) != (users, catalog):
         raise ValueError("the segment model was built on other id tables than the data")
     heavy, popular = segments.heavy, segments.popular
-    # each user's train and test item codes (= catalog positions), ascending
-    order, seen_bounds = data.train.by_user  # int32, which np.take reads fastest
-    seen_users, seen_items = np.take(data.train.users, order), np.take(data.train.items, order)
-    order, test_bounds = data.test.by_user
+    # each user's train and test item codes (= catalog positions), ascending;
+    # the train's are gathered a block at a time
+    seen_order, seen_ptr = data.train.by_user  # int32, which np.take reads fastest
+    order, test_ptr = data.test.by_user
     test_users, test_items = np.take(data.test.users, order), np.take(data.test.items, order)
     test_ratings = np.take(data.test.ratings, order)
-    seen_bounds, test_bounds = seen_bounds.tolist(), test_bounds.tolist()
     # each test log's index into SEGMENTS: (Huser, Luser) x (Pitem, Uitem)
-    test_cells = ~heavy[test_users] + 2 * ~popular[test_items]
+    test_cells = (~popular[test_items]).astype(np.int8)  # a byte, held per test log
+    test_cells *= 2
+    test_cells += ~heavy[test_users]
     predicted = np.empty(len(test_items))
     slots = []  # the test log of each evaluable slot, by user and in rank order
     m = len(catalog)
-    block = np.empty((max(1, SCORE_BLOCK_BYTES // (8 * max(m, 1))), m))
+    n_rows = max(1, SCORE_BLOCK_BYTES // (8 * max(m, 1)))  # users per block
+    block = np.empty((n_rows, m))
     score_s = 0.0
-    for u0 in range(0, len(users), len(block)):
-        u1 = min(u0 + len(block), len(users))
+    for u0 in range(0, len(users), n_rows):
+        u1 = min(u0 + n_rows, len(users))
         scores = block[: u1 - u0]
         t0 = time.monotonic()
         for row, user_id in enumerate(users[u0:u1]):
@@ -168,11 +174,12 @@ def run_core(
                     f"model {model.name!r} failed on user {user_id!r}: {exc}"
                 ) from exc
         score_s += time.monotonic() - t0
-        tests = slice(test_bounds[u0], test_bounds[u1])
+        tests = slice(*test_ptr[[u0, u1]].tolist())
         test_rows = test_users[tests] - u0
         predicted[tests] = scores[test_rows, test_items[tests]]
-        seen = slice(seen_bounds[u0], seen_bounds[u1] if config.exclude_seen else seen_bounds[u0])
-        seen = (seen_users[seen] - u0, seen_items[seen])
+        a, b = seen_ptr[[u0, u1]].tolist()
+        seen = seen_order[a : b if config.exclude_seen else a]
+        seen = (np.take(data.train.users, seen) - u0, np.take(data.train.items, seen))
         rows, cols = block_top_n(scores, config.top_n, seen)
         # the block's test logs by ascending key row * m + position; of equal
         # keys the last in log order is found, as a dict of the logs keeps it
@@ -196,20 +203,26 @@ def run_core(
     timings["decide"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    fields = (
-        map(users.__getitem__, test_users.tolist()),
-        map(catalog.__getitem__, test_items.tolist()),
-        test_ratings.tolist(),
-        predicted.tolist(),
-        map(SEGMENTS.__getitem__, test_cells.tolist()),
-    )
-    # ScoredLog._make without a Python call per log
-    scored = list(map(partial(tuple.__new__, ScoredLog), zip(*fields)))
-    tested = np.flatnonzero(np.diff(test_bounds))  # the users with a test log
-    comp = np.array(
-        [comp_user(scored[test_bounds[u] : test_bounds[u + 1]]) for u in tested.tolist()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    tested = np.flatnonzero(np.diff(test_ptr))  # the users with a test log
+    comp = np.empty((len(tested), 2), np.int64)  # their comp_user counts
+    # the records of a block's worth of tested users at a time
+    for lo in range(0, len(tested), n_rows):
+        chunk = tested[lo : lo + n_rows]
+        starts, ends = test_ptr[chunk].tolist(), test_ptr[chunk + 1].tolist()
+        tests = slice(starts[0], ends[-1])
+        fields = (
+            map(users.__getitem__, test_users[tests].tolist()),
+            map(catalog.__getitem__, test_items[tests].tolist()),
+            test_ratings[tests].tolist(),
+            predicted[tests].tolist(),
+            map(SEGMENTS.__getitem__, test_cells[tests].tolist()),
+        )
+        # ScoredLog._make without a Python call per log
+        scored = list(map(partial(tuple.__new__, ScoredLog), zip(*fields)))
+        comp[lo : lo + len(chunk)] = [
+            comp_user(scored[a - tests.start : b - tests.start]) for a, b in zip(starts, ends)
+        ]
+        del fields, scored  # not held beside the next block's
     comp_macro, comp_micro = aggregate_comp(comp[:, 0], comp[:, 1], heavy[tested])
     timings["compare"] = time.monotonic() - t0
 

@@ -799,3 +799,14 @@ def clustered_logs(n_users, n_items, n_groups, density, seed):
         RatingLog(_user_id(u), _item_id(i), float(prefs[u, group_of[i]]))
         for u, i in zip(*np.nonzero(picks))
     ]
+
+
+def one_sort_transpose(matrix):
+    """(col_ptr, col_rows, col_weights) of a SimilarityMatrix's column-major
+    form, by one stable sort of all its entries by column: each column lists
+    its rows ascending."""
+    n = len(matrix.item_ids)
+    by_col = np.argsort(matrix.indices, kind="stable")
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(matrix.indices, minlength=n))))
+    return col_ptr, rows[by_col], matrix.weights[by_col]

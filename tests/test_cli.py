@@ -100,6 +100,28 @@ class TestRun:
         assert "peak_rss_mb" not in report and "timings" not in report
         assert "cold_test_logs" not in report
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+    def test_peak_rss_is_the_runs_own(self, tmp_path, fixture_csv):
+        """A run spawned by a process that has written 256 MiB reports its
+        own peak: Linux keeps ``ru_maxrss`` across ``execve``, so the run
+        would report its spawner's."""
+        path = manifest_file(tmp_path, fixture_csv, {"name": "default"})
+        out = tmp_path / "out"
+        run = "import sys; from recbench.cli import main; sys.exit(main(sys.argv[1:]))"
+        spawner = (
+            "import subprocess, sys\n"
+            "held = b'x' * 2**28\n"
+            f"subprocess.run([sys.executable, '-c', {run!r}, 'run', *sys.argv[1:]], check=True)\n"
+        )
+        paths = [str(Path(recbench.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        subprocess.run(
+            [sys.executable, "-c", spawner, str(path), "-o", str(out)],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        meta = json.loads((out / "metadata.json").read_text())
+        assert 0.0 < meta["peak_rss_mb"] < 256, meta["peak_rss_mb"]
+
     @pytest.mark.parametrize(
         "model, reused",
         [

@@ -566,6 +566,63 @@ class TestKnnPredict:
             KnnPredictor(matrix, build_segment_model(fewer), fewer)
 
 
+
+
+def transpose_case(seed, n_items, k):
+    """A matrix over ``n_items`` train items with empty rows, in runs, and
+    empty columns (neighbors come from a prefix of the items), distinct
+    weights, and its segment model and train logs."""
+    rng = np.random.default_rng(seed)
+    items = [f"i{i:02d}" for i in range(n_items)]
+    logs = oracle.as_ratings(
+        RatingLog(f"u{n % 3}", item, float(1 + n % 5)) for n, item in enumerate(items)
+    )
+    reached = items[: rng.integers(1, n_items + 1)]
+    lists = {}
+    for i in items:
+        if rng.random() < 0.4:
+            continue
+        others = [j for j in reached if j != i]
+        picked = rng.permutation(len(others))[: rng.integers(0, k + 1)]
+        lists[i] = [(others[t], float(rng.uniform(-1, 1))) for t in picked]
+    return oracle.similarity_matrix(k, lists, items), build_segment_model(logs), logs
+
+
+class TestColumnTranspose:
+    """KnnPredictor fills its column form one block of matrix rows at a
+    time; at any budget it is the one-sort transpose, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**31), st.integers(1, 40), st.integers(1, 8), st.sampled_from([1, 30, 2**40])
+    )
+    def test_equals_the_one_sort_transpose(self, seed, n_items, k, budget):
+        matrix, stats, logs = transpose_case(seed, n_items, k)
+        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+            model = KnnPredictor(matrix, stats, logs)
+        col_ptr, col_rows, col_weights = oracle.one_sort_transpose(matrix)
+        assert np.array_equal(model.col_ptr, col_ptr)
+        assert np.array_equal(model.col_len, np.diff(col_ptr))
+        assert model.col_rows.dtype == np.intp and np.array_equal(model.col_rows, col_rows)
+        assert np.array_equal(model.col_weights.view(np.int64), col_weights.view(np.int64))
+
+    @pytest.mark.parametrize("budget", [1, 30, 2**40])
+    def test_empty_rows_and_blocks(self, budget):
+        """Leading empty rows make a block of no entry at budget 1; a matrix
+        of no entry is one such block at any budget."""
+        _, stats, logs = transpose_case(0, 6, 2)
+        lists = {"i02": [("i00", 0.5), ("i01", 0.25)], "i05": [("i00", 0.75)]}
+        for matrix in (
+            oracle.similarity_matrix(2, lists, stats.item_ids),
+            oracle.similarity_matrix(2, {}, stats.item_ids),
+        ):
+            with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+                model = KnnPredictor(matrix, stats, logs)
+            col_ptr, col_rows, col_weights = oracle.one_sort_transpose(matrix)
+            assert np.array_equal(model.col_ptr, col_ptr)
+            assert np.array_equal(model.col_rows, col_rows)
+            assert np.array_equal(model.col_weights, col_weights)
+
 def part(logs: Ratings, picked) -> Ratings:
     """The logs that ``picked`` (a mask or positions) selects, in the same id tables."""
     return Ratings(

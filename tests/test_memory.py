@@ -13,7 +13,8 @@ hundred lines.
 The KNN build is also measured on a wide fixture, 6,000 items: there its
 similar pairs grow faster than the logs, and the build holds only each
 row's top K of them, so its peak per log must not grow either. The last
-test bounds ``run_core``'s peak in score blocks.
+two tests bound ``run_core``'s peak: in score blocks, and as the test
+logs grow, which must not grow it by a Compare record per log.
 
 The ``index`` stage is ``Ratings.by_user``, measured on a fresh copy of
 the train logs. ``build`` and ``init`` are measured with the train logs'
@@ -51,7 +52,9 @@ ITEMS = 300
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
 # 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8, and index
-# 18.2 (build 53.7 and init 38.1 since they read the index; the init 43.4
+# 18.2 (build 53.7 and init 38.1 since they read the index, and the init
+# still 38.1 with the column form filled by row blocks, since the users' CSR
+# after it sets its peak; the init 43.4
 # while it held four entry-length arrays at once, beside the users' CSR; the
 # build 56.1 since it keeps a running top K, which here holds about as many
 # entries as the similar pairs it held until one sort, so its bound stays; before the
@@ -61,10 +64,12 @@ SIZES = ((1000, 25_000), (2000, 50_000))
 # dict, built by a stage of its own at 58.4)
 BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 46, "epoch": 40, "extract": 20}
 # the explore stage's bytes per matrix entry at the larger size, about a
-# fifth above the measured 83.1 (68.7 at the smaller); 100.8 while the
-# emulated KNN's init and neighbour sums held spare entry-length arrays and
+# fifth above the measured 69.9 (62.5 at the smaller); 83.1 (bound 100)
+# while run_core held Compare's records and the seen items for all users
+# and the emulated KNN's init sorted all the matrix entries at once; 100.8
+# while that init and the neighbour sums held spare entry-length arrays and
 # its row-major matrix lived through the re-run
-EXPLORE_BOUND = 100
+EXPLORE_BOUND = 84
 # a peak per log may grow this much from the smaller size to the larger
 # (dict and array growth steps)
 SLACK = 1.05
@@ -204,12 +209,13 @@ def test_wide_build_peak_per_log_does_not_grow(wide_build):
 
 
 CORE_ITEMS = 4000
-# run_core's peak in score blocks of 2 rows x 4,000 items: 3.5 measured
+# run_core's peak in score blocks of 2 rows x 4,000 items: 3.0 measured
 # (the block, np.partition's copy, numpy's 64 KiB ufunc buffer and the
-# fixture's per-log arrays); 6.5 when it also held a block-shaped test
+# fixture's per-log arrays); 3.4 while it held the seen items and Compare's
+# records for all users; 6.5 when it also held a block-shaped test
 # index and a negated copy of the block, and kept the partitioned copy
 # through the candidate scan
-CORE_BLOCKS = 4.0
+CORE_BLOCKS = 3.6
 
 
 class TableScores(Predictor):
@@ -239,3 +245,41 @@ def test_run_core_holds_a_block_and_one_partitioned_copy(monkeypatch, exclude_se
     assert len(data.items) == CORE_ITEMS
     peak = peak_of(lambda: protocol.run_core(model, data, segments, config))
     assert peak / 64_000 <= CORE_BLOCKS, peak / 64_000  # a block is 2 rows of 4,000 scores
+
+
+# run_core's peak as the test logs grow 4x, by 4x the users with about 40
+# test logs each, at a fixed catalog of 500 items and blocks of 4 users:
+# 65.3 bytes more per added test log measured, about a fifth below the
+# bound (the per-log columns it holds, codes, rating, cell and prediction,
+# and Decide's squares with their Python floats for fsum); 251.3 while
+# Compare held a record per test log for all users at once
+CORE_GROWTH_USERS = (100, 400)
+CORE_GROWTH_PER_LOG = 79
+
+
+def uniform_split(n_users, n_items=500, per_user=50, seed=0):
+    """Each user rates ``per_user`` distinct random items 1-5, and a 0.2
+    split sends about 40 of them to test."""
+    rng = np.random.default_rng(seed)
+    logs = oracle.as_ratings(
+        RatingLog(f"u{u:05d}", f"i{i:04d}", float(r))
+        for u in range(n_users)
+        for i, r in zip(rng.choice(n_items, per_user, replace=False), rng.integers(1, 6, per_user))
+    )
+    return split(logs, 0.2, 1)
+
+
+def test_run_core_peak_does_not_grow_with_compares_records(monkeypatch):
+    monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", 2**14)
+    peaks, tests = [], []
+    for n_users in CORE_GROWTH_USERS:
+        data = uniform_split(n_users)
+        assert len(data.items) == 500  # the catalog is the same at both sizes
+        segments = build_segment_model(data.train)
+        data.train.by_user, data.test.by_user  # built before the stage, as in an evaluation
+        model, config = TableScores(data.users, data.items), protocol.ProtocolConfig()
+        peaks.append(peak_of(lambda: protocol.run_core(model, data, segments, config)))
+        tests.append(len(data.test))
+    assert tests[1] >= 3.5 * tests[0]
+    growth = (peaks[1] - peaks[0]) / (tests[1] - tests[0])
+    assert growth <= CORE_GROWTH_PER_LOG, growth

@@ -983,3 +983,78 @@ class TestRunCoreAgainstOracle:
         segments = build_segment_model(data.train)
         report = run_core(by_position(data), data, segments, ProtocolConfig(top_n=1, explore_k=1))
         assert report.table("Precision").cells[GLOBAL] == (1.0, 1)  # u1's i2 alone
+
+
+# u0 and u4 have no test log, so their one-user blocks hold none; u2 has
+# one, u1 two with tied truths, u3 three, two of them tied
+BLOCK_CASE = split_of(
+    [
+        ("u0", "i0", 5.0), ("u0", "i1", 4.0), ("u1", "i0", 3.0), ("u2", "i1", 2.0),
+        ("u3", "i2", 4.0), ("u4", "i0", 1.0),
+    ],
+    [
+        ("u1", "i1", 4.0), ("u1", "i2", 4.0), ("u2", "i0", 3.0),
+        ("u3", "i0", 2.0), ("u3", "i1", 5.0), ("u3", "i3", 2.0),
+    ],
+)
+# i0, i1 and i3 tied
+BLOCK_CASE_LEVELS = [3.0, 3.0, 4.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+
+
+class TestBlockedCompare:
+    """Compare's records and the seen items are taken a block of users at a
+    time: blocks of one user, the default blocks and one block of all users
+    give equal tables, the oracle's, with tied truths and predictions."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        split_cases(),
+        st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=8, max_size=8),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @example((BLOCK_CASE, build_segment_model(BLOCK_CASE.train)), BLOCK_CASE_LEVELS, 2, True)
+    @example((BLOCK_CASE, build_segment_model(BLOCK_CASE.train)), BLOCK_CASE_LEVELS, 1, False)
+    def test_block_sizes_give_the_oracles_tables(self, case, levels, top_n, exclude_seen):
+        data, segments = case
+        model = FixedScores({f"i{n}": level for n, level in enumerate(levels)})
+        config = ProtocolConfig(top_n=top_n, explore_k=1, exclude_seen=exclude_seen)
+        reports = []
+        for users in (1, None, len(data.users)):
+            with pytest.MonkeyPatch.context() as patch:
+                if users is not None:
+                    patch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+                reports.append(run_core(model, data, segments, config))
+        for report in reports[1:]:
+            assert [t.cells for t in report.tables] == [t.cells for t in reports[0].tables]
+            assert report.ami_excluded == reports[0].ami_excluded
+        reference = oracle.naive_core_report(model, data, segments, top_n, exclude_seen)
+        assert_cells_match(reports[0], reference)
+
+    def test_fixture_holds_every_case(self):
+        per_user = np.bincount(BLOCK_CASE.test.users, minlength=len(BLOCK_CASE.users))
+        assert per_user.tolist() == [0, 2, 1, 3, 0]
+
+    @pytest.mark.parametrize("users", [1, None])
+    def test_a_later_failure_outranks_an_earlier_nan(self, monkeypatch, users):
+        """Every block is scored before the NaN check, as when Compare ran
+        after the blocks: a model that predicts NaN for a user of the first
+        block and fails on a user of a later one reports the failure."""
+        data, segments = make_data(seed=5)
+        tested = sorted(set(data.test.users.tolist()))
+        first, later = data.users[tested[0]], data.users[tested[-1]]
+
+        class NanThenFail(DefaultPredictor):
+            name = "nan-then-fail"
+
+            def predict_many(self, user_id, item_ids):
+                if user_id == later:
+                    raise RuntimeError("boom")
+                scores = super().predict_many(user_id, item_ids)
+                return np.full_like(scores, np.nan) if user_id == first else scores
+
+        if users is not None:
+            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+        message = f"^model 'nan-then-fail' failed on user {later!r}: boom$"
+        with pytest.raises(EvaluationError, match=message):
+            run_core(NanThenFail(segments), data, segments, ProtocolConfig(top_n=3, explore_k=3))

@@ -1,11 +1,13 @@
-"""Time and memory of the KNN build, MF's fit and MF's Explore at three Netflix-shape points.
+"""Time and memory of the KNN build, MF's fit and MF's Explore at four Netflix-shape points.
 
 The points, each written with ``test_memory.netflix_shape`` (seed 0), split
 0.9 with seed 1 and built with K = 100 and gamma = 50:
 
 - ``1m``: 48,000 users, 1.15M draws, 1,800 items;
 - ``1.8m``: 96,000 users, 2.3M draws, 1,800 items;
-- ``wide``: 20,000 users, 1.15M draws, 17,770 items (Netflix's catalog).
+- ``wide``: 20,000 users, 1.15M draws, 17,770 items (Netflix's catalog);
+- ``1%``: 4,800 users, 1.27M draws, 17,770 items (about 1% of Netflix's
+  users at about 80% of its ratings per user).
 
 This process writes each point's CSV, loads and splits it, and pickles
 the split. A fresh process per point reads that pickle (the setup) and
@@ -20,13 +22,16 @@ seed 1, two epochs): it prints the slower epoch's ``sgd_epoch`` time, the
 rise over the setup, and the ``tracemalloc`` peak per train log of a
 second fit. A third fresh process reads the split and evaluates MF as an
 evaluation does up to its Explore: the same two-epoch fit, the segment
-model and ``run_core`` with the default ``ProtocolConfig``. It then runs
-``run_explore`` and prints the Explore's peak RSS rise over the RSS before
-it, its wall time, the extracted matrix's entries and a sha256 of its
-tables' rows. The last line is one JSON object.
+model and ``run_core`` with the default ``ProtocolConfig``, whose wall
+time it prints. It then runs ``run_explore`` and prints the Explore's peak
+RSS rise over the RSS before it, its wall time, the extracted matrix's
+entries and a sha256 of its tables' rows. Last, traced runs of the same
+two calls print the ``tracemalloc`` peak of ``run_core`` in MF's core pass
+and in Explore's re-run, and of the emulated KNN's init, each traced on
+its own. The last line is one JSON object.
 
 Usage, from the root of a checkout (not collected by pytest):
-``python tests/wide_point.py [POINT ...]`` (all three by default)
+``python tests/wide_point.py [POINT ...]`` (all four by default)
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ POINTS = {
     "1m": (48_000, 1_150_000, 1_800),
     "1.8m": (96_000, 2_300_000, 1_800),
     "wide": (20_000, 1_150_000, 17_770),
+    "1%": (4_800, 1_270_000, 17_770),
 }
 K, GAMMA = 100, 50
 
@@ -59,6 +65,15 @@ def status_mb(field: str) -> float:
     inherits from its parent."""
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith(field + ":")) / 1024
+
+
+def traced_peak(call):
+    """``call()``'s result and its ``tracemalloc`` peak, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def measure(path: Path) -> dict:
@@ -72,10 +87,7 @@ def measure(path: Path) -> dict:
     build_s = time.perf_counter() - t0
     peak = status_mb("VmHWM")
     del matrix
-    tracemalloc.start()
-    build_similarity_matrix(train, K, GAMMA)
-    traced = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    traced = traced_peak(lambda: build_similarity_matrix(train, K, GAMMA))[1]
     return {
         "train_logs": len(train),
         "items": len(train.item_ids),
@@ -128,10 +140,7 @@ def fit(path: Path) -> dict:
     mf.sgd_levels(users, items)
     levels_s = time.perf_counter() - t0
     del users, items
-    tracemalloc.start()
-    train_mf(train_logs)
-    traced = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    traced = traced_peak(lambda: train_mf(train_logs))[1]
     return {
         "epoch_ms": round(1e3 * max(epochs), 1),
         "levels_ns_per_update": round(1e9 * levels_s / len(train_logs), 1),
@@ -147,6 +156,7 @@ def explore(path: Path) -> dict:
     after the fit and the core pass."""
     import hashlib
 
+    from recbench import protocol
     from recbench.dataset import build_segment_model
     from recbench.metrics import tables_to_rows
     from recbench.mf import MFPredictor
@@ -156,14 +166,38 @@ def explore(path: Path) -> dict:
     segments = build_segment_model(data.train)
     model = MFPredictor(train_mf(data.train), segments)
     config = ProtocolConfig()
+    t0 = time.perf_counter()
     run_core(model, data, segments, config)
+    core_s = time.perf_counter() - t0
     setup, setup_peak = status_mb("VmRSS"), status_mb("VmHWM")
     t0 = time.perf_counter()
     report = run_explore(model, data, segments, config)
     explore_s = time.perf_counter() - t0
     peak = status_mb("VmHWM")
     rows = json.dumps(tables_to_rows(report.tables)).encode()
+
+    traced = {"core": traced_peak(lambda: run_core(model, data, segments, config))[1]}
+
+    def tracing(name, call):
+        def traced_call(*args, **kwargs):
+            result, traced[name] = traced_peak(lambda: call(*args, **kwargs))
+            return result
+
+        return traced_call
+
+    # run_explore looks both up on the module
+    knn_init = protocol.KnnPredictor
+    protocol.run_core = tracing("rerun", run_core)
+    protocol.KnnPredictor = tracing("init", knn_init)
+    try:
+        run_explore(model, data, segments, config)
+    finally:
+        protocol.run_core, protocol.KnnPredictor = run_core, knn_init
     return {
+        "core_s": round(core_s, 2),
+        "traced_core_mib": round(traced["core"] / 2**20, 1),
+        "traced_rerun_mib": round(traced["rerun"] / 2**20, 1),
+        "traced_init_mib": round(traced["init"] / 2**20, 1),
         "explore_s": round(explore_s, 2),
         "matrix_entries": report.matrix_counts["neighbors"],
         "rss_setup_mb": round(setup, 1),
@@ -231,6 +265,12 @@ def main(argv: list[str]) -> int:
                 f"{name}: MF Explore: {e['explore_s']:.2f} s, {e['matrix_entries']:,} matrix "
                 f"entries, RSS {e['rss_setup_mb']:.1f} -> {e['rss_peak_mb']:.1f} MB "
                 f"(+{e['rss_rise_mb']:.1f}), tables {e['tables_sha256'][:8]}",
+                flush=True,
+            )
+            print(
+                f"{name}: MF run_core {e['core_s']:.2f} s; traced peaks: run_core "
+                f"{e['traced_core_mib']:.1f} MiB in the core pass, {e['traced_rerun_mib']:.1f} "
+                f"MiB in Explore's re-run; emulated KNN init {e['traced_init_mib']:.1f} MiB",
                 flush=True,
             )
     print(json.dumps(results))
