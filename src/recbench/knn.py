@@ -16,7 +16,8 @@ SIM_EPS = 1e-9
 # Pairs that build_similarity_matrix expands at once, co-rating sums it
 # holds for one block of item rows (but one row heavier than that), and
 # similar pairs it keeps pending before a merge into each row's top K; and
-# the matrix entries that KnnPredictor transposes at once.
+# the matrix entries that KnnPredictor transposes, and the column entries
+# its neighbour sums read, at once.
 BUILD_BLOCK_ENTRIES = 2**14
 
 
@@ -369,8 +370,8 @@ def _similar_pairs(train: Ratings, gamma: int):
 
 def _transpose(matrix: SimilarityMatrix):
     """(col_len, col_ptr, col_rows, col_weights): column j lists the items
-    i with j as a neighbor, ascending, with w_ij; col_rows is intp, which
-    np.bincount reads uncast.
+    i with j as a neighbor, ascending, with w_ij; col_rows is int32, as the
+    matrix's indices are, so an entry takes 12 bytes.
 
     Filled one block of rows at a time: a stable order of the block's
     columns keeps its rows' order, and each entry goes to its column's next
@@ -380,7 +381,7 @@ def _transpose(matrix: SimilarityMatrix):
     n = len(matrix.item_ids)
     col_len = np.bincount(matrix.indices, minlength=n)
     col_ptr = np.concatenate(([0], np.cumsum(col_len)))
-    col_rows, col_weights = np.empty(col_ptr[-1], np.intp), np.empty(col_ptr[-1])
+    col_rows, col_weights = np.empty(col_ptr[-1], np.int32), np.empty(col_ptr[-1])
     free = col_ptr[:-1].copy()
     for start, stop in _row_blocks(np.diff(matrix.indptr), BUILD_BLOCK_ENTRIES):
         a, b = matrix.indptr[start], matrix.indptr[stop]  # a block of empty rows writes nothing
@@ -393,7 +394,7 @@ def _transpose(matrix: SimilarityMatrix):
         at = (free - (np.cumsum(counts) - counts))[cols[by_col]]
         at += np.arange(b - a)
         free += counts
-        rows = np.repeat(np.arange(start, stop), np.diff(matrix.indptr[start : stop + 1]))
+        rows = np.arange(start, stop, dtype=np.int32).repeat(np.diff(matrix.indptr[start : stop + 1]))
         col_rows[at] = rows[by_col]
         col_weights[at] = matrix.weights[a:b][by_col]
     return col_len, col_ptr, col_rows, col_weights
@@ -485,19 +486,34 @@ class KnnPredictor(Predictor):
     def neighbor_sums(self, cols: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum_j w_ij * v_j, sum_j w_ij) over the given columns j, for every item i.
 
-        ``cols`` must ascend; items that list none of them get (0, 0).
+        ``cols`` must ascend; items that list none of them get (0, 0). The
+        columns are read in chunks of at most BUILD_BLOCK_ENTRIES entries
+        (a column with more is a chunk of its own, and it has fewer entries
+        than the sums have items): the first chunk's sums are bincounts,
+        and each later chunk's terms are added onto them in input order, so
+        every item's terms are added in ascending column order from 0.0,
+        whatever the chunks.
         """
         lengths = self.col_len[cols]
-        entries = _runs(self.col_ptr[cols], lengths)
-        targets = self.col_rows[entries]
-        weights = self.col_weights[entries]
-        del entries
-        terms = values.repeat(lengths)
-        terms *= weights
         n = len(self.col_len)
-        # bincount adds each target's terms in input order: ascending column
-        num = np.bincount(targets, weights=terms, minlength=n)
-        den = np.bincount(targets, weights=weights, minlength=n)
+        chunks = [(0, len(cols))]
+        if lengths.sum() > BUILD_BLOCK_ENTRIES:
+            chunks = _row_blocks(lengths, BUILD_BLOCK_ENTRIES)
+        for a, b in chunks:
+            entries = _runs(self.col_ptr[cols[a:b]], lengths[a:b])
+            # intp once, for both sums: bincount and add.at would each cast int32
+            targets = self.col_rows[entries].astype(np.intp)
+            weights = self.col_weights[entries]
+            del entries
+            terms = values[a:b].repeat(lengths[a:b])
+            terms *= weights
+            if not a:
+                # bincount adds each target's terms in input order: ascending column
+                num = np.bincount(targets, weights=terms, minlength=n)
+                den = np.bincount(targets, weights=weights, minlength=n)
+            else:
+                np.add.at(num, targets, terms)
+                np.add.at(den, targets, weights)
         return num, den
 
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +16,8 @@ from .dataset import SEGMENTS
 
 GLOBAL = "Global"
 USER_SEGMENTS = ("Huser", "Luser")
+# Squared errors that Decide holds as Python floats at once.
+FSUM_CHUNK = 2**12
 
 
 class ScoredLog(NamedTuple):
@@ -86,9 +89,13 @@ def _cells(cells: np.ndarray):
 
 
 def _rmse_cell(squares: np.ndarray) -> tuple[float | None, int]:
-    if not len(squares):
+    """(RMSE, support) of a cell's squared errors, summed exactly by one
+    ``math.fsum`` that reads them FSUM_CHUNK Python floats at a time."""
+    n = len(squares)
+    if not n:
         return None, 0
-    return math.sqrt(math.fsum(squares.tolist()) / len(squares)), len(squares)
+    chunks = (squares[start : start + FSUM_CHUNK].tolist() for start in range(0, n, FSUM_CHUNK))
+    return math.sqrt(math.fsum(chain.from_iterable(chunks)) / n), n
 
 
 def aggregate_rmse(truths: np.ndarray, predictions: np.ndarray, cells: np.ndarray) -> MetricTable:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of, dense_codes, stable_order
+from .dataset import Ratings, SegmentModel, code_of
 from .knn import SIM_EPS, SimilarityMatrix, block_top_n
 
 USER_PINNED = 0
@@ -21,7 +21,7 @@ ITEM_PINNED = 1
 # Bytes of correlations mf_item_similarity holds at once.
 EXTRACT_BLOCK_BYTES = 2**20
 # Updates whose codes sgd_levels holds as Python ints at once.
-LEVEL_CHUNK = 2**16
+LEVEL_CHUNK = 2**12
 
 
 class TrainingError(Exception):
@@ -75,6 +75,24 @@ def sgd_levels(users: np.ndarray, items: np.ndarray) -> np.ndarray:
     return levels
 
 
+def _stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """The table whose first rows are p and whose other rows are q, if they
+    are such halves of one C-contiguous table, else None."""
+    table = p.base
+    if table is None or q.base is not table or not table.flags.c_contiguous:
+        return None
+    halves = table[: len(p)], table[len(p) :]
+    same = all(a.__array_interface__ == b.__array_interface__ for a, b in zip((p, q), halves))
+    return table if same else None
+
+
+def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.permutation(n)``, from the same draws, as int32 where n fits."""
+    order = np.arange(n, dtype=np.int32 if n < 2**31 else np.intp)
+    rng.shuffle(order)
+    return order
+
+
 def sgd_epoch(
     p: np.ndarray,
     q: np.ndarray,
@@ -90,22 +108,41 @@ def sgd_epoch(
     The result is that of stepping one rating at a time in ``order``, bit
     for bit. Updates that share no user and no item commute (DSGD, Gemulla
     et al. 2011), so the ratings are applied one level of ``sgd_levels`` at
-    a time. p and q are stacked into one table, users' rows first, and the
-    schedule holds each update's two rows of it, so a level is one gather
-    of a (2, L, F) block, one step on both halves at once and one scatter.
-    Every element goes through the same float operations as in a
-    one-rating step: ``np.vecdot`` runs the kernel of a single ``pu @ qi``
-    (``einsum`` would move last bits), and ``cur[::-1]`` pairs each p row
-    with its q row and each q row with its p row. Returns the number of
-    levels.
+    a time. p and q are stepped as one stacked table, users' rows first:
+    in place where they are its two halves, as train_mf passes them, else
+    on a concatenated copy that is copied back. The schedule holds each
+    update's two rows of the table, so a level is one gather of a (2, L, F)
+    block, one step on both halves at once and one scatter. Every element
+    goes through the same float operations as in a one-rating step:
+    ``np.vecdot`` runs the kernel of a single ``pu @ qi`` (``einsum`` would
+    move last bits), and ``cur[::-1]`` pairs each p row with its q row and
+    each q row with its p row. Returns the number of levels.
+
+    The schedule keeps the dtypes of ``order`` and of the codes (int32 as
+    train_mf passes them), and only the levels and one argsort are held
+    beside ``order`` while it is sorted; a caller that passes ``order``
+    without keeping it lets it go before the schedule is gathered.
     """
-    order = np.asarray(order, dtype=np.intp)
+    table = _stacked(p, q)
+    copied = table is None
+    if copied:
+        table = np.concatenate((p, q))
+    order = np.asarray(order)
     levels = sgd_levels(uu[order], ii[order])
     # level 0 is empty, so the running counts start at 0: level k spans bounds[k-1]:bounds[k]
-    bounds = np.cumsum(np.bincount(levels, minlength=1)).tolist()
-    # the updates level by level, each level in the given order
-    order = order[stable_order(levels, len(bounds))]
-    del levels
+    bounds = np.cumsum(np.bincount(levels, minlength=1))
+    # the updates level by level, each level in the given order: the 16-bit
+    # LSD radix passes of stable_order, each applied to order (and to the
+    # levels, if a pass follows) at once, so no composed argsort is held
+    shift = 0
+    while True:
+        by = np.argsort((levels >> shift).astype(np.uint16), kind="stable")
+        order = order[by]
+        shift += 16
+        if len(bounds) <= 1 << shift:
+            break
+        levels = levels[by]
+    del levels, by
     # row 0 the updates' users, row 1 their items, as rows of the stacked table
     rows = np.empty((2, len(order)), np.int32)
     rows[0] = uu[order]
@@ -113,9 +150,9 @@ def sgd_epoch(
     rows[1] += len(p)
     ratings = rr[order]
     del order
-    table = np.concatenate((p, q))
     pinned = np.zeros((2, 1, table.shape[1]), bool)
     pinned[0, 0, USER_PINNED] = pinned[1, 0, ITEM_PINNED] = True
+    bounds = bounds.tolist()
     for start, stop in zip(bounds[:-1], bounds[1:]):
         at = rows[:, start:stop]
         cur = table[at]
@@ -123,8 +160,9 @@ def sgd_epoch(
         new = cur + lr * (err[:, None] * cur[::-1] - reg * cur)
         np.copyto(new, cur, where=pinned)
         table[at] = new
-    p[...] = table[: len(p)]
-    q[...] = table[len(p) :]
+    if copied:
+        p[...] = table[: len(p)]
+        q[...] = table[len(p) :]
     return len(bounds) - 1
 
 
@@ -146,6 +184,13 @@ def train_mf(
     the wall-clock budget elapses, and returns the snapshot with the best
     validation RMSE seen. Raises TrainingError if an epoch leaves the
     validation RMSE infinite or NaN, which a too large learning rate does.
+
+    p and q, and the best snapshot, are each the two halves of one stacked
+    table with a row for every id of the Ratings' tables, so the epochs
+    read the Ratings' own codes and ratings through an int32 permutation:
+    between epochs only that permutation (4 bytes per train log) and the
+    two tables are held. The rows of ids without a train log are never
+    stepped, and the model gets only the others.
     """
     if not len(train):
         raise TrainingError("empty train set")
@@ -163,41 +208,50 @@ def train_mf(
     if max_epochs is not None and max_epochs < 1:
         raise TrainingError("max_epochs must be >= 1")
 
-    # the train users and items, renumbered in the sorted order of the tables
-    user_codes, uu = dense_codes(train.users, len(train.user_ids))
-    item_codes, ii = dense_codes(train.items, len(train.item_ids))
-    rr = train.ratings
+    # the train users and items, in the sorted order of the tables
+    n_users = len(train.user_ids)
+    user_codes = np.flatnonzero(np.bincount(train.users, minlength=n_users))
+    item_codes = np.flatnonzero(np.bincount(train.items, minlength=len(train.item_ids)))
     user_ids = [train.user_ids[c] for c in user_codes.tolist()]
     item_ids = [train.item_ids[c] for c in item_codes.tolist()]
 
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(train))
+    perm = _permutation(rng, len(train))
     n_val = max(1, int(round(validation_fraction * len(train))))
     if len(train) - n_val < 1:
         raise TrainingError("validation split leaves no training logs")
     val_idx, fit_idx = perm[:n_val], perm[n_val:]
-    uu_fit, ii_fit, rr_fit = uu[fit_idx], ii[fit_idx], rr[fit_idx]
-    uu_val, ii_val, rr_val = uu[val_idx], ii[val_idx], rr[val_idx]
-    # the views keep perm alive; the whole train's codes are in the gathers now
-    del perm, val_idx, fit_idx, uu, ii
+    uu_val, ii_val, rr_val = train.users[val_idx], train.items[val_idx], train.ratings[val_idx]
 
-    p = rng.uniform(-0.01, 0.01, (len(user_ids), n_factors))
-    q = rng.uniform(-0.01, 0.01, (len(item_ids), n_factors))
+    table = np.zeros((n_users + len(train.item_ids), n_factors))
+    p, q = table[:n_users], table[n_users:]
+    p[user_codes] = rng.uniform(-0.01, 0.01, (len(user_ids), n_factors))
+    q[item_codes] = rng.uniform(-0.01, 0.01, (len(item_ids), n_factors))
     p[:, USER_PINNED] = 1.0
     q[:, ITEM_PINNED] = 1.0
 
     started = time.monotonic()
     training_log: list[dict] = []
-    best_rmse, p_best, q_best = np.inf, np.empty_like(p), np.empty_like(q)
+    best_rmse, best = np.inf, np.empty_like(table)
     consecutive_increases = 0
     prev_val = np.inf
     epoch = 0
     while True:
-        order = rng.permutation(len(rr_fit))
         # a diverging run overflows; it is reported below as a TrainingError
         with np.errstate(over="ignore", invalid="ignore"):
-            # looked up as a module global, so a wrapper set on the module sees every epoch
-            levels = sgd_epoch(p, q, uu_fit, ii_fit, rr_fit, order, learning_rate, regularization)
+            # looked up as a module global, so a wrapper set on the module
+            # sees every epoch; the order is not kept here, so the epoch can
+            # let it go once it is sorted
+            levels = sgd_epoch(
+                p,
+                q,
+                train.users,
+                train.items,
+                train.ratings,
+                fit_idx[_permutation(rng, len(fit_idx))],
+                learning_rate,
+                regularization,
+            )
             val_rmse = _rmse(p, q, uu_val, ii_val, rr_val)
         if not np.isfinite(val_rmse):
             raise TrainingError(
@@ -210,8 +264,7 @@ def train_mf(
         )
         if val_rmse < best_rmse:  # always at epoch 0, since val_rmse is finite
             best_rmse = val_rmse
-            np.copyto(p_best, p)
-            np.copyto(q_best, q)
+            np.copyto(best, table)
         consecutive_increases = consecutive_increases + 1 if val_rmse > prev_val else 0
         prev_val = val_rmse
         epoch += 1
@@ -219,6 +272,7 @@ def train_mf(
             break
         if max_epochs is not None and epoch >= max_epochs:
             break
+    del table, p, q
 
     return FactorModel(
         n_factors=n_factors,
@@ -227,8 +281,8 @@ def train_mf(
         seed=seed,
         user_ids=user_ids,
         item_ids=item_ids,
-        user_factors=p_best,
-        item_factors=q_best,
+        user_factors=best[:n_users][user_codes],
+        item_factors=best[n_users:][item_codes],
         training_log=training_log,
     )
 
@@ -251,6 +305,7 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     safe = norms > 1e-12
     unit = np.zeros_like(centered)
     unit[safe] = centered[safe] / norms[safe, None]
+    del centered, norms, safe  # only the unit rows are read below
 
     n = len(model.item_ids)
     block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))

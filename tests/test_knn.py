@@ -603,7 +603,7 @@ class TestColumnTranspose:
         col_ptr, col_rows, col_weights = oracle.one_sort_transpose(matrix)
         assert np.array_equal(model.col_ptr, col_ptr)
         assert np.array_equal(model.col_len, np.diff(col_ptr))
-        assert model.col_rows.dtype == np.intp and np.array_equal(model.col_rows, col_rows)
+        assert model.col_rows.dtype == np.int32 and np.array_equal(model.col_rows, col_rows)
         assert np.array_equal(model.col_weights.view(np.int64), col_weights.view(np.int64))
 
     @pytest.mark.parametrize("budget", [1, 30, 2**40])
@@ -628,3 +628,34 @@ def part(logs: Ratings, picked) -> Ratings:
     return Ratings(
         logs.user_ids, logs.item_ids, logs.users[picked], logs.items[picked], logs.ratings[picked]
     )
+
+
+class TestChunkedNeighborSums:
+    """A user whose rated columns hold more entries than BUILD_BLOCK_ENTRIES
+    is summed in chunks of columns, the first by bincount and the rest by
+    add.at onto it; the sums are the one-chunk sums and the product with
+    the column-sorted weight matrix, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [1, 30, 2**40])
+    def test_heavy_user_at_any_budget(self, budget):
+        rng = np.random.default_rng(7)
+        spread = 10.0 ** rng.uniform(-3, 3, 40)  # ratings far apart, so order shows in the sums
+        heavy = [RatingLog("u99999", f"i{i:05d}", float(spread[i])) for i in range(40)]
+        logs = oracle.as_ratings([*gen_uniform(60, 40, 0.3, seed=5), *heavy])
+        matrix = build_similarity_matrix(logs, k=12, gamma=10)
+        stats = build_segment_model(logs)
+        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+            model = KnnPredictor(matrix, stats, logs)
+            user = stats.users.index("u99999")
+            a, b = model.user_ptr[user], model.user_ptr[user + 1]
+            cols, devs = model.user_cols[a:b], model.user_dev[a:b]
+            num, den = model.neighbor_sums(cols, devs)
+            row = model.predict_many("u99999", stats.items)
+        assert model.col_len[cols].sum() > 30  # more than one chunk at budgets 1 and 30
+        n = len(matrix.item_ids)
+        x, rated = np.zeros(n), np.zeros(n)
+        x[cols], rated[cols] = devs, 1.0
+        w = oracle.weight_matrix(matrix)
+        assert np.array_equal(num, w @ x) and np.array_equal(den, w @ rated)
+        whole = KnnPredictor(matrix, stats, logs).predict_many("u99999", stats.items)
+        assert np.array_equal(row, whole)

@@ -21,6 +21,11 @@ the train logs. ``build`` and ``init`` are measured with the train logs'
 index present: the first, unmeasured ``build_similarity_matrix`` call
 builds it, and both stages read it.
 
+The ``epoch`` stage is one ``sgd_epoch`` as ``train_mf`` calls it, on
+the two halves of one table with an int32 order, and the ``fit`` stage is
+``train_mf`` itself, F = 16 for two epochs: its factor tables and its
+permutation are held between epochs, its schedule inside one.
+
 The ``explore`` stage is ``run_explore`` on an MF model: the extraction of
 its top-K matrix, the emulated KNN's init and its re-run, with the train
 and test logs' indexes present. It is bounded per matrix entry, not per
@@ -40,36 +45,42 @@ from recbench.dataset import (
     RatingLog,
     Ratings,
     build_segment_model,
-    dense_codes,
     load_dataset,
     split,
 )
 from recbench.knn import KnnPredictor, build_similarity_matrix
-from recbench.mf import FactorModel, MFPredictor, mf_item_similarity, sgd_epoch
+from recbench.mf import FactorModel, MFPredictor, mf_item_similarity, sgd_epoch, train_mf
 
 ITEMS = 300
 # (users, draws): 16,894 and 33,685 distinct logs
 SIZES = ((1000, 25_000), (2000, 50_000))
 # bytes per log at the larger size, about a fifth above the measured load
-# 73.3, build 54.8, init 44.5, epoch 33.6 and extraction 16.8, and index
-# 18.2 (build 53.7 and init 38.1 since they read the index, and the init
-# still 38.1 with the column form filled by row blocks, since the users' CSR
-# after it sets its peak; the init 43.4
-# while it held four entry-length arrays at once, beside the users' CSR; the
-# build 56.1 since it keeps a running top K, which here holds about as many
-# entries as the similar pairs it held until one sort, so its bound stays; before the
-# construction stages were cut to these working sets: build 204.3, init
-# 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it parsed plain
-# CSV chunks in bulk; the init 64.2 while it read a user -> {item: rating}
-# dict, built by a stage of its own at 58.4)
-BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 46, "epoch": 40, "extract": 20}
+# 73.3, index 18.2, init 34.2, epoch 25.1, fit 49.3 and extraction 15.2
+# (the epoch is one sgd_epoch as train_mf calls it, the fit train_mf's two
+# epochs). The init 38.1, the extraction 16.6, the epoch 34.5 and the fit
+# 78.1 while the column form's rows were intp, the extraction held the
+# centred factors through its blocks, and each epoch stepped a
+# concatenated copy of p and q through intp orders, beside train_mf's fit
+# gathers and int64 permutation (the epoch 33.6 on separate p and q and
+# dense codes); the build 56.1 since it keeps a running top K, which here
+# holds about as many entries as the similar pairs it held until one
+# sort, so its bound stays (54.8 before; 53.7 and the init 38.1 since they
+# read the index, and the init still 38.1 with the column form filled by
+# row blocks, since the users' CSR after it set its peak); the init 43.4
+# while it held four entry-length arrays at once, beside the users' CSR;
+# before the construction stages were cut to these working sets: build
+# 204.3, init 94.7, epoch 97.9 and extraction 20.8; the load 93.1 until it
+# parsed plain CSV chunks in bulk; the init 64.2 while it read a user ->
+# {item: rating} dict, built by a stage of its own at 58.4
+BOUNDS = {"load": 88, "index": 22, "build": 66, "init": 41, "epoch": 30, "fit": 59, "extract": 18}
 # the explore stage's bytes per matrix entry at the larger size, about a
-# fifth above the measured 69.9 (62.5 at the smaller); 83.1 (bound 100)
+# fifth above the measured 65.8 (58.4 at the smaller); 69.9 (bound 84)
+# while the emulated KNN's column form held intp rows; 83.1 (bound 100)
 # while run_core held Compare's records and the seen items for all users
 # and the emulated KNN's init sorted all the matrix entries at once; 100.8
 # while that init and the neighbour sums held spare entry-length arrays and
 # its row-major matrix lived through the re-run
-EXPLORE_BOUND = 84
+EXPLORE_BOUND = 79
 # a peak per log may grow this much from the smaller size to the larger
 # (dict and array growth steps)
 SLACK = 1.05
@@ -118,12 +129,15 @@ def peaks_per_log(path) -> dict[str, float]:
     peaks["init"] = peak_of(lambda: KnnPredictor(matrix, stats, train)) / n
 
     rng = np.random.default_rng(1)
-    _, uu = dense_codes(train.users, len(train.user_ids))  # as train_mf codes them
-    _, ii = dense_codes(train.items, len(train.item_ids))
-    p = rng.uniform(-0.01, 0.01, (int(uu.max()) + 1, 16))
-    q = rng.uniform(-0.01, 0.01, (int(ii.max()) + 1, 16))
-    order = rng.permutation(n)
-    peaks["epoch"] = peak_of(lambda: sgd_epoch(p, q, uu, ii, train.ratings, order, 0.03, 0.008)) / n
+    # as train_mf passes them: the two halves of one table, the Ratings'
+    # own codes, and an int32 order
+    n_users = len(train.user_ids)
+    table = rng.uniform(-0.01, 0.01, (n_users + len(train.item_ids), 16))
+    p, q = table[:n_users], table[n_users:]
+    order = rng.permutation(n).astype(np.int32)
+    epoch = (p, q, train.users, train.items, train.ratings, order, 0.03, 0.008)
+    peaks["epoch"] = peak_of(lambda: sgd_epoch(*epoch)) / n
+    peaks["fit"] = peak_of(lambda: train_mf(train, n_factors=16, seed=1, max_epochs=2)) / n
 
     factors = rng.normal(0, 1, (len(stats.item_ids), 16))
     model = FactorModel(16, 0.03, 0.008, 0, ["u"], list(stats.item_ids), np.ones((1, 16)), factors)
@@ -249,12 +263,13 @@ def test_run_core_holds_a_block_and_one_partitioned_copy(monkeypatch, exclude_se
 
 # run_core's peak as the test logs grow 4x, by 4x the users with about 40
 # test logs each, at a fixed catalog of 500 items and blocks of 4 users:
-# 65.3 bytes more per added test log measured, about a fifth below the
+# 38.5 bytes more per added test log measured, about a fifth below the
 # bound (the per-log columns it holds, codes, rating, cell and prediction,
-# and Decide's squares with their Python floats for fsum); 251.3 while
-# Compare held a record per test log for all users at once
+# and Decide's squares); 65.3 (bound 79) while Decide made all its squares
+# Python floats at once for fsum; 251.3 while Compare held a record per
+# test log for all users at once
 CORE_GROWTH_USERS = (100, 400)
-CORE_GROWTH_PER_LOG = 79
+CORE_GROWTH_PER_LOG = 46
 
 
 def uniform_split(n_users, n_items=500, per_user=50, seed=0):

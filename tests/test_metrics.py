@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from recbench import metrics
 from recbench.dataset import SEGMENTS
 from recbench.metrics import (
     GLOBAL,
@@ -84,6 +86,31 @@ class TestRmse:
     def test_empty_absent(self):
         table = decide([])
         assert all(table.cells[s] == (None, 0) for s in (GLOBAL,) + SEGMENTS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunk=st.integers(1, 8),
+        chunks=st.integers(1, 4),
+        edge=st.sampled_from([-1, 0, 1]),
+        cancelling=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(chunk=metrics.FSUM_CHUNK, chunks=2, edge=1, cancelling=2, seed=0)
+    def test_chunked_sum_is_one_exact_fsum(self, chunk, chunks, edge, cancelling, seed):
+        """Huge, tiny and subnormal values, and huge pairs (h, -h) that
+        cancel once the tiny ones are lost beside them, at lengths of a
+        chunk boundary and one either side: a sum of per-chunk fsums would
+        round at each chunk."""
+        n = max(1, chunk * chunks + edge)
+        rng = np.random.default_rng(seed)
+        values = rng.random(n) * 2.0 ** rng.integers(-1074, 990, n)
+        k = min(cancelling, n // 2)
+        at = rng.choice(n, 2 * k, replace=False)
+        values[at[:k]] = 2.0**1000 * (1 + rng.random(k))
+        values[at[k:]] = -values[at[:k]]
+        with mock.patch.object(metrics, "FSUM_CHUNK", chunk):
+            got = metrics._rmse_cell(values)
+        assert got == (math.sqrt(math.fsum(values.tolist()) / n), n)
 
 
 class TestCompUser:

@@ -282,6 +282,61 @@ class TestLevelSchedule:
         assert sgd_epoch(p, q, uu, ii, rr, rng.permutation(12), 0.03, 0.008) == 12
         assert sgd_epoch(p, q, uu, ii, rr, np.array([], dtype=np.intp), 0.03, 0.008) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(SGD_SHAPES),
+        n=st.integers(1, 40),
+        kind=st.sampled_from(ORDER_KINDS),
+        codes=st.sampled_from([np.int32, np.int64]),
+        order_codes=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_halves_and_separate_arrays_match_naive(
+        self, shape, n, kind, codes, order_codes, seed
+    ):
+        """train_mf passes p and q as the two halves of one table, stepped
+        in place; perfbench's check passes separate arrays, stepped on a
+        copy. Both are the one-rating steps, bit for bit."""
+        rng = np.random.default_rng(seed)
+        p, q, uu, ii, rr = sgd_fixture(shape, n, 4, rng)
+        uu, ii = uu.astype(codes), ii.astype(codes)
+        order = epoch_order(kind, n, rng).astype(order_codes)
+        p_ref, q_ref = p.copy(), q.copy()
+        oracle.naive_sgd_epoch(p_ref, q_ref, uu, ii, rr, order, 0.05, 0.008)
+        table = np.concatenate((p, q))
+        halves = table[: len(p)], table[len(p) :]
+        assert mf._stacked(*halves) is table and mf._stacked(p, q) is None
+        sgd_epoch(*halves, uu, ii, rr, order, 0.05, 0.008)
+        sgd_epoch(p, q, uu, ii, rr, order, 0.05, 0.008)
+        for got_p, got_q in (halves, (p, q)):
+            assert np.array_equal(got_p, p_ref) and np.array_equal(got_q, q_ref)
+
+    def test_only_adjacent_halves_are_stepped_in_place(self):
+        table = np.zeros((7, 4))
+        assert mf._stacked(table[:3], table[3:]) is table
+        assert mf._stacked(table[:0], table) is None  # the whole table is not a view of itself
+        assert mf._stacked(table[3:], table[:3]) is None  # q's rows first
+        assert mf._stacked(table[:3], table[4:]) is None  # a row between them
+        assert mf._stacked(table[:3], table[3:].copy()) is None
+        wide = np.zeros((7, 6))
+        assert mf._stacked(wide[:3, :4], wide[3:, :4]) is None  # not contiguous
+
+    def test_levels_past_one_radix_digit(self):
+        """More than 2**16 levels take a second 16-bit pass: one item that
+        every rating shares chains them all, and the first pass puts the
+        levels past 2**16 first."""
+        n = 2**16 + 20
+        rng = np.random.default_rng(4)
+        uu, ii = rng.integers(0, 50, n).astype(np.int32), np.zeros(n, np.int32)
+        rr = rng.integers(1, 6, n).astype(float)
+        table = rng.uniform(-0.5, 0.5, (51, 3))
+        table[:50, USER_PINNED] = table[50:, ITEM_PINNED] = 1.0
+        p_ref, q_ref = table[:50].copy(), table[50:].copy()
+        order = rng.permutation(n).astype(np.int32)
+        assert sgd_epoch(table[:50], table[50:], uu, ii, rr, order, 0.001, 0.008) == n
+        oracle.naive_sgd_epoch(p_ref, q_ref, uu, ii, rr, order, 0.001, 0.008)
+        assert np.array_equal(table[:50], p_ref) and np.array_equal(table[50:], q_ref)
+
     def test_train_mf_matches_naive_epochs(self, monkeypatch):
         logs = gen_uniform(30, 20, 0.4, seed=2)
         kwargs = dict(n_factors=5, seed=3, budget_seconds=1e9, validation_fraction=0.1, max_epochs=6)

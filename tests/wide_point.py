@@ -19,11 +19,13 @@ generation nor its load, whose peaks pass the build's at 1,800 items, is
 in the rise. Another fresh process fits MF on the same pickle (F = 16,
 seed 1, two epochs): it prints the slower epoch's ``sgd_epoch`` time, the
 ``sgd_levels`` pass per update on one epoch's order, the fit's peak RSS
-rise over the setup, and the ``tracemalloc`` peak per train log of a
-second fit. A third fresh process reads the split and evaluates MF as an
-evaluation does up to its Explore: the same two-epoch fit, the segment
-model and ``run_core`` with the default ``ProtocolConfig``, whose wall
-time it prints. It then runs ``run_explore`` and prints the Explore's peak
+rise over the setup, and two ``tracemalloc`` figures per train log: the
+peak of a second fit, reached inside an epoch, and what a third fit holds
+between epochs, the most traced as an epoch starts (its order included).
+A third fresh process reads the split and evaluates MF as an evaluation
+does up to its Explore: the same two-epoch fit, the segment model and
+``run_core`` with the default ``ProtocolConfig``, whose wall time it
+prints. It then runs ``run_explore`` and prints the Explore's peak
 RSS rise over the RSS before it, its wall time, the extracted matrix's
 entries and a sha256 of its tables' rows. Last, traced runs of the same
 two calls print the ``tracemalloc`` peak of ``run_core`` in MF's core pass
@@ -31,7 +33,8 @@ and in Explore's re-run, and of the emulated KNN's init, each traced on
 its own. The last line is one JSON object.
 
 Usage, from the root of a checkout (not collected by pytest):
-``python tests/wide_point.py [POINT ...]`` (all four by default)
+``python tests/wide_point.py [POINT ...]`` (the four above by default;
+``tiny``, 300 users and 6,000 draws over 100 items, runs in seconds)
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ POINTS = {
     "1.8m": (96_000, 2_300_000, 1_800),
     "wide": (20_000, 1_150_000, 17_770),
     "1%": (4_800, 1_270_000, 17_770),
+    "tiny": (300, 6_000, 100),
 }
+DEFAULT = ("1m", "1.8m", "wide", "1%")
 K, GAMMA = 100, 50
 
 
@@ -111,7 +116,6 @@ def fit(path: Path) -> dict:
     import numpy as np
 
     from recbench import mf
-    from recbench.dataset import dense_codes
 
     train_logs = pickle.loads(path.read_bytes()).train
     setup = status_mb("VmRSS")
@@ -130,17 +134,27 @@ def fit(path: Path) -> dict:
     finally:
         mf.sgd_epoch = sgd_epoch
     peak = status_mb("VmHWM")
-    # one epoch's order of the train logs, coded as train_mf codes them
-    _, uu = dense_codes(train_logs.users, len(train_logs.user_ids))
-    _, ii = dense_codes(train_logs.items, len(train_logs.item_ids))
+    # one epoch's order of the train logs, in their own codes as train_mf reads them
     order = np.random.default_rng(1).permutation(len(train_logs))
-    users, items = uu[order], ii[order]
-    del uu, ii, order
+    users, items = train_logs.users[order], train_logs.items[order]
+    del order
     t0 = time.perf_counter()
     mf.sgd_levels(users, items)
     levels_s = time.perf_counter() - t0
     del users, items
     traced = traced_peak(lambda: train_mf(train_logs))[1]
+    held = []
+
+    def held_epoch(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return sgd_epoch(*args)
+
+    # a separate fit: the wrapper's arguments keep each epoch's order alive
+    mf.sgd_epoch = held_epoch
+    try:
+        traced_peak(lambda: train_mf(train_logs))
+    finally:
+        mf.sgd_epoch = sgd_epoch
     return {
         "epoch_ms": round(1e3 * max(epochs), 1),
         "levels_ns_per_update": round(1e9 * levels_s / len(train_logs), 1),
@@ -148,6 +162,7 @@ def fit(path: Path) -> dict:
         "rss_peak_mb": round(peak, 1),
         "rss_rise_mb": round(peak - setup, 1),
         "traced_bytes_per_log": round(traced / len(train_logs), 1),
+        "traced_between_epochs_bytes_per_log": round(max(held) / len(train_logs), 1),
     }
 
 
@@ -225,7 +240,7 @@ def main(argv: list[str]) -> int:
     if argv[:1] == ["--explore"]:
         print(json.dumps(explore(Path(argv[1]))))
         return 0
-    names = argv or list(POINTS)
+    names = argv or list(DEFAULT)
     unknown = [name for name in names if name not in POINTS]
     if unknown:
         print(f"unknown points {unknown}; choose from {list(POINTS)}", file=sys.stderr)
@@ -255,8 +270,9 @@ def main(argv: list[str]) -> int:
             print(
                 f"{name}: MF fit: epoch {m['epoch_ms']:.0f} ms, sgd_levels "
                 f"{m['levels_ns_per_update']:.0f} ns/update, RSS {m['rss_setup_mb']:.0f} -> "
-                f"{m['rss_peak_mb']:.0f} MB (+{m['rss_rise_mb']:.0f}), traced peak "
-                f"{m['traced_bytes_per_log']:.1f} B/log",
+                f"{m['rss_peak_mb']:.0f} MB (+{m['rss_rise_mb']:.0f}), traced "
+                f"{m['traced_between_epochs_bytes_per_log']:.1f} B/log between epochs, peak "
+                f"{m['traced_bytes_per_log']:.1f} B/log inside one",
                 flush=True,
             )
             e = r["mf_explore"] = child("--explore", path)
