@@ -16,9 +16,11 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 SEGMENTS = ("HuserPitem", "LuserPitem", "HuserUitem", "LuserUitem")
-# Bytes of whole lines that load_dataset parses from a CSV at once (then up
-# to the end of the line they end in); a plain chunk's temporaries are a
-# few times this.
+# Bytes that each chunked loop holds for one block of its units (``blocks``).
+BLOCK_BYTES = 2**20
+# Bytes of whole lines that load_dataset parses from a CSV at once (then up to
+# the end of the line they end in), a few times this in temporaries; not from
+# BLOCK_BYTES, as a read allocates its whole size before it reads.
 CSV_CHUNK = 2**16
 # The bytes of a plain CSV chunk: printable ASCII but space and '"', and line ends.
 _PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord('"')) + b"\r\n"
@@ -57,6 +59,29 @@ def stable_order(codes: np.ndarray, size: int) -> np.ndarray:
         order = np.take(order, np.argsort(digits, kind="stable"))
         shift += 16
     return order
+
+
+def blocks(units, cost: int):
+    """Consecutive ranges [start, stop) that tile the units in order, each of
+    units costing at most BLOCK_BYTES in all, or of one unit; one if all fit.
+    ``units`` is a number of units of ``cost`` bytes, or each unit's parts of that."""
+    if isinstance(units, np.ndarray):
+        cum = units.cumsum()
+        n, total = len(cum), cum[-1] if len(cum) else 0
+    else:
+        cum, n, total = None, units, units
+    start = 0
+    while start < n:
+        if total * cost <= BLOCK_BYTES:
+            stop = n
+        elif cum is None:
+            stop = start + BLOCK_BYTES // cost
+        else:
+            base = cum[start - 1] if start else 0
+            stop = int(np.searchsorted(cum, base + BLOCK_BYTES // cost, "right"))
+        stop = min(max(start + 1, stop), n)
+        yield start, stop
+        start = stop
 
 
 class DatasetError(Exception):

@@ -7,18 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of, dense_codes, stable_order
+from . import dataset
+from .dataset import Ratings, SegmentModel, blocks, code_of, dense_codes, stable_order
 
 _VAR_EPS = 1e-12
 # Similarities this close to zero are numerical noise, not real signal;
 # the positivity filter must agree between the naive and vectorized routes.
 SIM_EPS = 1e-9
-# Pairs that build_similarity_matrix expands at once, co-rating sums it
-# holds for one block of item rows (but one row heavier than that), and
-# similar pairs it keeps pending before a merge into each row's top K; and
-# the matrix entries that KnnPredictor transposes, and the column entries
-# its neighbour sums read, at once.
-BUILD_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,18 +132,6 @@ def block_top_n(
     return np.divmod(at[neg.ravel()[at] != np.inf], neg.shape[1])
 
 
-def _row_blocks(weights: np.ndarray, budget: int):
-    """Consecutive row ranges [start, stop) whose weights sum to at most
-    ``budget``; a row heavier than that gets a range of its own."""
-    cum = np.cumsum(weights)
-    start = 0
-    while start < len(weights):
-        base = cum[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(cum, base + budget, side="right")))
-        yield start, stop
-        start = stop
-
-
 def _entry_order(rows, cols, weights, n: int) -> np.ndarray:
     """The order of entries by (row, -weight, column), as ``np.lexsort((cols,
     -weights, rows))`` gives it, for distinct (row, column) pairs, columns
@@ -184,9 +167,9 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
 
     Co-rating statistics are summed over expanded pairs: each (item i,
     rater u) entry is paired with u's items j > i, so only co-rated pairs
-    i < j are ever materialized, at most BUILD_BLOCK_ENTRIES at once. Items
-    are taken in blocks of consecutive rows whose pairs number at most
-    that; a row with more is a block of its own and is expanded in chunks.
+    i < j are ever materialized, a block of them (``dataset.blocks``) at
+    once. Items are taken in blocks of consecutive rows by their pairs; a
+    heavier row is a block of its own and is expanded in chunks.
     A block's sums are held by cell: over the co-rated (row, column) cells
     of its pairs, found by counting, not sorting, first the columns the
     pairs touch and then the cells among the rows x those columns; a cell
@@ -219,13 +202,13 @@ class _TopK:
     added so far, for both ends: those kept at the last merge, and those
     pending.
 
-    The pending entries are merged in once there are more than
-    BUILD_BLOCK_ENTRIES of them and more than the kept ones of the rows
+    The pending entries are merged in once there are more than a block of
+    them (BLOCK_BYTES at 64 bytes each) and more than the kept ones of the rows
     still open, so merging costs O(entries added) in all; an entry that its
     row's k-th kept one beats is dropped as it comes. The top k of a union
     is the top k of the parts' top ks, since (-weight, column) orders a
     row's entries totally, so the result is that of one sort of all the
-    entries, while only O(rows x k + BUILD_BLOCK_ENTRIES) are held.
+    entries, while only O(rows x k + BLOCK_BYTES) are held.
     The rows that get no more pairs are set aside at a merge, and not
     sorted again.
     """
@@ -248,7 +231,8 @@ class _TopK:
         above = weights > np.take(self.floor, rows)
         self.pending.append((rows[above], cols[above], weights[above]))
         self.size += len(self.pending[-1][0])
-        if self.size > max(BUILD_BLOCK_ENTRIES, len(self.cols)):
+        # a pending entry: its row, column and weight, and its merge's sort keys, 64 bytes
+        if self.size > max(dataset.BLOCK_BYTES // 64, len(self.cols)):
             self.merge(closed)
 
     def merge(self, closed: int):
@@ -306,12 +290,14 @@ def _similar_pairs(train: Ratings, gamma: int):
     # each row's pairs: the sum of its entries' lengths
     pairs = np.add.reduceat(lengths, item_ptr[:-1], dtype=np.intp)
 
-    for start, stop in _row_blocks(pairs, BUILD_BLOCK_ENTRIES):
+    # a pair: its position, column and cell codes, ratings and products, 64 bytes
+    for start, stop in blocks(pairs, 64):
         # the block's entries: their rows, ratings and pairs' runs in the copy
         a, b = item_ptr[start], item_ptr[stop]
         block_after, block_lengths = after[a:b], lengths[a:b]
         block_x = np.take(user_ratings, block_after - 1)
-        if pairs[start] <= BUILD_BLOCK_ENTRIES:  # one chunk
+        chunks = list(blocks(block_lengths, 64))  # 64 bytes a pair
+        if len(chunks) == 1:
             pos = _runs(block_after, block_lengths)
             # the columns the pairs touch, then the cells (row, column) they
             # touch, a cell c being row c // width and column touched[c % width]
@@ -337,7 +323,7 @@ def _similar_pairs(train: Ratings, gamma: int):
             width = len(touched)
             count = np.zeros(width, np.intp)
             sum_x, sum_y, sum_xy, sum_x2, sum_y2 = np.zeros((5, width))
-            for c, d in _row_blocks(block_lengths, BUILD_BLOCK_ENTRIES):
+            for c, d in chunks:
                 pos = _runs(block_after[c:d], block_lengths[c:d])
                 cell = np.take(user_items, pos) - np.intp(start)  # intp: add.at is faster
                 x, y = np.repeat(block_x[c:d], block_lengths[c:d]), np.take(user_ratings, pos)
@@ -383,7 +369,7 @@ def _transpose(matrix: SimilarityMatrix):
     col_ptr = np.concatenate(([0], np.cumsum(col_len)))
     col_rows, col_weights = np.empty(col_ptr[-1], np.int32), np.empty(col_ptr[-1])
     free = col_ptr[:-1].copy()
-    for start, stop in _row_blocks(np.diff(matrix.indptr), BUILD_BLOCK_ENTRIES):
+    for start, stop in blocks(np.diff(matrix.indptr), 64):  # an entry, and its gathers
         a, b = matrix.indptr[start], matrix.indptr[stop]  # a block of empty rows writes nothing
         cols = matrix.indices[a:b]
         by_col = stable_order(cols, n)
@@ -487,19 +473,18 @@ class KnnPredictor(Predictor):
         """(sum_j w_ij * v_j, sum_j w_ij) over the given columns j, for every item i.
 
         ``cols`` must ascend; items that list none of them get (0, 0). The
-        columns are read in chunks of at most BUILD_BLOCK_ENTRIES entries
-        (a column with more is a chunk of its own, and it has fewer entries
-        than the sums have items): the first chunk's sums are bincounts,
+        columns are read in chunks by their entries (``dataset.blocks``; a
+        heavier column is a chunk of its own, with fewer entries than the
+        sums have items): the first chunk's sums are bincounts,
         and each later chunk's terms are added onto them in input order, so
         every item's terms are added in ascending column order from 0.0,
         whatever the chunks.
         """
         lengths = self.col_len[cols]
         n = len(self.col_len)
-        chunks = [(0, len(cols))]
-        if lengths.sum() > BUILD_BLOCK_ENTRIES:
-            chunks = _row_blocks(lengths, BUILD_BLOCK_ENTRIES)
-        for a, b in chunks:
+        if not len(cols):
+            return np.zeros(n), np.zeros(n)
+        for a, b in blocks(lengths, 64):  # an entry: its position, row, weight and term
             entries = _runs(self.col_ptr[cols[a:b]], lengths[a:b])
             # intp once, for both sums: bincount and add.at would each cast int32
             targets = self.col_rows[entries].astype(np.intp)
@@ -523,13 +508,12 @@ class KnnPredictor(Predictor):
         user = code_of(self.stats.users, user_id)
         if user >= 0:
             a, b = self.user_ptr[user], self.user_ptr[user + 1]
-            if a < b:
-                num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
-                has_neighbors = den > 0.0
-                # a 1 where no rated neighbor lists the item: never put in the row
-                scores = num / np.where(has_neighbors, den, 1.0)
-                scores += self.stats.row_means
-                np.putmask(row[:-1], has_neighbors, scores)
+            num, den = self.neighbor_sums(self.user_cols[a:b], self.user_dev[a:b])
+            has_neighbors = den > 0.0
+            # a 1 where no rated neighbor lists the item: never put in the row
+            scores = num / np.where(has_neighbors, den, 1.0)
+            scores += self.stats.row_means
+            np.putmask(row[:-1], has_neighbors, scores)
         np.maximum(row, self.r_min, out=row)
         np.minimum(row, self.r_max, out=row)
         return row[self.stats.item_rows(item_ids)]

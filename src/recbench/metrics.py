@@ -12,12 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import SEGMENTS
+from .dataset import SEGMENTS, blocks
 
 GLOBAL = "Global"
 USER_SEGMENTS = ("Huser", "Luser")
-# Squared errors that Decide holds as Python floats at once.
-FSUM_CHUNK = 2**12
 
 
 class ScoredLog(NamedTuple):
@@ -90,11 +88,12 @@ def _cells(cells: np.ndarray):
 
 def _rmse_cell(squares: np.ndarray) -> tuple[float | None, int]:
     """(RMSE, support) of a cell's squared errors, summed exactly by one
-    ``math.fsum`` that reads them FSUM_CHUNK Python floats at a time."""
+    ``math.fsum`` that reads them a block of Python floats at a time."""
     n = len(squares)
     if not n:
         return None, 0
-    chunks = (squares[start : start + FSUM_CHUNK].tolist() for start in range(0, n, FSUM_CHUNK))
+    # a squared error: a Python float and its list slot (32 bytes), counted as 256
+    chunks = (squares[a:b].tolist() for a, b in blocks(n, 256))
     return math.sqrt(math.fsum(chain.from_iterable(chunks)) / n), n
 
 

@@ -12,16 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import DefaultPredictor, Predictor
-from .dataset import Ratings, SegmentModel, code_of
+from .dataset import Ratings, SegmentModel, blocks, code_of
 from .knn import SIM_EPS, SimilarityMatrix, block_top_n
 
 USER_PINNED = 0
 ITEM_PINNED = 1
-
-# Bytes of correlations mf_item_similarity holds at once.
-EXTRACT_BLOCK_BYTES = 2**20
-# Updates whose codes sgd_levels holds as Python ints at once.
-LEVEL_CHUNK = 2**12
 
 
 class TrainingError(Exception):
@@ -61,10 +56,11 @@ def sgd_levels(users: np.ndarray, items: np.ndarray) -> np.ndarray:
     user_level = [0] * (int(users.max(initial=-1)) + 1)
     item_level = [0] * (int(items.max(initial=-1)) + 1)
     levels = np.empty(len(users), dtype=np.int32)  # a level is at most the update count
-    for start in range(0, len(users), LEVEL_CHUNK):
+    # an update: its user, item and level as Python ints in lists, about 110 bytes,
+    # counted as 256: 2**12 updates a chunk took 158 ns an update, 2**16 took 198
+    for start, stop in blocks(len(users), 256):
         chunk = []
         append = chunk.append
-        stop = start + LEVEL_CHUNK
         for u, i in zip(users[start:stop].tolist(), items[start:stop].tolist()):
             a = user_level[u]
             b = item_level[i]
@@ -290,8 +286,8 @@ def train_mf(
 def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     """Pearson correlation between item factor vectors, top-K positive neighbors.
 
-    Correlations are computed for one block of rows at a time, at most
-    EXTRACT_BLOCK_BYTES of them, and ``block_top_n`` cuts each row to its
+    Correlations are computed for one block of rows at a time
+    (``dataset.blocks``), and ``block_top_n`` cuts each row to its
     top K, the diagonal never picked, before the next block; of those the
     correlations above SIM_EPS are kept. So neither items x items nor every
     row's candidates are ever held. The model's item ids must be sorted, as
@@ -308,15 +304,15 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
     del centered, norms, safe  # only the unit rows are read below
 
     n = len(model.item_ids)
-    block_rows = max(1, EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
-    buffer = np.empty((block_rows, n))
+    # a row: n correlations of 8 bytes; the weights' bits depend on a block's rows
+    buffer = np.empty((next(blocks(n, 8 * n), (0, 0))[1], n))  # the first is the largest
     # no item lists itself, so a row keeps at most min(k, n - 1)
     indptr = np.zeros(n + 1, dtype=np.intp)
     indices = np.empty(n * min(k, max(n - 1, 0)), dtype=np.int32)
     weights = np.empty(len(indices))
     nnz = 0
-    for start in range(0, n, block_rows):
-        block = unit[start : start + block_rows]
+    for start, stop in blocks(n, 8 * n):
+        block = unit[start:stop]
         corr = np.matmul(block, unit.T, out=buffer[: len(block)])
         np.clip(corr, -1.0, 1.0, out=corr)
         local = np.arange(len(block))

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import Predictor
-from .dataset import SEGMENTS, SegmentModel, SplitDataset, user_ratings_index
+from .dataset import SEGMENTS, SegmentModel, SplitDataset, blocks, user_ratings_index
 from .knn import KnnPredictor, block_top_n
 from .metrics import (
     MetricTable,
@@ -29,10 +29,6 @@ from .metrics import (
     aggregate_rmse,
     comp_user,
 )
-
-
-# Bytes of scores run_core holds for one block of users.
-SCORE_BLOCK_BYTES = 2**19
 
 
 class EvaluationError(Exception):
@@ -129,8 +125,8 @@ def run_core(
 ) -> CoreReport:
     """Evaluate Decide, Compare and Discover for one trained predictor.
 
-    Each user is scored once over the catalog, into a block of users of at
-    most SCORE_BLOCK_BYTES. Decide and Compare read the users' test items
+    Each user is scored once over the catalog, into a block of users
+    (``dataset.blocks``). Decide and Compare read the users' test items
     out of the block, and Discover then ranks it in place, so the block and
     the ranking's partitioned copy are the only block-sized arrays; each
     block's seen items are gathered for it alone. Compare then counts the
@@ -159,11 +155,10 @@ def run_core(
     predicted = np.empty(len(test_items))
     slots = []  # the test log of each evaluable slot, by user and in rank order
     m = len(catalog)
-    n_rows = max(1, SCORE_BLOCK_BYTES // (8 * max(m, 1)))  # users per block
-    block = np.empty((n_rows, m))
+    cost = 16 * m  # a user: a catalog row of scores, and block_top_n's copy of it
+    block = np.empty((next(blocks(len(users), cost), (0, 0))[1], m))  # the first is the largest
     score_s = 0.0
-    for u0 in range(0, len(users), n_rows):
-        u1 = min(u0 + n_rows, len(users))
+    for u0, u1 in blocks(len(users), cost):
         scores = block[: u1 - u0]
         t0 = time.monotonic()
         for row, user_id in enumerate(users[u0:u1]):
@@ -205,9 +200,9 @@ def run_core(
     t0 = time.monotonic()
     tested = np.flatnonzero(np.diff(test_ptr))  # the users with a test log
     comp = np.empty((len(tested), 2), np.int64)  # their comp_user counts
-    # the records of a block's worth of tested users at a time
-    for lo in range(0, len(tested), n_rows):
-        chunk = tested[lo : lo + n_rows]
+    # the records of as many tested users at a time as a block of scores has
+    for lo, hi in blocks(len(tested), cost):
+        chunk = tested[lo:hi]
         starts, ends = test_ptr[chunk].tolist(), test_ptr[chunk + 1].tolist()
         tests = slice(starts[0], ends[-1])
         fields = (

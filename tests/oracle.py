@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from recbench import mf
+from recbench import dataset
 from recbench.dataset import SEGMENTS, RatingLog, Ratings, SegmentModel, _columns, code_of
 from recbench.knn import _VAR_EPS, SIM_EPS, SimilarityMatrix
 from recbench.metrics import GLOBAL, MetricTable
@@ -364,8 +364,8 @@ def top_k_matrix(k, item_ids, rows, cols, weights):
 
 def blocked_mf_item_similarity(model, k):
     """``mf.mf_item_similarity`` as it was before it cut each block's rows
-    to K: the same correlation blocks (of ``mf.EXTRACT_BLOCK_BYTES``, read
-    at call time), every block's candidates gathered, then ordered and cut
+    to K: the same correlation blocks (``dataset.blocks`` of 8 bytes a
+    correlation, read at call time), every block's candidates gathered, then ordered and cut
     at once by ``top_k_matrix``. The extraction must equal it bit for bit."""
     m = model.item_factors
     centered = m - m.mean(axis=1, keepdims=True)
@@ -376,12 +376,11 @@ def blocked_mf_item_similarity(model, k):
 
     n = len(model.item_ids)
     kth = max(n - k, 0)
-    block_rows = max(1, mf.EXTRACT_BLOCK_BYTES // (8 * max(n, 1)))
-    buffer = np.empty((block_rows, n))
+    buffer = np.empty((next(dataset.blocks(n, 8 * n), (0, 0))[1], n))
     # (row, column, correlation) of the candidates, one triple of arrays per block
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for start in range(0, n, block_rows):
-        block = unit[start : start + block_rows]
+    for start, stop in dataset.blocks(n, 8 * n):
+        block = unit[start:stop]
         corr = np.matmul(block, unit.T, out=buffer[: len(block)])
         np.clip(corr, -1.0, 1.0, out=corr)
         local = np.arange(len(block))

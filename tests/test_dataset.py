@@ -688,3 +688,55 @@ class TestAgainstListReferences:
             running += log.rating
         pairwise = np.sum([l.rating for l in train])
         assert running / len(train) != pairwise / len(train)
+
+
+
+
+class TestBlocks:
+    """dataset.blocks: the ranges every chunked loop reads its units by."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2**12),
+        st.one_of(
+            st.lists(st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 2**13)), max_size=30),
+            st.integers(0, 60),
+        ),
+        st.one_of(st.just(0), st.integers(1, 64), st.integers(1, 2**13)),
+    )
+    @example(budget=10, units=[], cost=1)  # empty input
+    @example(budget=10, units=0, cost=3)  # no unit
+    @example(budget=10, units=[0, 0, 0], cost=5)  # zero-cost units
+    @example(budget=10, units=[3, 40, 0, 4], cost=1)  # a unit heavier than the budget
+    @example(budget=10, units=7, cost=3)  # a scalar cost
+    @example(budget=10, units=5, cost=0)  # a scalar cost of zero
+    @example(budget=10, units=[5, 5], cost=1)  # a total at the budget: one range
+    def test_ranges_tile_the_units_within_the_budget(self, budget, units, cost):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "BLOCK_BYTES", budget)
+            if isinstance(units, int):  # units of ``cost`` bytes each
+                got = list(dataset.blocks(units, cost))
+                units = [1] * units
+            else:  # units of that many parts of ``cost`` bytes
+                got = list(dataset.blocks(np.array(units, np.int32), cost))
+        n = len(units)
+        # in order and without a gap, from 0 to n; none for no unit
+        assert [a for a, _ in got] + [n] == [0] + [b for _, b in got]
+        assert all(a < b for a, b in got)
+        assert all(cost * sum(units[a:b]) <= budget or b == a + 1 for a, b in got)
+        if n and cost * sum(units) <= budget:  # the fast path
+            assert got == [(0, n)]
+
+    def test_default_counts(self):
+        """At the default budget each loop's unit cost gives its count."""
+        m = 3000
+
+        def first(units, cost):
+            return next(dataset.blocks(units, cost))[1]
+
+        assert dataset.BLOCK_BYTES == 2**20
+        assert first(10**6, 16 * m) == 2**16 // m  # score block: users
+        assert first(m, 8 * m) == 2**17 // m  # MF extraction: rows
+        # build, pending top-K, transpose, neighbour sums: entries
+        assert first(np.ones(10**6, np.intp), 64) == 2**14
+        assert first(10**6, 256) == 2**12  # sgd_levels: updates; fsum: floats

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracle
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import RatingLog, Ratings, build_segment_model, dense_codes, split
-from recbench import knn
+from recbench import dataset, knn
 from recbench.knn import KnnPredictor, build_similarity_matrix, weighted_pearson
 from recbench.mf import mf_item_similarity, train_mf
 from recbench.synthetic import gen_clustered, gen_uniform
@@ -143,9 +143,9 @@ class TestBlockedBuild:
         # pairs at a time, and the top K is merged as soon as its pending
         # entries outnumber its kept ones
         logs = gen_clustered(80, 40, 4, density=0.3, seed=11)
-        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**40)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 64 * 2**40)
         whole = build_similarity_matrix(logs, k=7, gamma=10)
-        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 64 * budget)  # 64 bytes a pair
         assert build_similarity_matrix(logs, k=7, gamma=10).neighbors == whole.neighbors
 
     def test_signed_ratings_match_naive(self, monkeypatch):
@@ -158,7 +158,7 @@ class TestBlockedBuild:
             for i in range(25)
             if rng.random() < 0.5
         )
-        monkeypatch.setattr(knn, "BUILD_BLOCK_ENTRIES", 30)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 64 * 30)
         got = build_similarity_matrix(logs, k=6, gamma=8).neighbors
         want = naive_similarity_lists(logs, k=6, gamma=8)
         assert got.keys() == want.keys()
@@ -192,7 +192,7 @@ class TestBlockedBuild:
         # a user with a single rating and an item with a single rater
         logs += [RatingLog("single", "i00", draw()), RatingLog("u00", "solo", draw())]
         logs = oracle.as_ratings(logs[n] for n in rng.permutation(len(logs)))
-        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
             got = build_similarity_matrix(logs, k, gamma)
         want = oracle.sparse_similarity_matrix(logs, k, gamma)
         assert got.k == want.k and got.item_ids == want.item_ids
@@ -225,7 +225,7 @@ class TestBlockedBuild:
             merges.append(closed)
             return merge(top, closed)
 
-        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget), mock.patch.object(knn._TopK, "merge", counted):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget), mock.patch.object(knn._TopK, "merge", counted):
             got = build_similarity_matrix(logs, k, gamma)
         want = oracle.sparse_similarity_matrix(logs, k, gamma)
         assert got.k == want.k and got.item_ids == want.item_ids
@@ -273,13 +273,6 @@ class TestBlockedBuild:
         assert got.dtype == np.intp
         assert got.tolist() == oracle.naive_runs(starts.tolist(), lengths.tolist())
 
-    def test_row_blocks_cover_rows_within_budget(self):
-        weights = np.array([3, 1, 9, 2, 2, 0, 4])
-        blocks = list(knn._row_blocks(weights, 4))
-        assert [b for _, b in blocks][-1] == len(weights)
-        assert all(a < b for a, b in blocks)
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
-        assert all(weights[a:b].sum() <= 4 or b == a + 1 for a, b in blocks)
 
 def assert_csr_rows(matrix):
     """Each row sorted by (-w, col), without its own item, at most k entries
@@ -598,7 +591,7 @@ class TestColumnTranspose:
     )
     def test_equals_the_one_sort_transpose(self, seed, n_items, k, budget):
         matrix, stats, logs = transpose_case(seed, n_items, k)
-        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
             model = KnnPredictor(matrix, stats, logs)
         col_ptr, col_rows, col_weights = oracle.one_sort_transpose(matrix)
         assert np.array_equal(model.col_ptr, col_ptr)
@@ -616,7 +609,7 @@ class TestColumnTranspose:
             oracle.similarity_matrix(2, lists, stats.item_ids),
             oracle.similarity_matrix(2, {}, stats.item_ids),
         ):
-            with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+            with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
                 model = KnnPredictor(matrix, stats, logs)
             col_ptr, col_rows, col_weights = oracle.one_sort_transpose(matrix)
             assert np.array_equal(model.col_ptr, col_ptr)
@@ -631,7 +624,7 @@ def part(logs: Ratings, picked) -> Ratings:
 
 
 class TestChunkedNeighborSums:
-    """A user whose rated columns hold more entries than BUILD_BLOCK_ENTRIES
+    """A user whose rated columns hold more entries than a block (dataset.BLOCK_BYTES at 64 bytes an entry)
     is summed in chunks of columns, the first by bincount and the rest by
     add.at onto it; the sums are the one-chunk sums and the product with
     the column-sorted weight matrix, bit for bit."""
@@ -644,7 +637,7 @@ class TestChunkedNeighborSums:
         logs = oracle.as_ratings([*gen_uniform(60, 40, 0.3, seed=5), *heavy])
         matrix = build_similarity_matrix(logs, k=12, gamma=10)
         stats = build_segment_model(logs)
-        with mock.patch.object(knn, "BUILD_BLOCK_ENTRIES", budget):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
             model = KnnPredictor(matrix, stats, logs)
             user = stats.users.index("u99999")
             a, b = model.user_ptr[user], model.user_ptr[user + 1]

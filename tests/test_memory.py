@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 import oracle
-from recbench import dataset, knn, mf, protocol
+from recbench import dataset, protocol
 from recbench.baselines import Predictor
 from recbench.dataset import (
     RatingLog,
@@ -157,10 +157,8 @@ def measured(tmp_path_factory):
     work = tmp_path_factory.mktemp("memory")
     sizes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**10)
+        patch.setattr(dataset, "BLOCK_BYTES", 2**14)  # the extraction's block, as before
         patch.setattr(dataset, "CSV_CHUNK", 2**12)
-        patch.setattr(mf, "LEVEL_CHUNK", 2**10)
-        patch.setattr(mf, "EXTRACT_BLOCK_BYTES", 2**14)
         for n_users, draws in SIZES:
             path = work / f"logs-{n_users}.csv"
             netflix_shape(path, n_users, draws)
@@ -205,7 +203,7 @@ def wide_build(tmp_path_factory):
     work = tmp_path_factory.mktemp("wide")
     peaks = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knn, "BUILD_BLOCK_ENTRIES", 2**12)
+        patch.setattr(dataset, "BLOCK_BYTES", 64 * 2**12)
         for n_users, draws in WIDE_SIZES:
             path = work / f"logs-{draws}.csv"
             netflix_shape(path, n_users, draws, n_items=WIDE_ITEMS)
@@ -255,7 +253,7 @@ def test_run_core_holds_a_block_and_one_partitioned_copy(monkeypatch, exclude_se
     segments = build_segment_model(data.train)
     model = TableScores(data.users, data.items)
     config = protocol.ProtocolConfig(exclude_seen=exclude_seen)
-    monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", 2**16)
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 2**17)
     assert len(data.items) == CORE_ITEMS
     peak = peak_of(lambda: protocol.run_core(model, data, segments, config))
     assert peak / 64_000 <= CORE_BLOCKS, peak / 64_000  # a block is 2 rows of 4,000 scores
@@ -285,7 +283,7 @@ def uniform_split(n_users, n_items=500, per_user=50, seed=0):
 
 
 def test_run_core_peak_does_not_grow_with_compares_records(monkeypatch):
-    monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", 2**14)
+    monkeypatch.setattr(dataset, "BLOCK_BYTES", 2**15)
     peaks, tests = [], []
     for n_users in CORE_GROWTH_USERS:
         data = uniform_split(n_users)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from recbench import metrics
+from recbench import dataset, metrics
 from recbench.dataset import SEGMENTS
 from recbench.metrics import (
     GLOBAL,
@@ -95,7 +95,7 @@ class TestRmse:
         cancelling=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(chunk=metrics.FSUM_CHUNK, chunks=2, edge=1, cancelling=2, seed=0)
+    @example(chunk=2**12, chunks=2, edge=1, cancelling=2, seed=0)
     def test_chunked_sum_is_one_exact_fsum(self, chunk, chunks, edge, cancelling, seed):
         """Huge, tiny and subnormal values, and huge pairs (h, -h) that
         cancel once the tiny ones are lost beside them, at lengths of a
@@ -108,7 +108,7 @@ class TestRmse:
         at = rng.choice(n, 2 * k, replace=False)
         values[at[:k]] = 2.0**1000 * (1 + rng.random(k))
         values[at[k:]] = -values[at[:k]]
-        with mock.patch.object(metrics, "FSUM_CHUNK", chunk):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 256 * chunk):  # 256 bytes a float
             got = metrics._rmse_cell(values)
         assert got == (math.sqrt(math.fsum(values.tolist()) / n), n)
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from recbench import mf
+from recbench import dataset, mf
 from recbench.baselines import DefaultPredictor
 from recbench.dataset import RatingLog, build_segment_model, split
 from recbench.mf import (
@@ -268,7 +268,7 @@ class TestLevelSchedule:
         p, q, uu, ii, rr = sgd_fixture("mixed", 40, 4, rng)
         order = epoch_order("repeated", 40, rng)
         whole = sgd_levels(uu[order], ii[order])
-        monkeypatch.setattr(mf, "LEVEL_CHUNK", chunk)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 256 * chunk)  # 256 bytes an update
         levels = sgd_levels(uu[order], ii[order])
         assert levels.dtype == np.int32 and np.array_equal(levels, whole)
         p_ref, q_ref = p.copy(), q.copy()
@@ -510,14 +510,14 @@ class TestBlockedExtraction:
     @pytest.mark.parametrize("items", [gaussian_items, tied_items])
     def test_matches_dense_oracle(self, items, k):
         model = items(1500)
-        assert 1500 > mf.EXTRACT_BLOCK_BYTES // (8 * 1500), "must span several blocks"
+        assert 1500 > dataset.BLOCK_BYTES // (8 * 1500), "must span several blocks"
         assert_same_neighbors(
             mf_item_similarity(model, k).neighbors, oracle.naive_mf_item_similarity(model, k)
         )
 
     @pytest.mark.parametrize("k", [240, 265])
     def test_k_at_least_catalog(self, monkeypatch, k):
-        monkeypatch.setattr(mf, "EXTRACT_BLOCK_BYTES", 8 * 240 * 50)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * 240 * 50)
         model = tied_items(240)
         assert_same_neighbors(
             mf_item_similarity(model, k).neighbors, oracle.naive_mf_item_similarity(model, k)
@@ -550,7 +550,7 @@ class TestBlockedExtraction:
         sorting every block's candidates at once."""
         q, k, block_rows = case
         model = small_model(np.ones((1, 4)), q)
-        with mock.patch.object(mf, "EXTRACT_BLOCK_BYTES", 8 * len(q) * block_rows):
+        with mock.patch.object(dataset, "BLOCK_BYTES", 8 * len(q) * block_rows):
             got = mf_item_similarity(model, k)
             want = oracle.blocked_mf_item_similarity(model, k)
         assert got.k == want.k and got.item_ids == want.item_ids
@@ -569,7 +569,7 @@ class TestBlockedExtraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * mf.EXTRACT_BLOCK_BYTES + 2 * n_items * k * 16
+        assert peak < 1.5 * dataset.BLOCK_BYTES + 2 * n_items * k * 16
 
     # Extraction's peak in correlation blocks (43 rows x 3,000 items) when
     # ties make every row's candidates thousands long, about a tenth above
@@ -588,7 +588,7 @@ class TestBlockedExtraction:
         n_items, k = 3000, 100
         q = direction[:, None] * np.random.default_rng(9).normal(0, 1, 16)
         model = small_model(np.ones((1, 16)), q)
-        block = mf.EXTRACT_BLOCK_BYTES // (8 * n_items) * 8 * n_items
+        block = dataset.BLOCK_BYTES // (8 * n_items) * 8 * n_items
         tracemalloc.start()
         try:
             matrix = mf_item_similarity(model, k)
@@ -604,7 +604,7 @@ class TestBlockedExtraction:
         its mirror, so a row keeps its own group, about 82% of the n x K
         slots in all; a trimmed copy next to them would pass twice the output."""
         n_items, k = 600, 600
-        monkeypatch.setattr(mf, "EXTRACT_BLOCK_BYTES", 8 * n_items * 8)
+        monkeypatch.setattr(dataset, "BLOCK_BYTES", 8 * n_items * 8)
         rng = np.random.default_rng(10)
         direction = np.where(np.arange(n_items) % 10 == 0, -1.0, 1.0)
         q = direction[:, None] * rng.normal(0, 1, 16) + rng.normal(0, 0.01, (n_items, 16))

@@ -437,7 +437,7 @@ def assert_cells_match(report, reference, tolerance=1e-9):
 
 
 class TestRunCoreBlocks:
-    """Blocks of users, set by SCORE_BLOCK_BYTES, change no cell: one user
+    """Blocks of users, set by dataset.BLOCK_BYTES, change no cell: one user
     per block, three with an uneven last block, or all in one block."""
 
     @pytest.mark.parametrize("case", [0, 1])
@@ -456,9 +456,9 @@ class TestRunCoreBlocks:
         default = run_core(model, data, segments, config)
         reference = oracle.naive_core_report(model, data, segments, 3, exclude_seen)
         assert_cells_match(default, reference)
-        row_bytes = 8 * len(data.items)
+        row_bytes = 16 * len(data.items)
         for users in (1, 3, len(data.users)):
-            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * row_bytes)
+            monkeypatch.setattr(dataset, "BLOCK_BYTES", users * row_bytes)
             report = run_core(model, data, segments, config)
             assert [t.cells for t in report.tables] == [t.cells for t in default.tables]
             assert report.ami_excluded == default.ami_excluded
@@ -473,7 +473,7 @@ class TestRunCoreBlocks:
         segments = replace(segments, item_counts=np.arange(1, len(data.items) + 1))
         model = RandomPredictor(seed=2)  # integer levels: many ties
         if users is not None:
-            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+            monkeypatch.setattr(dataset, "BLOCK_BYTES", users * 16 * len(data.items))
         judged = []
         aggregate = protocol.aggregate_discover
         monkeypatch.setattr(
@@ -973,7 +973,7 @@ class TestRunCoreAgainstOracle:
         }[name]()
         config = ProtocolConfig(top_n=top_n, explore_k=1, exclude_seen=exclude_seen)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol, "SCORE_BLOCK_BYTES", rows * 8 * len(data.items))
+            patch.setattr(dataset, "BLOCK_BYTES", rows * 16 * len(data.items))
             report = run_core(model, data, segments, config)
         reference = oracle.naive_core_report(model, data, segments, top_n, exclude_seen)
         assert_cells_match(report, reference)
@@ -1023,7 +1023,7 @@ class TestBlockedCompare:
         for users in (1, None, len(data.users)):
             with pytest.MonkeyPatch.context() as patch:
                 if users is not None:
-                    patch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+                    patch.setattr(dataset, "BLOCK_BYTES", users * 16 * len(data.items))
                 reports.append(run_core(model, data, segments, config))
         for report in reports[1:]:
             assert [t.cells for t in report.tables] == [t.cells for t in reports[0].tables]
@@ -1054,7 +1054,7 @@ class TestBlockedCompare:
                 return np.full_like(scores, np.nan) if user_id == first else scores
 
         if users is not None:
-            monkeypatch.setattr(protocol, "SCORE_BLOCK_BYTES", users * 8 * len(data.items))
+            monkeypatch.setattr(dataset, "BLOCK_BYTES", users * 16 * len(data.items))
         message = f"^model 'nan-then-fail' failed on user {later!r}: boom$"
         with pytest.raises(EvaluationError, match=message):
             run_core(NanThenFail(segments), data, segments, ProtocolConfig(top_n=3, explore_k=3))

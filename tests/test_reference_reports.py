@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from recbench import dataset
 from recbench.synthetic import write_csv
-from reference_reports import FIXTURES, digests
+from reference_reports import FIXTURES, MODELS, digests
 
 PINNED = {
     "clustered default exclude_seen=true": "7c146cc5e1c72bc432cf9826c38b931aa9be26d8efe40edd0e6a1d7f95ccaa4c",
@@ -64,8 +65,14 @@ generate(WORKLOADS["knn-catalog"], int(sys.argv[2]), Path(sys.argv[3]))
 
 
 @pytest.fixture(scope="module")
-def measured(tmp_path_factory):
-    return digests(tmp_path_factory.mktemp("reference"), models=("default", "random", "knn"))
+def every_model(tmp_path_factory):
+    """All 16 digests at the default budget, MF's among them, in this process."""
+    return digests(tmp_path_factory.mktemp("reference"), models=MODELS)
+
+
+@pytest.fixture(scope="module")
+def measured(every_model):
+    return {name: sha for name, sha in every_model.items() if " mf " not in name}
 
 
 def test_every_run_is_pinned(measured):
@@ -75,6 +82,16 @@ def test_every_run_is_pinned(measured):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_is_byte_identical(measured, name):
     assert measured[name] == PINNED[name]
+
+
+@pytest.mark.parametrize("budget", [1, 2**40], ids=["one-unit", "2**40"])
+def test_reports_do_not_depend_on_the_block_budget(every_model, tmp_path, budget):
+    """One unit per block in every chunked loop, or every loop in one block,
+    gives each report.json byte for byte: MF's too, as one process runs
+    the same BLAS kernel at each budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "BLOCK_BYTES", budget)
+        assert digests(tmp_path, models=MODELS) == every_model
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
