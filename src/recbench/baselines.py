@@ -43,32 +43,37 @@ class DefaultPredictor(Predictor):
         self.stats = stats
         self.r_min = r_min
         self.r_max = r_max
+        self.cold = np.flatnonzero(np.append(stats.item_counts == 0, True))  # and the last slot
 
     def predict(self, user_id: str, item_id: str) -> float:
         return float(self.predict_many(user_id, (item_id,))[0])
 
-    def train_row(self, user_id: str) -> np.ndarray:
-        """Unclipped scores of the train items, in the segment model's order,
-        then of any item outside train: the last entry, which the -1 that
-        ``item_rows`` gives such an item reads."""
-        means = self.stats.row_means
+    def catalog_row(self, user_id: str) -> np.ndarray:
+        """Unclipped scores of the catalog, by item code, then of an id
+        outside the catalog: the last entry, which the -1 that
+        ``item_codes`` gives such an id reads."""
+        means = self.stats.item_means
         row = np.empty(len(means) + 1)
         u = self.stats.user_code(user_id)
         if u < 0:
             row[:-1] = means
-            row[-1] = self.stats.global_mean
+            fill = self.stats.global_mean
         else:
-            um = self.stats.user_means[u]
-            np.add(means, um, out=row[:-1])
+            fill = self.stats.user_means[u]
+            np.add(means, fill, out=row[:-1])
             row[:-1] /= 2.0
-            row[-1] = um
+        row[self.cold] = fill  # an item without a train rating has no mean
         return row
 
+    def read(self, row: np.ndarray, item_ids) -> np.ndarray:
+        """A catalog row's scores of ``item_ids``; of the catalog itself, a view."""
+        return row[:-1] if item_ids is self.stats.items else row[self.stats.item_codes(item_ids)]
+
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
-        row = self.train_row(user_id)
+        row = self.catalog_row(user_id)
         np.maximum(row, self.r_min, out=row)
         np.minimum(row, self.r_max, out=row)
-        return row[self.stats.item_rows(item_ids)]
+        return self.read(row, item_ids)
 
 
 class RandomPredictor(Predictor):

@@ -6,7 +6,7 @@ import csv
 import io
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -581,10 +581,8 @@ class SegmentModel:
     thresholds and the global mean. Heavy users have strictly more train
     ratings than the user mean count, popular items than the item mean count.
 
-    ``item_ids`` (the items with a train rating, in table order: the one item
-    order that similarity matrices and factor models share), their means
-    ``row_means`` and ``code_row`` (each item code's row in that order, -1
-    outside train) are derived, so ``dataclasses.replace`` derives them again.
+    An item's code, its position in ``items`` (the catalog), is the one item
+    index that similarity matrices and the predictors' rows share.
     """
 
     users: tuple[str, ...]
@@ -596,17 +594,6 @@ class SegmentModel:
     user_threshold: float
     item_threshold: float
     global_mean: float
-    item_ids: tuple[str, ...] = field(init=False)
-    row_means: np.ndarray = field(init=False)
-    code_row: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        codes = np.flatnonzero(self.item_counts)
-        code_row = np.full(len(self.items), -1, dtype=np.intp)
-        code_row[codes] = np.arange(len(codes))
-        object.__setattr__(self, "item_ids", tuple(map(self.items.__getitem__, codes.tolist())))
-        object.__setattr__(self, "row_means", self.item_means[codes])
-        object.__setattr__(self, "code_row", code_row)
 
     @property
     def heavy(self) -> np.ndarray:
@@ -618,11 +605,9 @@ class SegmentModel:
         """Whether each item code is Popular."""
         return self.item_counts > self.item_threshold
 
-    def item_rows(self, item_ids) -> np.ndarray:
-        """Row of each id in ``item_ids``; the catalog, ``items``, reads ``code_row``."""
-        if item_ids is self.items:
-            return self.code_row
-        return np.array([code_of(self.item_ids, i) for i in item_ids], dtype=np.intp)
+    def item_codes(self, item_ids) -> np.ndarray:
+        """The catalog code of each id in ``item_ids``, -1 for an id outside the catalog."""
+        return np.array([code_of(self.items, i) for i in item_ids], dtype=np.intp)
 
     def user_code(self, user_id: str) -> int:
         """The user's code if they have a train rating, else -1."""

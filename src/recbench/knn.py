@@ -18,11 +18,12 @@ SIM_EPS = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Top-K neighbor lists of the sorted train items, as CSR arrays.
+    """Top-K neighbor lists of the catalog's items, as CSR arrays.
 
     Row r lists item_ids[r]'s neighbors, ``indices`` and ``weights`` from
     ``indptr[r]`` to ``indptr[r + 1]``, by descending weight, then ascending
-    column (= item id). No item lists itself; only weights above SIM_EPS.
+    column (= item id); an item without a train rating has none. No item
+    lists itself; only weights above SIM_EPS.
     """
 
     k: int
@@ -162,8 +163,9 @@ def _entry_order(rows, cols, weights, n: int) -> np.ndarray:
 
 
 def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> SimilarityMatrix:
-    """Top-K Weighted Pearson neighbors for every item with a log in the
-    train Ratings, whose ``by_user`` order the build reads.
+    """Top-K Weighted Pearson neighbors for every item of the train
+    Ratings' item table, whose ``by_user`` order the build reads; an item
+    without a train log gets an empty row.
 
     Co-rating statistics are summed over expanded pairs: each (item i,
     rater u) entry is paired with u's items j > i, so only co-rated pairs
@@ -188,13 +190,10 @@ def build_similarity_matrix(train: Ratings, k: int, gamma: int = 50) -> Similari
         raise ValueError("k must be >= 1")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    blocks = _similar_pairs(train, gamma)
-    codes = next(blocks)
-    top = _TopK(k, len(codes))
-    for first, second, sims, stop in blocks:
+    top = _TopK(k, len(train.item_ids))
+    for first, second, sims, stop in _similar_pairs(train, gamma):
         top.add(first, second, sims, stop)
-    item_ids = tuple(train.item_ids[c] for c in codes.tolist())
-    return SimilarityMatrix(k, item_ids, *top.merged())
+    return SimilarityMatrix(k, train.item_ids, *top.merged())
 
 
 class _TopK:
@@ -269,15 +268,14 @@ class _TopK:
 
 
 def _similar_pairs(train: Ratings, gamma: int):
-    """Yields the codes of the items with a train rating, ascending, then
-    for each block of their rows (i, j, similarity, stop): the pairs i < j
-    with i in the block whose similarity is above SIM_EPS, and the row after
-    the block. The full-length arrays go when the blocks end."""
-    # user-major copy, by (user, item), the items renumbered in table order
+    """Yields for each block of item rows (i, j, similarity, stop): the
+    pairs i < j of item codes with i in the block whose similarity is above
+    SIM_EPS, and the row after the block. The full-length arrays go when
+    the blocks end."""
+    # user-major copy, by (user, item)
     order, user_ptr = train.by_user
-    codes, user_items = dense_codes(np.take(train.items, order), len(train.item_ids))
-    n = len(codes)
-    yield codes
+    user_items = np.take(train.items, order)
+    n = len(train.item_ids)
     # item-major entries, by (item, user) as the sort is stable: each one's
     # position in the copy plus one, where its pairs (its rater's items
     # after its item) start, and their number, as int32 where order is
@@ -287,8 +285,10 @@ def _similar_pairs(train: Ratings, gamma: int):
     after += 1
     lengths -= after
     user_ratings = np.take(train.ratings, order)
-    # each row's pairs: the sum of its entries' lengths
-    pairs = np.add.reduceat(lengths, item_ptr[:-1], dtype=np.intp)
+    # each row's pairs: the sum of its entries' lengths (reduceat reads an empty row as one)
+    pairs = np.zeros(n, np.intp)
+    rated = np.flatnonzero(np.diff(item_ptr))
+    pairs[rated] = np.add.reduceat(lengths, item_ptr[rated], dtype=np.intp)
 
     # a pair: its position, column and cell codes, ratings and products, 64 bytes
     for start, stop in blocks(pairs, 64):
@@ -390,12 +390,12 @@ class KnnPredictor(Predictor):
     """Deviation-form prediction over the user's rated neighbors of the item.
 
     Falls back to the default predictor when no rated neighbor exists. The
-    matrix must list the segment model's items, in its order, and ``train``
-    must be coded in the segment model's id tables.
+    matrix must be over the segment model's catalog, listing no item
+    without a train rating, and ``train`` coded in its id tables.
 
-    The ratings are read as the users x train items CSR of their deviations
+    The ratings are read as the users x catalog CSR of their deviations
     from the item means, rows by user code, built from ``train``'s codes; a
-    rating of an item outside the segment model's train items is left out.
+    rating of an item without a train rating is left out.
     ``train`` itself is kept, as ``self.train``, so that a caller can tell by
     identity which ratings the predictor reads.
 
@@ -418,8 +418,8 @@ class KnnPredictor(Predictor):
         r_max: float = 5.0,
         gamma: int | None = None,
     ):
-        if matrix.item_ids != stats.item_ids:
-            raise ValueError("similarity matrix items differ from the segment model's train items")
+        if matrix.item_ids != stats.items:
+            raise ValueError("similarity matrix items differ from the segment model's items")
         if (train.user_ids, train.item_ids) != (stats.users, stats.items):
             raise ValueError("train ratings use other id tables than the segment model")
         self.matrix = matrix
@@ -433,26 +433,31 @@ class KnnPredictor(Predictor):
         # the column form first, so that the users' CSR below fills what
         # the transpose's blocks leave
         self.col_len, self.col_ptr, self.col_rows, self.col_weights = _transpose(matrix)
+        cold = stats.item_counts == 0
+        if self.col_len[cold].any() or np.diff(matrix.indptr)[cold].any():
+            raise ValueError("similarity matrix lists an item without a train rating")
 
-        # the users x train items CSR of deviations, each row's columns ascending
+        # the users x catalog CSR of deviations, each row's columns ascending
         order, self.user_ptr = train.by_user  # int32: gathered by np.take, which is faster
-        rows = np.take(stats.code_row.astype(np.int32), np.take(train.items, order))
-        if rows.min(initial=0) < 0:  # ratings of items outside train are left out
-            known = rows >= 0  # a row's new bounds count the known logs before the old
+        cols = np.take(train.items, order)
+        known = (~cold)[cols]
+        if not known.all():  # ratings of items without a train rating are left out
+            # a row's new bounds count the known logs before the old
             self.user_ptr = np.concatenate(([0], np.cumsum(known)))[self.user_ptr]
-            order, rows = order[known], rows[known]
-        if ((rows[1:] == rows[:-1]) & (np.diff(np.take(train.users, order)) == 0)).any():
+            order, cols = order[known], cols[known]
+        del known
+        if ((cols[1:] == cols[:-1]) & (np.diff(np.take(train.users, order)) == 0)).any():
             raise ValueError("train ratings repeat a (user, item) pair of a train item")
-        self.user_cols, self.user_dev = rows, np.take(train.ratings, order)
-        self.user_dev -= stats.row_means[rows]
+        self.user_cols, self.user_dev = cols, np.take(train.ratings, order)
+        self.user_dev -= stats.item_means[cols]  # not np.take, which copies cols as intp
 
     def predict(self, user_id: str, item_id: str) -> float:
         user = code_of(self.stats.users, user_id)
-        r = code_of(self.matrix.item_ids, item_id)
+        r = code_of(self.stats.items, item_id)
         # the user's CSR row: rated columns ascending, and their deviations
         c, d = (self.user_ptr[user], self.user_ptr[user + 1]) if user >= 0 else (0, 0)
         if r >= 0 and c < d:
-            matrix, means = self.matrix, self.stats.row_means
+            matrix, means = self.matrix, self.stats.item_means
             cols, devs = self.user_cols[c:d], self.user_dev[c:d]
             # the neighbors of the item that the user rated, in the row's order
             a, b = matrix.indptr[r], matrix.indptr[r + 1]
@@ -473,18 +478,17 @@ class KnnPredictor(Predictor):
         """(sum_j w_ij * v_j, sum_j w_ij) over the given columns j, for every item i.
 
         ``cols`` must ascend; items that list none of them get (0, 0). The
-        columns are read in chunks by their entries (``dataset.blocks``; a
-        heavier column is a chunk of its own, with fewer entries than the
-        sums have items): the first chunk's sums are bincounts,
-        and each later chunk's terms are added onto them in input order, so
-        every item's terms are added in ascending column order from 0.0,
-        whatever the chunks.
+        columns are read in one pass if their entries fit a block, else in
+        chunks by their entries (``dataset.blocks``; a heavier column is a
+        chunk of its own, with fewer entries than the sums have items): the
+        first chunk's sums are bincounts, and each later chunk's terms are
+        added onto them in input order, so every item's terms are added in
+        ascending column order from 0.0, whatever the chunks.
         """
         lengths = self.col_len[cols]
         n = len(self.col_len)
-        if not len(cols):
-            return np.zeros(n), np.zeros(n)
-        for a, b in blocks(lengths, 64):  # an entry: its position, row, weight and term
+        fits = lengths.sum() * 64 <= dataset.BLOCK_BYTES  # an entry: position, row, weight, term
+        for a, b in [(0, len(cols))] if fits else blocks(lengths, 64):
             entries = _runs(self.col_ptr[cols[a:b]], lengths[a:b])
             # intp once, for both sums: bincount and add.at would each cast int32
             targets = self.col_rows[entries].astype(np.intp)
@@ -504,7 +508,7 @@ class KnnPredictor(Predictor):
     def predict_many(self, user_id: str, item_ids) -> np.ndarray:
         # the default predictor's row, with the KNN score put over it
         # wherever a rated neighbor lists the item, then clipped
-        row = self.fallback.train_row(user_id)
+        row = self.fallback.catalog_row(user_id)
         user = code_of(self.stats.users, user_id)
         if user >= 0:
             a, b = self.user_ptr[user], self.user_ptr[user + 1]
@@ -512,11 +516,11 @@ class KnnPredictor(Predictor):
             has_neighbors = den > 0.0
             # a 1 where no rated neighbor lists the item: never put in the row
             scores = num / np.where(has_neighbors, den, 1.0)
-            scores += self.stats.row_means
+            scores += self.stats.item_means
             np.putmask(row[:-1], has_neighbors, scores)
         np.maximum(row, self.r_min, out=row)
         np.minimum(row, self.r_max, out=row)
-        return row[self.stats.item_rows(item_ids)]
+        return self.fallback.read(row, item_ids)
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:
         return self.matrix.truncated(k)

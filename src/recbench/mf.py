@@ -333,8 +333,9 @@ def mf_item_similarity(model: FactorModel, k: int) -> SimilarityMatrix:
 
 
 class MFPredictor(Predictor):
-    """Clamped dot products over the segment model's item order; unknown
-    users or items fall back to the default predictor."""
+    """Clamped dot products over the segment model's catalog; unknown
+    users or items fall back to the default predictor. The factor model's
+    rows, the items with a train rating, are mapped to catalog codes once."""
 
     name = "mf"
 
@@ -345,7 +346,9 @@ class MFPredictor(Predictor):
         r_min: float = 1.0,
         r_max: float = 5.0,
     ):
-        if tuple(model.item_ids) != stats.item_ids:
+        # each trained row's catalog code
+        self.codes = np.flatnonzero(stats.item_counts)
+        if tuple(model.item_ids) != tuple(map(stats.items.__getitem__, self.codes.tolist())):
             raise ValueError("factor model items differ from the segment model's train items")
         self.model = model
         self.stats = stats
@@ -355,14 +358,9 @@ class MFPredictor(Predictor):
         # the catalog's item factors, zero outside train, and its positions
         # outside train: BLAS results depend on the layout, so gathering from
         # a product with all factors moves last bits
-        self.catalog = self._aligned(stats.code_row)
-
-    def _aligned(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The item factors of the given rows, zero at a -1, and the positions of the -1s."""
-        outside = rows < 0
-        factors = np.zeros((len(rows), self.model.n_factors))
-        factors[~outside] = self.model.item_factors[rows[~outside]]
-        return factors, np.flatnonzero(outside)
+        factors = np.zeros((len(stats.items), model.n_factors))
+        factors[self.codes] = model.item_factors
+        self.catalog = factors, self.fallback.cold[:-1]
 
     def predict(self, user_id: str, item_id: str) -> float:
         u = code_of(self.model.user_ids, user_id)
@@ -376,10 +374,11 @@ class MFPredictor(Predictor):
         u = code_of(self.model.user_ids, user_id)
         if u < 0:
             return self.fallback.predict_many(user_id, item_ids)
-        if item_ids is self.stats.items:
-            factors, outside = self.catalog
-        else:
-            factors, outside = self._aligned(self.stats.item_rows(item_ids))
+        factors, outside = self.catalog
+        if item_ids is not self.stats.items:
+            codes = self.stats.item_codes(item_ids)
+            factors = factors[codes]  # a -1 reads the last item's: overwritten below
+            outside = np.flatnonzero((codes < 0) | (self.stats.item_counts[codes] == 0))
         scores = factors @ self.model.user_factors[u]
         # the default predictor's score of an item outside train, before clipping
         scores[outside] = self.stats.user_mean(user_id)
@@ -388,7 +387,13 @@ class MFPredictor(Predictor):
         return scores
 
     def item_similarity_matrix(self, k: int) -> SimilarityMatrix:
-        return mf_item_similarity(self.model, k)
+        # the matrix over the trained rows, re-indexed to the catalog's
+        matrix = mf_item_similarity(self.model, k)
+        counts = np.zeros(len(self.stats.items), np.intp)
+        counts[self.codes] = np.diff(matrix.indptr)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices = np.take(self.codes.astype(np.int32), matrix.indices)
+        return SimilarityMatrix(k, self.stats.items, indptr, indices, matrix.weights)
 
     def config(self) -> dict:
         return {

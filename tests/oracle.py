@@ -472,9 +472,10 @@ def weight_matrix(matrix):
 
 def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0, r_max=5.0):
     """KNN scores of ``item_ids`` from two products with the whole weight
-    matrix: W @ deviations and W @ rated-indicator, dense over the train
-    items. Items without a rated neighbor, items outside train and users
-    without ratings get the default predictor's score."""
+    matrix: W @ deviations and W @ rated-indicator, dense over the matrix's
+    items. A rating of an item without a train rating adds nothing. Items
+    without a rated neighbor, items outside the matrix and users without
+    ratings get the default predictor's score."""
     w = weight_matrix(matrix)
     item_means = segment_dicts(stats).item_means
     column = {item_id: c for c, item_id in enumerate(matrix.item_ids)}
@@ -482,7 +483,7 @@ def matvec_knn_scores(matrix, stats, user_ratings, user_id, item_ids, r_min=1.0,
     rated = np.zeros(len(column))
     for item_id, rating in user_ratings.get(user_id, {}).items():
         c = column.get(item_id)
-        if c is not None:
+        if c is not None and item_id in item_means:
             deviation[c] = rating - item_means[item_id]
             rated[c] = 1.0
     num, den = w @ deviation, w @ rated
@@ -501,13 +502,14 @@ def dict_knn_predict(matrix, stats, user_ratings, user_id, item_id, r_min=1.0, r
     """``KnnPredictor.predict`` as it was when the predictor kept the
     ``user_ratings`` dict: the item's neighbors in the row's order, each
     the user rated adding w * (r_uj - mean_j), read from the dict. Without
-    a positive sum of weights, the default predictor's score. The scalar
-    ``predict`` must equal it bit for bit."""
+    a positive sum of weights, the default predictor's score. The matrix is
+    over the segment model's catalog, so its columns index ``item_means``.
+    The scalar ``predict`` must equal it bit for bit."""
     rated = user_ratings.get(user_id)
     column = {item: c for c, item in enumerate(matrix.item_ids)}
     r = column.get(item_id)
     if rated and r is not None:
-        means = stats.row_means
+        means = stats.item_means
         a, b = matrix.indptr[r], matrix.indptr[r + 1]
         num = den = 0.0
         for j, weight in zip(matrix.indices[a:b].tolist(), matrix.weights[a:b].tolist()):
@@ -523,13 +525,13 @@ def dict_knn_predict(matrix, stats, user_ratings, user_id, item_id, r_min=1.0, r
 
 def default_scores(stats, user_id, item_ids, r_min=1.0, r_max=5.0):
     """``DefaultPredictor.predict_many`` as it was before it built one row
-    over the train items: the item means gathered over ``item_ids``, the
+    over the catalog: the item means looked up by id over ``item_ids``, the
     fallbacks put in by ``np.where``, then ``np.clip``. The row must equal
     it bit for bit."""
-    rows = stats.item_rows(item_ids)
-    known = rows >= 0
-    means = stats.row_means[rows]
-    um = segment_dicts(stats).user_means.get(user_id)
+    dicts = segment_dicts(stats)
+    known = np.array([i in dicts.item_means for i in item_ids], dtype=bool)
+    means = np.array([dicts.item_means.get(i, 0) for i in item_ids])
+    um = dicts.user_means.get(user_id)
     if um is None:
         scores = np.where(known, means, stats.global_mean)
     else:
@@ -546,7 +548,8 @@ def gathered_mf_scores(model, stats, user_id, item_ids, r_min=1.0, r_max=5.0):
     u = code_of(model.user_ids, user_id)
     if u < 0:
         return fallback
-    rows = stats.item_rows(item_ids)
+    row_of = {item_id: r for r, item_id in enumerate(model.item_ids)}
+    rows = np.array([row_of.get(i, -1) for i in item_ids], dtype=np.intp)
     known = rows >= 0
     factors = np.zeros((len(rows), model.n_factors))
     factors[known] = model.item_factors[rows[known]]
@@ -706,6 +709,12 @@ class NaiveSegments:
     user_means: dict[str, float]
     item_means: dict[str, float]
     global_mean: float
+
+
+def train_items(model: SegmentModel) -> tuple[str, ...]:
+    """The ids of the items with a train rating, in catalog order: the
+    rows of ``train_mf``'s item factors."""
+    return tuple(i for i, n in zip(model.items, model.item_counts.tolist()) if n)
 
 
 def segment_dicts(model: SegmentModel) -> NaiveSegments:

@@ -20,6 +20,7 @@ from recbench.dataset import (
     split,
     user_ratings_index,
 )
+from recbench.baselines import DefaultPredictor
 from recbench.knn import build_similarity_matrix
 from recbench.synthetic import gen_clustered, gen_uniform
 
@@ -360,10 +361,14 @@ class TestSegmentModel:
         assert model.heavy.tolist() == [False, False]
         assert model.popular.tolist() == [False, False]
         assert model.user_means[0] == 4.0 and np.isnan(model.user_means[1])
-        assert model.item_ids == ("i",) and model.code_row.tolist() == [0, -1]
+        assert np.isnan(model.item_means[1])
         assert [model.user_code(u) for u in ("a", "nobody", "stranger")] == [0, -1, -1]
-        assert model.item_rows(model.items) is model.code_row
-        assert model.item_rows(["nothing", "i", "stranger"]).tolist() == [-1, 0, -1]
+        # an item without a train rating keeps its catalog code; only an id
+        # outside the catalog reads -1
+        codes = model.item_codes(["nothing", "i", "stranger", "nothing", ""])
+        assert codes.dtype == np.intp and codes.tolist() == [1, 0, -1, 1, -1]
+        assert model.item_codes(model.items).tolist() == [0, 1]
+        assert model.item_codes(()).tolist() == []
 
     def test_boundary_is_light(self):
         model = build_segment_model(
@@ -373,13 +378,21 @@ class TestSegmentModel:
         assert model.heavy.tolist() == [False, True]
 
     def test_replace_derives_the_train_items_again(self):
+        """The items without a train rating are read from ``item_counts``,
+        so a replaced model's default row fills its cold items again: with
+        the user's mean, or the global mean for a user without one."""
         logs = [RatingLog("a", "i", 4.0), RatingLog("a", "j", 2.0), RatingLog("b", "k", 3.0)]
         model = build_segment_model(oracle.as_ratings(logs))
-        assert model.item_ids == ("i", "j", "k")
         cut = replace(model, item_counts=np.array([1, 0, 1]))
-        assert cut.item_ids == ("i", "k")
-        assert cut.row_means.tolist() == [4.0, 3.0]
-        assert cut.code_row.tolist() == [0, -1, 1]
+        assert oracle.train_items(model) == ("i", "j", "k")
+        assert oracle.train_items(cut) == ("i", "k")
+        for stats, cold in ((model, []), (cut, [1])):
+            row = DefaultPredictor(stats, 1.0, 5.0)
+            # a's mean is 3: (4 + 3) / 2, (2 + 3) / 2, (3 + 3) / 2
+            assert row.catalog_row("a").tolist() == [3.5, 3.0 if cold else 2.5, 3.0, 3.0]
+            assert row.catalog_row("ghost")[cold].tolist() == [model.global_mean] * len(cold)
+            assert row.catalog_row("ghost")[-1] == model.global_mean
+            assert row.predict_many("a", ["j", "x"]).tolist() == [3.0 if cold else 2.5, 3.0]
 
     def test_counts_sum_to_train_size(self):
         logs = gen_uniform(25, 18, 0.4, seed=9)
@@ -457,10 +470,10 @@ class TestSegmentModelAgainstOracle:
             assert np.isnan(means[counts == 0]).all()
             assert flags.tolist() == [want_counts.get(i, 0) > want_threshold for i in table]
         assert model.global_mean == want.global_mean
-        assert model.item_ids == tuple(sorted(want.item_means))
-        assert model.row_means.tolist() == [want.item_means[i] for i in model.item_ids]
-        assert model.code_row.tolist() == [
-            model.item_ids.index(i) if i in want.item_means else -1 for i in model.items
+        assert oracle.train_items(model) == tuple(sorted(want.item_means))
+        ids = [*model.items, "stranger", *model.items[::-1]]
+        assert model.item_codes(ids).tolist() == [
+            model.items.index(i) if i in model.items else -1 for i in ids
         ]
         for user in (*model.users, "stranger"):
             assert model.user_mean(user) == want.user_means.get(user, want.global_mean)
@@ -633,8 +646,10 @@ def check_against_oracle(fmt, raw, ratio, seed):
         got = build_segment_model(data.train)
         want = oracle.naive_segment_model(train)
         assert oracle.segment_dicts(got) == want
-        assert got.item_ids == tuple(sorted(want.item_means))
-        assert got.row_means.tolist() == [want.item_means[i] for i in got.item_ids]
+        assert oracle.train_items(got) == tuple(sorted(want.item_means))
+        assert [got.item_means[c] for c in np.flatnonzero(got.item_counts)] == [
+            want.item_means[i] for i in oracle.train_items(got)
+        ]
     return logs, dropped, train, test
 
 

@@ -234,6 +234,36 @@ class TestBlockedBuild:
         if budget == 1:
             assert len(merges) > 1, merges
 
+    @pytest.mark.parametrize("budget", [1, 30, 2**40])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(1, 12))
+    def test_items_without_a_train_rating_get_empty_rows(self, budget, seed, k, gamma):
+        """A train part whose item table lists items without a train rating:
+        the matrix is over the whole table, their rows are empty, and every
+        other item has, by id, the list of the sparse-product oracle (its
+        ``top_k_matrix`` over the rated items), weights equal bit for bit."""
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(2, 20)), int(rng.integers(2, 16))
+        logs = oracle.as_ratings(
+            RatingLog(f"u{u:02d}", f"i{i:02d}", float(rng.integers(1, 6)))
+            for u in range(n_users)
+            for i in range(n_items)
+            if rng.random() < 0.5
+        )
+        train = part(logs, (rng.random(len(logs.item_ids)) < 0.6)[logs.items])
+        assume(len(train))
+        with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
+            got = build_similarity_matrix(train, k, gamma)
+        want = oracle.sparse_similarity_matrix(train, k, gamma)
+        assert got.k == k and got.item_ids is train.item_ids
+        rated = set(want.item_ids)
+        for c, item in enumerate(got.item_ids):
+            if item in rated:
+                assert got.neighbor_list(item) == want.neighbor_list(item), item
+            else:
+                assert got.indptr[c] == got.indptr[c + 1], item
+        assert got.indptr[-1] == want.indptr[-1] == len(got.indices)
+
     @pytest.mark.parametrize("cols", [[], [3, 3, 3], [4, 0, 2, 1, 3, 0, 4]], ids=["none", "one", "all"])
     def test_compact_column_rank(self, cols):
         # a block's touched columns of 5, and each pair's among them
@@ -437,7 +467,7 @@ class TestKnnPredict:
         # the users' ratings arrive in no particular item order
         logs = oracle.as_ratings(logs[n] for n in rng.permutation(len(logs)))
         stats = build_segment_model(logs)
-        train = stats.item_ids
+        train = oracle.train_items(stats)
         # few weight levels, so neighbors tie, of mixed magnitudes, so the
         # order of a sum shows in its last bits
         levels = 10.0 ** rng.uniform(-3, 0, 3)
@@ -446,13 +476,13 @@ class TestKnnPredict:
             others = [j for j in train[:-1] if j != i and rng.random() < 0.6]
             weighted = [(j, float(rng.choice(levels))) for j in others]
             lists[i] = sorted(weighted, key=lambda t: (-t[1], t[0]))[:k]
-        matrix = oracle.similarity_matrix(k, lists, train)
+        matrix = oracle.similarity_matrix(k, lists, stats.items)
         ratings = oracle.user_ratings_index(logs)
         model = KnnPredictor(matrix, stats, logs)
         catalog = tuple(sorted(set(train) | {"i-unknown"}))
         sub = [catalog[c] for c in rng.integers(0, len(catalog), 5)] + ["x-unknown"]
         for user in sorted(ratings) + ["cold"]:
-            for item_ids in (catalog, sub, []):
+            for item_ids in (stats.items, catalog, sub, []):
                 many = model.predict_many(user, item_ids)
                 by_matvec = oracle.matvec_knn_scores(matrix, stats, ratings, user, item_ids)
                 assert np.array_equal(many, by_matvec)
@@ -486,11 +516,12 @@ class TestKnnPredict:
         # particular order, so the order of a sum shows in its last bits
         levels = [0.0, -0.2, *(10.0 ** rng.uniform(-3, 1, 3))]
         lists = {}
-        for i in stats.item_ids:
-            others = [j for j in stats.item_ids if j != i and rng.random() < 0.6]
+        train_items = oracle.train_items(stats)
+        for i in train_items:
+            others = [j for j in train_items if j != i and rng.random() < 0.6]
             picked = rng.permutation(len(others))[:k]
             lists[i] = [(others[t], float(rng.choice(levels))) for t in picked]
-        matrix = oracle.similarity_matrix(k, lists, stats.item_ids)
+        matrix = oracle.similarity_matrix(k, lists, stats.items)
         # every log, so some rated items are outside train, and some users
         # (the outsider and maybe others) have no train rating
         ratings = oracle.user_ratings_index(logs)
@@ -530,7 +561,7 @@ class TestKnnPredict:
         logs = oracle.as_ratings(logs)
         # k is in the tables, but not a train item of the segment model
         stats = build_segment_model(part(logs, logs.items != 2))
-        matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ij")
+        matrix = oracle.similarity_matrix(1, {"i": [("j", 1.0)], "j": [("i", 1.0)]}, "ijk")
         twice = part(logs, [0, 1, 2, 3, 1])
         with pytest.raises(
             ValueError, match=r"^train ratings repeat a \(user, item\) pair of a train item$"
@@ -541,6 +572,19 @@ class TestKnnPredict:
         once = KnnPredictor(matrix, stats, logs)
         for user in ("u", "v"):
             assert np.array_equal(model.predict_many(user, "ijk"), once.predict_many(user, "ijk"))
+
+    def test_matrix_listing_an_item_without_a_train_rating_rejected(self):
+        logs = oracle.as_ratings([
+            RatingLog("u", "i", 4.0), RatingLog("u", "j", 2.0), RatingLog("v", "i", 3.0),
+            RatingLog("v", "k", 5.0),
+        ])
+        stats = build_segment_model(part(logs, logs.items != 2))  # k: no train rating
+        for lists in ({"k": [("i", 1.0)]}, {"i": [("k", 1.0)]}):
+            matrix = oracle.similarity_matrix(1, lists, "ijk")
+            with pytest.raises(
+                ValueError, match="^similarity matrix lists an item without a train rating$"
+            ):
+                KnnPredictor(matrix, stats, logs)
 
     def test_similarity_capability_truncates(self):
         logs = gen_uniform(30, 15, 0.5, seed=4)
@@ -606,8 +650,8 @@ class TestColumnTranspose:
         _, stats, logs = transpose_case(0, 6, 2)
         lists = {"i02": [("i00", 0.5), ("i01", 0.25)], "i05": [("i00", 0.75)]}
         for matrix in (
-            oracle.similarity_matrix(2, lists, stats.item_ids),
-            oracle.similarity_matrix(2, {}, stats.item_ids),
+            oracle.similarity_matrix(2, lists, stats.items),
+            oracle.similarity_matrix(2, {}, stats.items),
         ):
             with mock.patch.object(dataset, "BLOCK_BYTES", 64 * budget):
                 model = KnnPredictor(matrix, stats, logs)
@@ -642,7 +686,16 @@ class TestChunkedNeighborSums:
             user = stats.users.index("u99999")
             a, b = model.user_ptr[user], model.user_ptr[user + 1]
             cols, devs = model.user_cols[a:b], model.user_dev[a:b]
-            num, den = model.neighbor_sums(cols, devs)
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return dataset.blocks(*args)
+
+            # one pass, with no dataset.blocks call, where the entries fit
+            with mock.patch.object(knn, "blocks", counted):
+                num, den = model.neighbor_sums(cols, devs)
+            assert len(calls) == (model.col_len[cols].sum() > budget)
             row = model.predict_many("u99999", stats.items)
         assert model.col_len[cols].sum() > 30  # more than one chunk at budgets 1 and 30
         n = len(matrix.item_ids)

@@ -139,8 +139,9 @@ def peaks_per_log(path) -> dict[str, float]:
     peaks["epoch"] = peak_of(lambda: sgd_epoch(*epoch)) / n
     peaks["fit"] = peak_of(lambda: train_mf(train, n_factors=16, seed=1, max_epochs=2)) / n
 
-    factors = rng.normal(0, 1, (len(stats.item_ids), 16))
-    model = FactorModel(16, 0.03, 0.008, 0, ["u"], list(stats.item_ids), np.ones((1, 16)), factors)
+    items = oracle.train_items(stats)
+    factors = rng.normal(0, 1, (len(items), 16))
+    model = FactorModel(16, 0.03, 0.008, 0, ["u"], list(items), np.ones((1, 16)), factors)
     peaks["extract"] = peak_of(lambda: mf_item_similarity(model, 100)) / n
 
     data.test.by_user  # as train's, built before the stage

@@ -99,7 +99,7 @@ class TestPrediction:
         stats = build_segment_model(data.train)
         model = train_mf(data.train, n_factors=4, seed=5, budget_seconds=2, max_epochs=2)
         catalog = stats.items
-        assert len(stats.item_ids) < len(catalog)  # items outside train
+        assert len(oracle.train_items(stats)) < len(catalog)  # items outside train
         pred = MFPredictor(model, stats)
         before = dict(vars(pred))
         assert {"u00000", "u00007"} <= set(model.user_ids)
@@ -474,6 +474,33 @@ class TestItemSimilarity:
                     assert got == pytest.approx(expected, abs=1e-10)
                 else:
                     assert got is None
+
+
+class TestPredictorMatrix:
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_the_extraction_over_the_catalog(self, k):
+        """Over a split whose catalog lists items without a train rating:
+        the predictor's matrix is over the catalog, their rows are empty,
+        and each other item lists, by id, its neighbours in
+        ``mf_item_similarity``, with identical weight bits."""
+        data = split(gen_uniform(40, 60, 0.06, seed=3), 0.6, seed=4)
+        stats = build_segment_model(data.train)
+        model = train_mf(data.train, n_factors=4, seed=5, budget_seconds=2, max_epochs=2)
+        assert len(oracle.train_items(stats)) < len(stats.items)
+        got = MFPredictor(model, stats).item_similarity_matrix(k)
+        want = mf_item_similarity(model, k)
+        assert got.k == k and got.item_ids == stats.items
+        assert got.indices.dtype == want.indices.dtype
+        assert not np.diff(got.indptr)[stats.item_counts == 0].any()
+        for item in stats.items:
+            assert got.neighbor_list(item) == want.neighbor_list(item), item
+        assert np.array_equal(got.weights.view(np.int64), want.weights.view(np.int64))
+
+    def test_other_train_items_rejected(self):
+        stats = build_segment_model(oracle.as_ratings([RatingLog("u0", "i0", 3.0)]))
+        model = small_model(np.ones((1, 3)), np.ones((2, 3)))  # items i0 and i1
+        with pytest.raises(ValueError, match="factor model items differ"):
+            MFPredictor(model, stats)
 
 
 def gaussian_items(n_items, seed=5):

@@ -554,7 +554,13 @@ class TestExplore:
 
     @pytest.mark.parametrize("k", [3, 8, 40])
     def test_report_counts_the_explore_matrix(self, k):
-        data, segments = make_data(seed=13)
+        # the second split leaves 3 of its 30 items without a train rating
+        for data, segments in (make_data(seed=13), make_data(seed=13, n_items=30, density=0.1)):
+            self.assert_counts(data, segments, k)
+        assert (segments.item_counts == 0).sum() == 3
+
+    @staticmethod
+    def assert_counts(data, segments, k):
         factors = train_mf(data.train, n_factors=4, seed=1, validation_fraction=0.1, max_epochs=2)
         for model in (
             MFPredictor(factors, segments),
@@ -562,10 +568,13 @@ class TestExplore:
         ):
             explore = run_explore(model, data, segments, ProtocolConfig(top_n=3, explore_k=k))
             matrix = model.item_similarity_matrix(k)
+            # the catalog's rows: an item without a train rating is short of k
+            assert matrix.item_ids == segments.items
             lengths = [len(matrix.neighbor_list(i)) for i in matrix.item_ids]
+            assert all(lengths[c] == 0 for c in np.flatnonzero(segments.item_counts == 0))
             assert explore.matrix_counts == {
                 "k": k,
-                "items": len(segments.item_ids),
+                "items": len(segments.items),
                 "neighbors": sum(lengths),
                 "items_short_of_k": sum(n < k for n in lengths),
             }

@@ -1,10 +1,14 @@
 """The per-user catalog rows of the KNN, MF and default predictors against
 their references in ``oracle.py``, element for element (``np.array_equal``).
 
-The generated fixtures hold items outside train, users outside train or
-outside the model, single-rating users, clip bounds that both bind (so
-scores tie at r_max), integer-typed means and weights, a similarity matrix
-with no entries, and item sequences given as tuples, lists or empty.
+The generated fixtures hold catalog items without a train rating, users
+outside train or outside the model, single-rating users, empty segments
+(a train set of one user and one item has no Heavy user and no Popular
+item), clip bounds that both bind (so scores tie at r_max), tied weights,
+integer-typed means and weights and a similarity matrix with no entries.
+The items are the catalog itself, and sequences, given as tuples, lists or
+empty, with ids outside the catalog, repeats and items without a train
+rating. A sequence's scores are also the catalog's, read at its codes.
 """
 
 import dataclasses
@@ -51,13 +55,17 @@ def row_cases(draw):
             item_means=np.round(np.nan_to_num(stats.item_means)).astype(np.int64),
             global_mean=round(stats.global_mean),
         )
-    train = stats.item_ids
-    catalog = tuple(sorted(set(train) | {"i-outside", "a-outside"}))
+    train = oracle.train_items(stats)
+    assert "i-outside" in stats.items and "i-outside" not in train
+    catalog = tuple(sorted(set(stats.items) | {"a-outside"}))
     picks = rng.integers(0, len(catalog), 6).tolist()
     sequences = (
+        stats.items,  # the catalog itself, which the predictors read as one row
+        list(stats.items),
         catalog,
         train,
-        [catalog[c] for c in picks] + ["x-outside"],
+        # a repeated item and one without a train rating, among ids outside the catalog
+        [catalog[c] for c in picks] + ["x-outside", train[0], "i-outside", train[0], "i-outside"],
         tuple(catalog[c] for c in picks),
         [],
         (),
@@ -65,6 +73,15 @@ def row_cases(draw):
     users = [*stats.users, "cold"]  # each of stats.users but "stranger" has a train rating
     r_min, r_max = draw(st.sampled_from(BOUNDS))
     return rng, logs, stats, users, sequences, r_min, r_max
+
+
+def assert_read_at_codes(model, stats, user, item_ids, got):
+    """``got``, the scores of ``item_ids``, is the catalog row read at their
+    codes, an id outside the catalog reading the default score of such an id."""
+    outside = DefaultPredictor(stats, model.r_min, model.r_max).predict(user, "zz-unknown")
+    row = np.append(model.predict_many(user, stats.items), outside)
+    assert len(row) == len(stats.items) + 1
+    assert np.array_equal(got, row[stats.item_codes(item_ids)])
 
 
 class TestDefaultRow:
@@ -75,8 +92,10 @@ class TestDefaultRow:
         model = DefaultPredictor(stats, r_min, r_max)
         for user in users:
             for item_ids in sequences:
+                got = model.predict_many(user, item_ids)
                 want = oracle.default_scores(stats, user, item_ids, r_min, r_max)
-                assert np.array_equal(model.predict_many(user, item_ids), want)
+                assert np.array_equal(got, want)
+                assert_read_at_codes(model, stats, user, item_ids, got)
 
 
 class TestKnnRow:
@@ -84,14 +103,15 @@ class TestKnnRow:
     @given(row_cases(), st.integers(1, 6), st.booleans(), st.booleans())
     def test_matches_matvec_reference(self, case, k, int_weights, empty):
         rng, logs, stats, users, sequences, r_min, r_max = case
-        train = stats.item_ids
+        train = oracle.train_items(stats)
         # few weight levels, so neighbors tie; integer ones give int64 weights
         levels = [1, 2, 3] if int_weights else 10.0 ** rng.uniform(-3, 0, 3)
         lists = {}
         for i in train if not empty else ():
             weighted = [(j, rng.choice(levels).item()) for j in train if j != i and rng.random() < 0.6]
             lists[i] = sorted(weighted, key=lambda t: (-t[1], t[0]))[:k]
-        matrix = oracle.similarity_matrix(k, lists, train)
+        # over the catalog: the items without a train rating get empty rows
+        matrix = oracle.similarity_matrix(k, lists, stats.items)
         if int_weights:
             matrix = dataclasses.replace(matrix, weights=matrix.weights.astype(np.int64))
         # the model reads every log but those of users[1], the first train
@@ -104,8 +124,10 @@ class TestKnnRow:
         model = KnnPredictor(matrix, stats, logs, r_min, r_max)
         for user in users + ["stranger"]:
             for item_ids in sequences:
+                got = model.predict_many(user, item_ids)
                 want = oracle.matvec_knn_scores(matrix, stats, ratings, user, item_ids, r_min, r_max)
-                assert np.array_equal(model.predict_many(user, item_ids), want)
+                assert np.array_equal(got, want)
+                assert_read_at_codes(model, stats, user, item_ids, got)
 
 
 class TestMfRow:
@@ -113,6 +135,7 @@ class TestMfRow:
     @given(row_cases(), st.integers(3, 6))
     def test_matches_gathered_reference(self, case, f):
         rng, _, stats, users, sequences, r_min, r_max = case
+        train = oracle.train_items(stats)
         # the first train user is outside the model, "stranger" outside
         # train; sorted, as FactorModel requires
         model_users = sorted(users[2:-1] + ["stranger"])
@@ -123,9 +146,9 @@ class TestMfRow:
             regularization=0.008,
             seed=0,
             user_ids=model_users,
-            item_ids=list(stats.item_ids),
+            item_ids=list(train),
             user_factors=rng.normal(0.0, 2.0, (len(model_users), f)),
-            item_factors=rng.normal(0.0, 2.0, (len(stats.item_ids), f)),
+            item_factors=rng.normal(0.0, 2.0, (len(train), f)),
         )
         predictor = MFPredictor(model, stats, r_min, r_max)
         for user in users + ["stranger"]:

@@ -17,6 +17,8 @@ BUILD_KEYS = {
     "rss_peak_mb",
     "rss_rise_mb",
     "traced_bytes_per_log",
+    "score_us_per_user",
+    "score_entries_per_user",
     "mf",
     "mf_explore",
 }
@@ -58,6 +60,7 @@ def test_tiny_point_prints_its_figures():
     # an epoch holds its schedule beside what the fit keeps between epochs
     assert 0 < fit["traced_between_epochs_bytes_per_log"] < fit["traced_bytes_per_log"]
     assert point["mf_explore"]["matrix_entries"] > 0
+    assert point["score_us_per_user"] > 0 and point["score_entries_per_user"] > 0
 
 
 def test_unknown_point_exits_2():

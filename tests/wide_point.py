@@ -16,7 +16,10 @@ peak RSS rise over the RSS after the setup, and the ``tracemalloc``
 peak per train log of a second build (tracing slows a build, and this one
 finds the train logs' by-user order made). So neither the CSV's
 generation nor its load, whose peaks pass the build's at 1,800 items, is
-in the rise. Another fresh process fits MF on the same pickle (F = 16,
+in the rise. Between the two builds it scores KNN on the first matrix:
+``KnnPredictor.predict_many`` over the catalog for a seeded sample of
+2,000 users (all of them at fewer), and prints the wall time per user and
+the column entries that a user's rated items read, on average. Another fresh process fits MF on the same pickle (F = 16,
 seed 1, two epochs): it prints the slower epoch's ``sgd_epoch`` time, the
 ``sgd_levels`` pass per update on one epoch's order, the fit's peak RSS
 rise over the setup, and two ``tracemalloc`` figures per train log: the
@@ -62,6 +65,7 @@ POINTS = {
 }
 DEFAULT = ("1m", "1.8m", "wide", "1%")
 K, GAMMA = 100, 50
+SCORED_USERS = 2_000
 
 
 def status_mb(field: str) -> float:
@@ -82,7 +86,7 @@ def traced_peak(call):
 
 
 def measure(path: Path) -> dict:
-    """The build's figures on one point's pickled split, in this process."""
+    """The build's and KNN scoring's figures on one point's pickled split, in this process."""
     from recbench.knn import build_similarity_matrix
 
     train = pickle.loads(path.read_bytes()).train
@@ -91,6 +95,7 @@ def measure(path: Path) -> dict:
     matrix = build_similarity_matrix(train, K, GAMMA)
     build_s = time.perf_counter() - t0
     peak = status_mb("VmHWM")
+    scoring = score_knn(matrix, train)
     del matrix
     traced = traced_peak(lambda: build_similarity_matrix(train, K, GAMMA))[1]
     return {
@@ -101,6 +106,33 @@ def measure(path: Path) -> dict:
         "rss_peak_mb": round(peak, 1),
         "rss_rise_mb": round(peak - setup, 1),
         "traced_bytes_per_log": round(traced / len(train), 1),
+        **scoring,
+    }
+
+
+def score_knn(matrix, train) -> dict:
+    """KNN's catalog rows for a seeded sample of users (seed 0): wall time
+    per user, and the column entries their rated items read, per user."""
+    import numpy as np
+
+    from recbench.dataset import build_segment_model
+    from recbench.knn import KnnPredictor
+
+    stats = build_segment_model(train)
+    model = KnnPredictor(matrix, stats, train)
+    n = len(stats.users)
+    users = np.random.default_rng(0).choice(n, min(SCORED_USERS, n), replace=False).tolist()
+    t0 = time.perf_counter()
+    for u in users:
+        model.predict_many(stats.users[u], stats.items)
+    score_s = time.perf_counter() - t0
+    entries = sum(
+        int(model.col_len[model.user_cols[model.user_ptr[u] : model.user_ptr[u + 1]]].sum())
+        for u in users
+    )
+    return {
+        "score_us_per_user": round(1e6 * score_s / len(users), 1),
+        "score_entries_per_user": round(entries / len(users)),
     }
 
 
@@ -264,6 +296,11 @@ def main(argv: list[str]) -> int:
                 f"{name}: {r['train_logs']:,} train logs, {r['items']:,} items: build "
                 f"{r['build_s']:.2f} s, RSS {r['rss_setup_mb']:.0f} -> {r['rss_peak_mb']:.0f} MB "
                 f"(+{r['rss_rise_mb']:.0f}), traced peak {r['traced_bytes_per_log']:.1f} B/log",
+                flush=True,
+            )
+            print(
+                f"{name}: KNN scoring: {r['score_us_per_user']:.0f} us/user over the catalog, "
+                f"{r['score_entries_per_user']:,} column entries/user",
                 flush=True,
             )
             m = r["mf"] = child("--fit", path)
