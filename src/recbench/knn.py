@@ -478,17 +478,17 @@ class KnnPredictor(Predictor):
         """(sum_j w_ij * v_j, sum_j w_ij) over the given columns j, for every item i.
 
         ``cols`` must ascend; items that list none of them get (0, 0). The
-        columns are read in one pass if their entries fit a block, else in
-        chunks by their entries (``dataset.blocks``; a heavier column is a
-        chunk of its own, with fewer entries than the sums have items): the
-        first chunk's sums are bincounts, and each later chunk's terms are
-        added onto them in input order, so every item's terms are added in
-        ascending column order from 0.0, whatever the chunks.
+        columns are read in chunks by their entries (``dataset.blocks``; a
+        heavier column is a chunk of its own, with fewer entries than the
+        sums have items): the first chunk's sums are bincounts, and each
+        later chunk's terms are added onto them in input order, so every
+        item's terms are added in ascending column order from 0.0, whatever the chunks.
         """
         lengths = self.col_len[cols]
         n = len(self.col_len)
-        fits = lengths.sum() * 64 <= dataset.BLOCK_BYTES  # an entry: position, row, weight, term
-        for a, b in [(0, len(cols))] if fits else blocks(lengths, 64):
+        if not len(cols):
+            return np.zeros(n), np.zeros(n)
+        for a, b in blocks(lengths, 64):  # an entry: its position, row, weight and term
             entries = _runs(self.col_ptr[cols[a:b]], lengths[a:b])
             # intp once, for both sums: bincount and add.at would each cast int32
             targets = self.col_rows[entries].astype(np.intp)

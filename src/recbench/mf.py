@@ -392,7 +392,7 @@ class MFPredictor(Predictor):
         counts = np.zeros(len(self.stats.items), np.intp)
         counts[self.codes] = np.diff(matrix.indptr)
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices = np.take(self.codes.astype(np.int32), matrix.indices)
+        indices = self.codes.astype(np.int32)[matrix.indices]
         return SimilarityMatrix(k, self.stats.items, indptr, indices, matrix.weights)
 
     def config(self) -> dict:

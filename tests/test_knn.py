@@ -686,16 +686,7 @@ class TestChunkedNeighborSums:
             user = stats.users.index("u99999")
             a, b = model.user_ptr[user], model.user_ptr[user + 1]
             cols, devs = model.user_cols[a:b], model.user_dev[a:b]
-            calls = []
-
-            def counted(*args):
-                calls.append(args)
-                return dataset.blocks(*args)
-
-            # one pass, with no dataset.blocks call, where the entries fit
-            with mock.patch.object(knn, "blocks", counted):
-                num, den = model.neighbor_sums(cols, devs)
-            assert len(calls) == (model.col_len[cols].sum() > budget)
+            num, den = model.neighbor_sums(cols, devs)
             row = model.predict_many("u99999", stats.items)
         assert model.col_len[cols].sum() > 30  # more than one chunk at budgets 1 and 30
         n = len(matrix.item_ids)
